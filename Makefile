@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check lint smoke trace-serve bench bench-smoke codec-bench rank-bench rank-bench-smoke microbench fuzz differential differential-live experiments merge-bench tools clean
+.PHONY: all build test race check lint smoke trace-serve bench microbench fuzz differential differential-live experiments tools clean
 
 all: build test
 
@@ -55,53 +55,23 @@ trace-serve:
 	rm -rf $$tmp; exit $$rc
 
 # Everything CI runs (.github/workflows/ci.yml): lint, build, the full
-# race-enabled test suite, and the telemetry smoke gate.
+# race-enabled test suite, the benchmark's own module (bench/ is not
+# part of ./...; its TestQuick runs all four workloads at -quick sizes
+# and asserts no timing), and the telemetry smoke gate.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) smoke
 
-# Build hot-path benchmark suite (tokenizer, parser, IndexRun,
-# end-to-end build, merge): full-scale corpus, JSON to stdout. Redirect
-# to BENCH_PR5.json (with -baseline for deltas) to refresh the
-# committed reference.
+# The repository's one benchmark (BENCHMARK.json, bench/README.md):
+# four workloads over the shipped hetindex/hetserve binaries, seven
+# end-to-end metrics, per-layer probes and a traced run each.
 bench:
-	$(GO) run ./cmd/benchrunner -buildbench -benchout -
-
-# CI-sized buildbench gated against the committed reference: fails when
-# quick-mode end-to-end throughput drops more than 20% or allocs/op
-# grow more than 30% (alloc counts are stable on noisy runners, so the
-# tighter-feeling bound holds in practice).
-bench-smoke:
-	$(GO) run ./cmd/benchrunner -buildbench -quick \
-		-benchout bench-smoke.json -compare BENCH_PR5.json \
-		-tolerance 0.2 -alloc-tolerance 0.3
-
-# Postings-codec ablation (bytes/posting, compression ratio,
-# encode/decode speed per codec and list class). Redirect to
-# BENCH_PR6.json to refresh the committed reference.
-codec-bench:
-	$(GO) run ./cmd/benchrunner -codecbench -benchout -
-
-# Block-max top-k retrieval benchmark (exhaustive vs MaxScore vs
-# Block-Max-WAND with skipped/decoded block counters, plus the
-# warm-dictionary IndexRun recovery number). Full-scale corpus; this is
-# how the committed BENCH_PR10.json reference is refreshed.
-rank-bench:
-	$(GO) run ./cmd/benchrunner -rankbench \
-		-benchout BENCH_PR10.json -baseline BENCH_PR5.json
-
-# CI-sized rankbench gated against the committed reference: fails when
-# Block-Max-WAND at k=10 is less than 3x faster than the exhaustive
-# scorer in the same run (machine-relative, so noisy runners don't
-# flake it), when its pruning counters show no skipped blocks, or when
-# its allocs/op grow more than 30% over BENCH_PR10.json.
-rank-bench-smoke:
-	$(GO) run ./cmd/benchrunner -rankbench -quick \
-		-benchout rank-bench-smoke.json -compare BENCH_PR10.json \
-		-min-speedup 3.0 -alloc-tolerance 0.3
+	bash bench/run.sh
 
 # One pass over every go-test microbenchmark with allocation metrics.
+# The root package's wrappers also assert the paper's timing orderings.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -146,12 +116,6 @@ differential-live:
 	$(GO) run ./cmd/hetverify -live -seeds 10
 	$(GO) run ./cmd/hetverify -live -seeds 5 -positional
 
-# Query-latency comparison before/after the post-processing merge
-# (§III.F): sweeps every dictionary term through per-run assembly, then
-# through merged.post, with the decoded-list cache disabled.
-merge-bench:
-	$(GO) run ./cmd/benchrunner -mergebench -files 8 -scale 0.5
-
 # Paper-style tables and figures (EXPERIMENTS.md reference data).
 experiments:
 	$(GO) run ./cmd/benchrunner -all -files 16 -scale 1 -trials 3
@@ -166,4 +130,4 @@ tools:
 	$(GO) build -o bin/tracecheck ./cmd/tracecheck
 
 clean:
-	rm -rf bin
+	rm -rf bin .bench_build bench/out

@@ -8,8 +8,8 @@
 //	benchrunner -table 4 -files 16 -scale 1
 //	benchrunner -fig 10
 //	benchrunner -ablations
-//	benchrunner -json BENCH_stages.json   machine-readable throughput +
-//	                                      per-stage busy/stall/utilization breakdowns
+//
+// Performance is measured by bench/ (see BENCHMARK.json), not here.
 package main
 
 import (
@@ -34,18 +34,6 @@ func main() {
 		files      = flag.Int("files", 16, "container files per collection")
 		scale      = flag.Float64("scale", 1.0, "collection size factor")
 		trials     = flag.Int("trials", 2, "trials per configuration (best kept)")
-		jsonOut    = flag.String("json", "", "write BENCH_*.json stage-level benchmark (throughput + per-stage breakdowns) to this file (\"-\" = stdout)")
-		mergebench = flag.Bool("mergebench", false, "compare query latency before/after the post-processing merge")
-		buildbench = flag.Bool("buildbench", false, "run the build hot-path benchmark suite (tokenizer, parser, IndexRun, end-to-end build, merge)")
-		quick      = flag.Bool("quick", false, "buildbench/codecbench: CI-sized run (seconds instead of minutes)")
-		benchOut   = flag.String("benchout", "-", "buildbench/codecbench: write the JSON document to this file (\"-\" = stdout)")
-		baseline   = flag.String("baseline", "", "buildbench: embed this previous BENCH_*.json as the baseline and compute deltas")
-		compare    = flag.String("compare", "", "buildbench: gate against this committed BENCH_*.json (fails when end-to-end throughput drops > -tolerance)")
-		tolerance  = flag.Float64("tolerance", 0.2, "buildbench -compare: allowed end-to-end throughput drop fraction")
-		allocTol   = flag.Float64("alloc-tolerance", 0.3, "buildbench -compare: allowed end-to-end allocs/op growth fraction (<=0 disables)")
-		codecbench = flag.Bool("codecbench", false, "run the postings-codec ablation (bytes/posting, compression ratio, encode/decode speed per codec and list class)")
-		rankbench  = flag.Bool("rankbench", false, "run the block-max top-k retrieval benchmark (exhaustive vs MaxScore vs Block-Max-WAND, plus the warm-dictionary IndexRun recovery number)")
-		minSpeedup = flag.Float64("min-speedup", 2.0, "rankbench -compare: required bmw-vs-exhaustive speedup at k=10")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
@@ -170,92 +158,6 @@ func main() {
 	}
 	if *ablations && !*all {
 		runAblations()
-	}
-	if *mergebench {
-		ran = true
-		r, err := experiments.MergeBench(s)
-		check(err)
-		experiments.FprintMergeBench(w, r)
-		fmt.Fprintln(w)
-	}
-	if *buildbench {
-		ran = true
-		doc, err := experiments.BuildBenchRun(*quick)
-		check(err)
-		if *baseline != "" {
-			prev, err := experiments.ReadBuildBenchDoc(*baseline)
-			check(err)
-			doc.EmbedBaseline(prev)
-		}
-		out := os.Stdout
-		if *benchOut != "-" {
-			f, err := os.Create(*benchOut)
-			check(err)
-			check(experiments.WriteBuildBenchDoc(f, doc))
-			check(f.Close())
-			fmt.Printf("build benchmark written to %s\n", *benchOut)
-		} else {
-			check(experiments.WriteBuildBenchDoc(out, doc))
-		}
-		if *compare != "" {
-			committed, err := experiments.ReadBuildBenchDoc(*compare)
-			check(err)
-			check(experiments.CompareBuildBench(committed, doc, *tolerance, *allocTol))
-			fmt.Printf("bench gate OK: within %.0f%% of %s\n", *tolerance*100, *compare)
-		}
-	}
-	if *rankbench {
-		ran = true
-		doc, err := experiments.RankBenchRun(*quick)
-		check(err)
-		if *baseline != "" {
-			prev, err := experiments.ReadBuildBenchDoc(*baseline)
-			check(err)
-			doc.EmbedIndexRunBaseline(prev)
-		}
-		if *benchOut != "-" {
-			f, err := os.Create(*benchOut)
-			check(err)
-			check(experiments.WriteRankBenchDoc(f, doc))
-			check(f.Close())
-			fmt.Printf("rank benchmark written to %s\n", *benchOut)
-		} else {
-			check(experiments.WriteRankBenchDoc(os.Stdout, doc))
-		}
-		if *compare != "" {
-			committed, err := experiments.ReadRankBenchDoc(*compare)
-			check(err)
-			check(experiments.CompareRankBench(committed, doc, *minSpeedup, *allocTol))
-			fmt.Printf("rank gate OK: bmw k=10 speedup >= %.1fx\n", *minSpeedup)
-		}
-	}
-	if *codecbench {
-		ran = true
-		doc, err := experiments.CodecBenchRun(*quick)
-		check(err)
-		if *benchOut != "-" {
-			f, err := os.Create(*benchOut)
-			check(err)
-			check(experiments.WriteCodecBenchDoc(f, doc))
-			check(f.Close())
-			fmt.Printf("codec benchmark written to %s\n", *benchOut)
-		} else {
-			experiments.FprintCodecBench(w, doc)
-		}
-	}
-	if *jsonOut != "" {
-		ran = true
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			check(err)
-			defer f.Close()
-			out = f
-		}
-		check(experiments.WriteStageBenchJSON(out, s))
-		if *jsonOut != "-" {
-			fmt.Printf("stage benchmark written to %s\n", *jsonOut)
-		}
 	}
 	if !ran {
 		flag.Usage()

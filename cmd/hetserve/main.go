@@ -16,7 +16,6 @@
 //	/metrics                                     Prometheus text exposition: query counters,
 //	                                             latency histogram, cache hit/miss/eviction,
 //	                                             pool in-flight, index shape
-//	/debug/vars                                  expvar + QPS, p50/p99 latency, cache + pool stats
 //	/debug/slowlog                               ring-buffered slow-query log (see -slow-ms)
 //	/debug/trace                                 retained request traces; ?id=X dumps one span tree
 //	/debug/pprof/                                net/http/pprof (behind -pprof; query goroutines

@@ -217,8 +217,8 @@ func FprintTableVI(w io.Writer, rows []TableVIRow) {
 	}
 }
 
-// TableIVReports exposes the underlying reports for Table IV shapes
-// (used by tests asserting the paper's orderings).
+// TableIVReports exposes the underlying reports of Table IV's four
+// configurations (tests assert the workload splits behind its shape).
 func TableIVReports(s Scale) (gpuOnly, oneCPU, twoCPU, hybrid *core.Report, err error) {
 	src := ClueWebSource(s)
 	if gpuOnly, err = buildWith(src, 6, 0, 2); err != nil {

@@ -39,9 +39,11 @@ var (
 // PostingsSource is what a Searcher needs from an index: postings
 // lookup plus the immutable metadata driving IDF and BM25. It is the
 // seam where a caching layer (internal/serve) slots in front of
-// *store.IndexReader, which satisfies it directly.
+// *store.IndexReader, which satisfies it directly. Every per-term
+// fetch receives the query context, so a telemetry.RequestTrace it
+// carries flows down to the cache/pread/decode leaves.
 type PostingsSource interface {
-	Postings(term string) (*postings.List, error)
+	PostingsCtx(ctx context.Context, term string) (*postings.List, error)
 	DocLens() []uint32
 	Runs() []store.RunMeta
 	Dictionary() []store.DictEntry
@@ -55,16 +57,6 @@ type LiveSource interface {
 	LiveDocs() int64
 }
 
-// CtxPostingsSource is the optional context-aware extension of
-// PostingsSource. Sources that implement it receive the query context
-// on every per-term fetch, so a telemetry.RequestTrace carried by the
-// context flows down to the cache/pread/decode leaves. The searcher
-// type-asserts once at construction; sources without it keep working
-// through plain Postings.
-type CtxPostingsSource interface {
-	PostingsCtx(ctx context.Context, term string) (*postings.List, error)
-}
-
 // Searcher evaluates queries against one opened index.
 //
 // Concurrency: a Searcher is immutable after construction and safe for
@@ -72,8 +64,7 @@ type CtxPostingsSource interface {
 // and serve's cached wrapper both are).
 type Searcher struct {
 	idx      PostingsSource
-	ctxSrc   CtxPostingsSource // idx's context-aware face, when it has one
-	blockSrc BlockSource       // idx's block-at-a-time face, when it has one
+	blockSrc BlockSource // idx's block-at-a-time face, when it has one
 	stop     *stopwords.Set
 	numDocs  int64
 	docLens  []uint32 // optional, enables BM25 length normalization
@@ -105,9 +96,6 @@ func NewWithSource(idx PostingsSource) *Searcher {
 		n = int64(maxDoc) + 1
 	}
 	s := &Searcher{idx: idx, stop: stopwords.Default(), numDocs: n}
-	if cs, ok := idx.(CtxPostingsSource); ok {
-		s.ctxSrc = cs
-	}
 	if bs, ok := idx.(BlockSource); ok {
 		s.blockSrc = bs
 	}
@@ -174,16 +162,7 @@ func (s *Searcher) PostingsCtx(ctx context.Context, word string) (*postings.List
 	if stop || term == "" {
 		return &postings.List{}, nil
 	}
-	return s.fetch(ctx, term)
-}
-
-// fetch routes a normalized term to the context-aware source when the
-// index offers one, so request traces reach the storage layer.
-func (s *Searcher) fetch(ctx context.Context, term string) (*postings.List, error) {
-	if s.ctxSrc != nil {
-		return s.ctxSrc.PostingsCtx(ctx, term)
-	}
-	return s.idx.Postings(term)
+	return s.idx.PostingsCtx(ctx, term)
 }
 
 // And returns the docIDs containing every word (stop words are
@@ -204,7 +183,7 @@ func (s *Searcher) AndCtx(ctx context.Context, words ...string) ([]uint32, error
 		if stop || term == "" {
 			continue
 		}
-		l, err := s.fetch(ctx, term)
+		l, err := s.idx.PostingsCtx(ctx, term)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +279,7 @@ func (s *Searcher) PhraseCtx(ctx context.Context, words ...string) ([]uint32, er
 		if stop || term == "" {
 			continue
 		}
-		l, err := s.fetch(ctx, term)
+		l, err := s.idx.PostingsCtx(ctx, term)
 		if err != nil {
 			return nil, err
 		}

@@ -313,24 +313,19 @@ func (m *Manager) acquire() (*view, error) {
 	return m.cur, nil
 }
 
-// Postings assembles the term's live postings across sealed segments
-// and the memtable, dropping tombstoned documents. Unknown terms yield
-// an empty list.
-func (m *Manager) Postings(term string) (*postings.List, error) {
-	l, _, err := m.PostingsSized(term)
+// PostingsCtx assembles the term's live postings across sealed
+// segments and the memtable, dropping tombstoned documents. Unknown
+// terms yield an empty list.
+func (m *Manager) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
+	l, _, err := m.PostingsSizedCtx(ctx, term)
 	return l, err
 }
 
-// PostingsSized additionally reports the term's encoded size in bytes:
-// exact for sealed segments (on-disk list lengths), estimated for the
-// memtable portion. Cache layers use it to charge budgets by what the
-// postings cost at rest rather than their decoded footprint.
-func (m *Manager) PostingsSized(term string) (*postings.List, int64, error) {
-	return m.PostingsSizedCtx(context.Background(), term)
-}
-
-// PostingsSizedCtx is PostingsSized under a context. A
-// telemetry.RequestTrace carried by ctx sees the live read anatomy:
+// PostingsSizedCtx additionally reports the term's encoded size in
+// bytes: exact for sealed segments (on-disk list lengths), estimated
+// for the memtable portion. Cache layers use it to charge budgets by
+// what the postings cost at rest rather than their decoded footprint.
+// A telemetry.RequestTrace carried by ctx sees the live read anatomy:
 // one merge span over the sealed-segment fan-out (with per-segment
 // dict/pread/decode children) and one memtable span for the in-memory
 // tail, plus the view generation the query ran against.

@@ -22,7 +22,7 @@ func readBackLive(t *testing.T, m *Manager) map[string][]uint32 {
 	t.Helper()
 	out := make(map[string][]uint32)
 	for _, e := range m.Dictionary() {
-		l, err := m.Postings(e.Term)
+		l, err := m.PostingsCtx(context.Background(), e.Term)
 		if err != nil {
 			t.Fatalf("Postings(%q): %v", e.Term, err)
 		}
@@ -64,7 +64,7 @@ func TestMemtableSealReopenRoundTrip(t *testing.T) {
 		t.Fatalf("memtable readback = %v, want %v", got, want)
 	}
 	// TF of the repeated term must reflect both occurrences.
-	l, err := m.Postings("beta")
+	l, err := m.PostingsCtx(context.Background(), "beta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDeleteFiltersAndPersists(t *testing.T) {
 	if err := m.Delete(4); err != nil {
 		t.Fatal(err)
 	}
-	l, err := m.Postings("alpha")
+	l, err := m.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDeleteFiltersAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	l, err = m2.Postings("alpha")
+	l, err = m2.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCompactionMergesSegmentsAndPurgesTombstones(t *testing.T) {
 		t.Fatalf("segment files after compaction: %v", posts)
 	}
 	// The tombstoned doc stays deleted (its ID is never reused).
-	if l, _ := m.Postings("gamma"); l.Len() != 0 {
+	if l, _ := m.PostingsCtx(context.Background(), "gamma"); l.Len() != 0 {
 		t.Fatal("purged postings resurfaced")
 	}
 	if m.NumDocs() != 5 {
@@ -263,7 +263,7 @@ func TestAutoSealAndBackgroundCompaction(t *testing.T) {
 	if st.Compactions == 0 {
 		t.Fatal("no background compaction ran")
 	}
-	l, err := m.Postings("alpha")
+	l, err := m.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPositionalLivePostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(stage string) {
-		l, err := m.Postings("alpha")
+		l, err := m.PostingsCtx(context.Background(), "alpha")
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
@@ -367,7 +367,7 @@ func TestClosedManagerErrors(t *testing.T) {
 	if err := m.Delete(0); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("Delete after Close = %v", err)
 	}
-	if _, err := m.Postings("alpha"); !errors.Is(err, store.ErrClosed) {
+	if _, err := m.PostingsCtx(context.Background(), "alpha"); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("Postings after Close = %v", err)
 	}
 	if err := m.Close(); err != nil {
@@ -424,7 +424,7 @@ func TestEmptyDocumentConsumesDocID(t *testing.T) {
 	if err := m.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	l, err := m.Postings("alpha")
+	l, err := m.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestConcurrentQueriesDuringSealAndCompaction(t *testing.T) {
 				default:
 				}
 				term := terms[(g+i)%len(terms)]
-				l, err := m.Postings(term)
+				l, err := m.PostingsCtx(context.Background(), term)
 				if err != nil {
 					qerr.Store(fmt.Errorf("Postings(%q): %w", term, err))
 					return
@@ -123,7 +123,7 @@ func TestCancelledCompactionLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := m.Postings("alpha")
+	before, err := m.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCancelledCompactionLeaksNothing(t *testing.T) {
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled compaction = %v", err)
 	}
-	after, err := m.Postings("alpha")
+	after, err := m.PostingsCtx(context.Background(), "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // fast and safe under concurrent traffic. A sharded, size-bounded LRU
 // postings cache fronts store.IndexReader term access, a bounded
 // worker pool executes queries under per-query deadlines, and Server
-// exposes the whole thing over HTTP/JSON with expvar metrics.
+// exposes the whole thing over HTTP/JSON with Prometheus metrics at
+// /metrics.
 //
 // The construction pipeline (internal/core) optimizes for build
 // throughput; this package optimizes for the other half of the
@@ -22,21 +23,12 @@ import (
 
 // CacheStats is a point-in-time aggregate over all shards.
 type CacheStats struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Evictions    uint64 `json:"evictions"`
-	EvictedBytes uint64 `json:"evicted_bytes"`
-	Entries      int    `json:"entries"`
-	Bytes        int64  `json:"bytes"`
-}
-
-// HitRate is hits/(hits+misses), 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+	Hits         uint64
+	Misses       uint64
+	Evictions    uint64
+	EvictedBytes uint64
+	Entries      int
+	Bytes        int64
 }
 
 // PostingsCache is a sharded, size-bounded LRU cache of decoded

@@ -1,34 +1,20 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"fastinvert/internal/telemetry"
 )
 
-// latencyWindow is how many recent query latencies feed the
-// percentile estimates.
-const latencyWindow = 4096
-
-// Metrics tracks the server's query counters and latency distribution.
-// The counters and the latency histogram live in a telemetry.Registry
-// (so /metrics exposes them in Prometheus format); a sliding window of
-// raw latencies is kept alongside for the exact percentiles served at
-// /debug/vars. All methods are safe for concurrent use; Observe is a
-// handful of atomic adds plus one short critical section on the ring —
-// no allocations on the query hot path.
+// Metrics tracks the server's query counters and latency distribution
+// in a telemetry.Registry, which /metrics exposes in Prometheus format.
+// All methods are safe for concurrent use; Observe is a handful of
+// atomic adds — no lock and no allocation on the query hot path.
 type Metrics struct {
 	start   time.Time
 	queries *telemetry.Counter
 	errors  *telemetry.Counter
 	latency *telemetry.Histogram
-
-	mu   sync.Mutex
-	ring [latencyWindow]float64 // milliseconds
-	next int
-	n    int // filled entries, <= latencyWindow
 }
 
 // NewMetrics starts the uptime clock on a private registry (tests,
@@ -60,54 +46,4 @@ func (m *Metrics) Observe(d time.Duration, err error) {
 		m.errors.Inc()
 	}
 	m.latency.Observe(d.Seconds())
-	ms := float64(d) / float64(time.Millisecond)
-	m.mu.Lock()
-	m.ring[m.next] = ms
-	m.next = (m.next + 1) % latencyWindow
-	if m.n < latencyWindow {
-		m.n++
-	}
-	m.mu.Unlock()
-}
-
-// MetricsSnapshot is the JSON shape published at /debug/vars.
-type MetricsSnapshot struct {
-	UptimeSec float64 `json:"uptime_sec"`
-	Queries   int64   `json:"queries"`
-	Errors    int64   `json:"errors"`
-	QPS       float64 `json:"qps"`
-	P50Ms     float64 `json:"p50_ms"`
-	P90Ms     float64 `json:"p90_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-}
-
-// Snapshot computes percentiles over the latency window and overall
-// QPS since start.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	lat := append([]float64(nil), m.ring[:m.n]...)
-	m.mu.Unlock()
-	sort.Float64s(lat)
-	pct := func(p float64) float64 {
-		if len(lat) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lat)-1))
-		return lat[i]
-	}
-	up := time.Since(m.start).Seconds()
-	q := int64(m.queries.Value())
-	qps := 0.0
-	if up > 0 {
-		qps = float64(q) / up
-	}
-	return MetricsSnapshot{
-		UptimeSec: up,
-		Queries:   q,
-		Errors:    int64(m.errors.Value()),
-		QPS:       qps,
-		P50Ms:     pct(0.50),
-		P90Ms:     pct(0.90),
-		P99Ms:     pct(0.99),
-	}
 }

@@ -98,11 +98,11 @@ func (p *Pool) Close() {
 }
 
 // PoolStats is a point-in-time view of the pool's load, published at
-// /debug/vars and /metrics.
+// /metrics.
 type PoolStats struct {
-	Workers   int   `json:"workers"`
-	InFlight  int64 `json:"in_flight"`
-	Completed int64 `json:"completed"`
+	Workers   int
+	InFlight  int64
+	Completed int64
 }
 
 // Stats reads the pool counters (lock-free).

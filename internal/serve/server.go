@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -115,29 +114,12 @@ type cachedSource struct {
 	cache *PostingsCache
 }
 
-func (cs *cachedSource) Postings(term string) (*postings.List, error) {
-	if l, ok := cs.cache.Get(term); ok {
-		return l, nil
-	}
-	l, enc, err := cs.idx.PostingsEncoded(term)
-	if err != nil {
-		return nil, err
-	}
-	cs.cache.PutSized(term, l, enc)
-	return l, nil
-}
-
-// PostingsCtx is Postings under a traced context: the cache probe gets
-// a cache span noting hit/miss, and a miss flows through the reader's
-// context-aware path so its dict/pread/decode spans land in the same
-// trace. An untraced context takes the exact allocation-free path
-// Postings does.
+// PostingsCtx reads through the cache: the probe gets a cache span
+// noting hit/miss, and a miss flows through the reader's context-aware
+// path so its dict/pread/decode spans land in the same trace. Under an
+// untraced context the span handles are inert and cost no allocation.
 func (cs *cachedSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
-	tr := telemetry.TraceFrom(ctx)
-	if tr == nil {
-		return cs.Postings(term)
-	}
-	csp := tr.StartSpan(telemetry.ReqStageCache)
+	csp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageCache)
 	if l, ok := cs.cache.Get(term); ok {
 		csp.SetNote("hit")
 		csp.End()
@@ -185,30 +167,11 @@ type liveSource struct {
 	cache *PostingsCache
 }
 
-func (ls *liveSource) Postings(term string) (*postings.List, error) {
-	gen := ls.mgr.Gen()
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	if l, ok := ls.cache.Get(key); ok {
-		return l, nil
-	}
-	l, enc, err := ls.mgr.PostingsSized(term)
-	if err != nil {
-		return nil, err
-	}
-	if ls.mgr.Gen() == gen {
-		ls.cache.PutSized(key, l, enc)
-	}
-	return l, nil
-}
-
 // PostingsCtx mirrors cachedSource.PostingsCtx for the live index: a
 // cache span around the generation-keyed probe, then the manager's
 // traced fan-out (memtable + sealed segments) on a miss.
 func (ls *liveSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
 	tr := telemetry.TraceFrom(ctx)
-	if tr == nil {
-		return ls.Postings(term)
-	}
 	gen := ls.mgr.Gen()
 	tr.SetGeneration(gen)
 	key := term + "#" + strconv.FormatUint(gen, 10)
@@ -341,7 +304,6 @@ func (s *Server) registerRoutes() {
 	s.mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
 	s.mux.HandleFunc("/postings", s.instrument("postings", s.handlePostings))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/debug/vars", s.handleVars)
 	s.mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	s.mux.HandleFunc("/debug/trace", s.handleTraceDump)
 	s.mux.Handle("/metrics", s.cfg.Registry.Handler())
@@ -755,43 +717,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"docs":   s.searcher.NumDocs(),
 		"runs":   len(s.idx.Runs()),
 	})
-}
-
-// varsSnapshot is the "hetserve" object at /debug/vars: query
-// percentiles, the full cache counter set (hits, misses, evictions,
-// occupancy) and the pool's live load.
-type varsSnapshot struct {
-	MetricsSnapshot
-	Cache        CacheStats `json:"cache"`
-	CacheHitRate float64    `json:"cache_hit_rate"`
-	Pool         PoolStats  `json:"pool"`
-	Workers      int        `json:"workers"`
-}
-
-// handleVars renders the process-global expvar registry (memstats,
-// cmdline, anything else published) plus this server's own metrics
-// under the "hetserve" key. Rendering our vars per-server instead of
-// expvar.Publish-ing them keeps multiple Servers in one process (and
-// in tests) from colliding in the global registry.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value)
-	})
-	cache := s.cache.Stats()
-	snap := varsSnapshot{
-		MetricsSnapshot: s.metrics.Snapshot(),
-		Cache:           cache,
-		CacheHitRate:    cache.HitRate(),
-		Pool:            s.pool.Stats(),
-		Workers:         s.cfg.Workers,
-	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		b = []byte("{}")
-	}
-	fmt.Fprintf(w, "%q: %s\n}\n", "hetserve", b)
 }
 
 // writeQueryError maps query failures to HTTP statuses.

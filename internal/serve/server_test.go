@@ -149,7 +149,7 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestServerConcurrentSearch hammers /search from 16 goroutines with
 // mixed modes (race detector exercises reader, cache and metrics) and
-// then checks /debug/vars reports the traffic.
+// then checks /metrics reports the traffic.
 func TestServerConcurrentSearch(t *testing.T) {
 	idx := buildIndex(t)
 	srv := New(idx, Config{CacheShards: 4, CacheBytes: 1 << 20, Workers: 8})
@@ -201,31 +201,23 @@ func TestServerConcurrentSearch(t *testing.T) {
 		t.Fatalf("no cache hits after %d repeated queries: %+v", goroutines*perG, st)
 	}
 
-	// /debug/vars carries the metrics snapshot.
-	resp, err := ts.Client().Get(ts.URL + "/debug/vars")
+	// /metrics reports the traffic: every request counted and timed,
+	// and the cache counter the server object sees.
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var vars struct {
-		Hetserve varsSnapshot `json:"hetserve"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars: %v: %s", err, body)
-	}
-	hs := vars.Hetserve
-	if hs.Queries != goroutines*perG {
-		t.Errorf("queries = %d, want %d", hs.Queries, goroutines*perG)
-	}
-	if hs.QPS <= 0 || hs.P50Ms < 0 || hs.P99Ms < hs.P50Ms {
-		t.Errorf("implausible latency stats: %+v", hs)
-	}
-	if hs.CacheHitRate <= 0 {
-		t.Errorf("cache hit rate = %v, want > 0", hs.CacheHitRate)
-	}
-	if !strings.Contains(string(body), "memstats") {
-		t.Error("/debug/vars lost the global expvar registry")
+	for _, want := range []string{
+		fmt.Sprintf("hetserve_queries_total %d\n", goroutines*perG),
+		"hetserve_query_errors_total 0\n",
+		fmt.Sprintf("hetserve_query_seconds_count %d\n", goroutines*perG),
+		fmt.Sprintf("hetserve_cache_hits_total %d\n", st.Hits),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

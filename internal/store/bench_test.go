@@ -55,7 +55,7 @@ func BenchmarkRunParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseRun(data); err != nil {
+		if _, err := openRunBytes(data); err != nil {
 			b.Fatal(err)
 		}
 	}

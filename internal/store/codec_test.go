@@ -31,7 +31,7 @@ func bigList(n int, gapRange int, seed int64) (docs, tfs []uint32) {
 
 // TestRunBuilderCodecVersioning: a selector that only ever picks
 // varbyte yields byte-identical version-3 files; a non-varbyte pick
-// flips the file to version 4 and round-trips through ParseRun.
+// flips the file to version 4 and round-trips through the run reader.
 func TestRunBuilderCodecVersioning(t *testing.T) {
 	docs, tfs := bigList(200, 3, 1)
 
@@ -54,28 +54,27 @@ func TestRunBuilderCodecVersioning(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(data[4:]); v != runVersionCodec {
 		t.Fatalf("dense 200-posting run has version %d, want %d", v, runVersionCodec)
 	}
-	run, err := ParseRun(data)
+	run, err := openRunBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := run.Entries[0].Codec(); got != encoding.CodecBitPack {
+	if got := run.Entries()[0].Codec(); got != encoding.CodecBitPack {
 		t.Fatalf("dense list stored with codec %d, want bitpack", got)
 	}
-	gd, gt, ok, err := run.List(0, 0)
+	l, ok, err := readList(run, 0, 0)
 	if err != nil || !ok {
-		t.Fatalf("List: ok=%v err=%v", ok, err)
+		t.Fatalf("list: ok=%v err=%v", ok, err)
 	}
 	for i := range docs {
-		if gd[i] != docs[i] || gt[i] != tfs[i] {
-			t.Fatalf("posting %d = (%d,%d), want (%d,%d)", i, gd[i], gt[i], docs[i], tfs[i])
+		if l.DocIDs[i] != docs[i] || l.TFs[i] != tfs[i] {
+			t.Fatalf("posting %d = (%d,%d), want (%d,%d)", i, l.DocIDs[i], l.TFs[i], docs[i], tfs[i])
 		}
 	}
 }
 
 // TestRunRejectsCodecCorruption: codec bits in a version-3 entry,
 // unknown codec IDs, counts the codec cannot hold, and future run
-// versions must all surface ErrCorruptRun (wrapping ErrCorruptIndex)
-// from both the eager and the lazy parser.
+// versions must all surface ErrCorruptRun (wrapping ErrCorruptIndex).
 func TestRunRejectsCodecCorruption(t *testing.T) {
 	docs, tfs := bigList(64, 3, 2)
 	b := NewRunBuilder()
@@ -119,17 +118,9 @@ func TestRunRejectsCodecCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[flagsOff:], FlagBlocks)
 		}),
 	}
-	dir := t.TempDir()
 	for name, data := range cases {
-		if _, err := ParseRun(data); !errors.Is(err, ErrCorruptRun) || !errors.Is(err, ErrCorruptIndex) {
-			t.Errorf("ParseRun(%s) = %v, want ErrCorruptRun", name, err)
-		}
-		path := filepath.Join(dir, "bad.post")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := openRunReader(path); !errors.Is(err, ErrCorruptRun) {
-			t.Errorf("openRunReader(%s) = %v, want ErrCorruptRun", name, err)
+		if _, err := openRunBytes(data); !errors.Is(err, ErrCorruptRun) || !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("%s: open = %v, want ErrCorruptRun", name, err)
 		}
 	}
 }

@@ -204,7 +204,7 @@ func TestPostingsEncodedReportsCompressedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	l, enc, err := r.PostingsEncoded("abc")
+	l, enc, err := r.PostingsEncodedCtx(context.Background(), "abc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +217,10 @@ func TestPostingsEncodedReportsCompressedBytes(t *testing.T) {
 		t.Fatalf("encoded size = %d, want 10", enc)
 	}
 	// A cache hit must report the same size.
-	if _, enc2, err := r.PostingsEncoded("abc"); err != nil || enc2 != enc {
+	if _, enc2, err := r.PostingsEncodedCtx(context.Background(), "abc"); err != nil || enc2 != enc {
 		t.Fatalf("cache-hit encoded size = %d (%v), want %d", enc2, err, enc)
 	}
-	if _, enc3, err := r.PostingsEncoded("missing"); err != nil || enc3 != 0 {
+	if _, enc3, err := r.PostingsEncodedCtx(context.Background(), "missing"); err != nil || enc3 != 0 {
 		t.Fatalf("missing term encoded size = %d (%v), want 0", enc3, err)
 	}
 }

@@ -175,8 +175,8 @@ func TestCorruptionErrorsAreTyped(t *testing.T) {
 	data := b.Finalize(1, 1)
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := ParseRun(bad); !errors.Is(err, ErrCorruptIndex) {
-		t.Fatalf("ParseRun bad magic = %v, want ErrCorruptIndex", err)
+	if _, err := openRunBytes(bad); !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("run with bad magic = %v, want ErrCorruptIndex", err)
 	}
 	if !errors.Is(ErrCorruptRun, ErrCorruptIndex) {
 		t.Fatal("ErrCorruptRun must wrap ErrCorruptIndex")

@@ -2,16 +2,41 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 
 	"fastinvert/internal/encoding"
 )
 
-// FuzzParseRun hardens the run-file parser against arbitrary bytes:
-// it must reject or parse, never panic, and any parsed run must
-// decode its lists without panicking.
+// blockedRunSeed is a version-5 run holding one blocked list (600
+// postings, auto-selected codec) and one short unblocked one.
+func blockedRunSeed(f *testing.F) []byte {
+	docs := make([]uint32, 600)
+	tfs := make([]uint32, 600)
+	for i := range docs {
+		docs[i] = uint32(3 * i)
+		tfs[i] = uint32(i%7 + 1)
+	}
+	sel, err := encoding.SelectorFor("auto")
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := NewRunBuilderCodec(sel)
+	b.EnableBlocks()
+	b.AddList(2, 0, docs, tfs)
+	b.AddList(2, 1, []uint32{4, 9}, []uint32{1, 3})
+	return b.Finalize(0, docs[len(docs)-1])
+}
+
+// FuzzParseRun hardens the one run-file parser — the one every
+// production open goes through — against arbitrary bytes: it must
+// reject typed or parse, never panic, and every entry of a parsed run
+// must survive the decodes the read path runs on it (whole-list via
+// ReadListCtx; skip table plus every block via ReadBlocksCtx) without
+// a panic or more postings than its table entry declares.
 func FuzzParseRun(f *testing.F) {
 	b := NewRunBuilder()
 	b.AddList(5, 0, []uint32{1, 7}, []uint32{2, 1})
@@ -19,13 +44,40 @@ func FuzzParseRun(f *testing.F) {
 	f.Add(b.Finalize(1, 9))
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x49, 0x52, 0x46, 1, 0, 0, 0})
+	f.Add(blockedRunSeed(f))
+	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		run, err := ParseRun(data)
+		// Mutated bytes almost never carry a matching checksum, which
+		// would stop every input at the CRC gate; stamp the right one in
+		// so the table walk and the decoders see hostile input too.
+		if len(data) >= runHdrSize {
+			data = append([]byte(nil), data...)
+			putU32At(data, 20, crc32.ChecksumIEEE(data[runHdrSize:]))
+		}
+		run, err := openRunBytes(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("untyped error: %v", err)
+			}
 			return
 		}
-		for _, e := range run.Entries {
-			run.List(int(e.Collection), int32(e.Slot)) //nolint:errcheck
+		for _, e := range run.Entries() {
+			if l, err := run.ReadListCtx(ctx, e); err == nil && l.Len() > int(e.Count) {
+				t.Fatalf("decoded %d postings from an entry claiming %d", l.Len(), e.Count)
+			}
+			bl, err := run.ReadBlocksCtx(ctx, e)
+			if err != nil || bl == nil {
+				continue
+			}
+			total := 0
+			for i := 0; i < bl.NumBlocks(); i++ {
+				if ds, _, err := bl.DecodeBlock(i); err == nil {
+					total += len(ds)
+				}
+			}
+			if total > int(e.Count) {
+				t.Fatalf("decoded %d block postings from an entry claiming %d", total, e.Count)
+			}
 		}
 	})
 }
@@ -155,25 +207,15 @@ func FuzzParseDocMap(f *testing.F) {
 // skip table whose blocks all decode within their declared shapes —
 // never a panic, never an allocation driven by unvalidated counts.
 func FuzzBlockedList(f *testing.F) {
-	docs := make([]uint32, 600)
-	tfs := make([]uint32, 600)
-	for i := range docs {
-		docs[i] = uint32(3 * i)
-		tfs[i] = uint32(i%7 + 1)
-	}
-	sel, err := encoding.SelectorFor("auto")
+	run, err := openRunBytes(blockedRunSeed(f))
 	if err != nil {
 		f.Fatal(err)
 	}
-	b := NewRunBuilderCodec(sel)
-	b.EnableBlocks()
-	b.AddList(2, 0, docs, tfs)
-	run, err := ParseRun(b.Finalize(0, docs[len(docs)-1]))
+	e := run.Entries()[0]
+	blob, err := run.rr.readBlob(e)
 	if err != nil {
 		f.Fatal(err)
 	}
-	e := run.Entries[0]
-	blob := run.blob[e.Offset : e.Offset+uint64(e.Length)]
 	f.Add(blob, e.Count, e.Flags)
 	f.Add([]byte{}, uint32(0), e.Flags)
 	f.Add([]byte{1, 1, 1, 1, 1, 0}, uint32(1), e.Flags)

@@ -613,8 +613,12 @@ func (r *IndexReader) PostingsCtx(ctx context.Context, term string) (*postings.L
 	return l, err
 }
 
-// PostingsEncodedCtx is PostingsEncoded under a (possibly traced)
-// context.
+// PostingsEncodedCtx is PostingsCtx plus the encoded (on-disk) byte
+// size of the entries that produced the list — the compressed
+// footprint the codec registry actually achieved, available even on
+// cache hits. The serve cache charges this size instead of the decoded
+// estimate, so better-compressed lists leave room for more cached
+// entries.
 func (r *IndexReader) PostingsEncodedCtx(ctx context.Context, term string) (*postings.List, int64, error) {
 	return r.postingsRange(ctx, term, 0, ^uint32(0))
 }
@@ -627,15 +631,6 @@ func (r *IndexReader) PostingsEncodedCtx(ctx context.Context, term string) (*pos
 func (r *IndexReader) PostingsRange(term string, minDoc, maxDoc uint32) (*postings.List, error) {
 	l, _, err := r.postingsRange(context.Background(), term, minDoc, maxDoc)
 	return l, err
-}
-
-// PostingsEncoded is Postings plus the encoded (on-disk) byte size of
-// the entries that produced the list — the compressed footprint the
-// codec registry actually achieved, available even on cache hits. The
-// serve cache charges this size instead of the decoded estimate, so
-// better-compressed lists leave room for more cached entries.
-func (r *IndexReader) PostingsEncoded(term string) (*postings.List, int64, error) {
-	return r.postingsRange(context.Background(), term, 0, ^uint32(0))
 }
 
 func (r *IndexReader) postingsRange(ctx context.Context, term string, minDoc, maxDoc uint32) (*postings.List, int64, error) {

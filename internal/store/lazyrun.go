@@ -14,12 +14,13 @@ import (
 // runReader is the lazy, handle-based view of one run file (or the
 // merged file): the header and mapping table are parsed up front, the
 // compressed blob stays on disk and individual lists are fetched with
-// one positioned read each. This is what bounds reader memory — the
-// old path parsed whole run files into RAM and kept them forever.
+// one positioned read each, which is what bounds reader memory. It is
+// the only run-format parser.
 type runReader struct {
 	name     string // file name, for cache keys and error messages
-	f        *os.File
+	src      runSource
 	size     int64
+	crc      uint32 // header checksum of table + blob, verified at open
 	firstDoc uint32
 	lastDoc  uint32
 	entries  []RunEntry
@@ -36,7 +37,12 @@ func openRunReader(path string) (*runReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := parseRunReader(f)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := parseRunReader(st.Name(), f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -44,12 +50,16 @@ func openRunReader(path string) (*runReader, error) {
 	return r, nil
 }
 
-func parseRunReader(f *os.File) (*runReader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
+// runSource is what a runReader reads: an *os.File in production,
+// in-memory bytes under test and fuzz.
+type runSource interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// parseRunReader parses and verifies the size bytes of f as a run
+// file. It takes ownership of f only on success.
+func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
 	if size < runHdrSize {
 		return nil, ErrCorruptRun
 	}
@@ -75,7 +85,7 @@ func parseRunReader(f *os.File) (*runReader, error) {
 	}
 	// One streaming pass verifies the table+blob checksum without
 	// holding the blob: a bit flip anywhere past the header is caught
-	// here, exactly as the whole-file parse used to catch it.
+	// here.
 	crc := crc32.NewIEEE()
 	if _, err := io.Copy(crc, io.NewSectionReader(f, runHdrSize, size-runHdrSize)); err != nil {
 		return nil, fmt.Errorf("%w: crc stream: %v", ErrCorruptRun, err)
@@ -84,9 +94,10 @@ func parseRunReader(f *os.File) (*runReader, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptRun)
 	}
 	r := &runReader{
-		name:     st.Name(),
-		f:        f,
+		name:     name,
+		src:      f,
 		size:     size,
+		crc:      get32(20),
 		firstDoc: get32(12),
 		lastDoc:  get32(16),
 		entries:  make([]RunEntry, n),
@@ -142,7 +153,7 @@ func (r *runReader) readBlobInto(e RunEntry, buf []byte) ([]byte, error) {
 		buf = make([]byte, e.Length)
 	}
 	buf = buf[:e.Length]
-	if _, err := r.f.ReadAt(buf, r.blobOff+int64(e.Offset)); err != nil {
+	if _, err := r.src.ReadAt(buf, r.blobOff+int64(e.Offset)); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -151,11 +162,11 @@ func (r *runReader) readBlobInto(e RunEntry, buf []byte) ([]byte, error) {
 // readBlobRange fills buf with raw blob bytes starting at blob offset
 // off, for batched reads spanning several adjacent entries.
 func (r *runReader) readBlobRange(off uint64, buf []byte) error {
-	_, err := r.f.ReadAt(buf, r.blobOff+int64(off))
+	_, err := r.src.ReadAt(buf, r.blobOff+int64(off))
 	return err
 }
 
-func (r *runReader) close() error { return r.f.Close() }
+func (r *runReader) close() error { return r.src.Close() }
 
 // decodeEntry decodes one entry's blob bytes into a postings list,
 // dispatching on the codec ID carried in the entry flags. Blocked

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -103,12 +102,7 @@ func loadMerged(dir string) (*mergedState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("merged: %w", err)
 	}
-	hdrCRC, err := readRunCRC(rr.f)
-	if err != nil {
-		rr.close()
-		return nil, err
-	}
-	if hdrCRC != sc.CRC32 || len(rr.entries) != sc.Lists {
+	if rr.crc != sc.CRC32 || len(rr.entries) != sc.Lists {
 		rr.close()
 		return nil, fmt.Errorf("merged file does not match sidecar: %w", ErrCorruptIndex)
 	}
@@ -127,15 +121,6 @@ func loadMerged(dir string) (*mergedState, error) {
 		rr:  rr,
 		key: fmt.Sprintf("%s#%d", mergedFileName, mergedGen.Add(1)),
 	}, nil
-}
-
-// readRunCRC reads the CRC field of an open run-format file.
-func readRunCRC(f *os.File) (uint32, error) {
-	var b [4]byte
-	if _, err := f.ReadAt(b[:], 20); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // find binary-searches the sorted merged table.

@@ -466,8 +466,8 @@ func TestCorruptCountsDoNotOverAllocate(t *testing.T) {
 	b.AddList(1, 0, []uint32{1}, []uint32{1})
 	data := b.Finalize(1, 1)
 	putU32At(data, 8, 0x40000000)
-	if _, err := ParseRun(data); !errors.Is(err, ErrCorruptIndex) {
-		t.Fatalf("ParseRun huge nLists = %v, want ErrCorruptIndex", err)
+	if _, err := openRunBytes(data); !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("run with huge nLists = %v, want ErrCorruptIndex", err)
 	}
 }
 

@@ -257,104 +257,9 @@ func (b *RunBuilder) Finalize(firstDoc, lastDoc uint32) []byte {
 	return out
 }
 
-// Run is a parsed run file.
-type Run struct {
-	FirstDoc uint32
-	LastDoc  uint32
-	Entries  []RunEntry
-	blob     []byte
-
-	lookup map[uint64]int // (coll<<32|slot) -> entry index
-}
-
 // ErrCorruptRun reports a malformed run file. It wraps
 // ErrCorruptIndex, so either sentinel matches via errors.Is.
 var ErrCorruptRun = fmt.Errorf("corrupt run file: %w", ErrCorruptIndex)
-
-// ParseRun decodes a run file produced by RunBuilder.Finalize.
-func ParseRun(data []byte) (*Run, error) {
-	if len(data) < runHdrSize {
-		return nil, ErrCorruptRun
-	}
-	get32 := func(off int) uint32 { return binary.LittleEndian.Uint32(data[off:]) }
-	ver := get32(4)
-	if get32(0) != runMagic || ver < runVersion || ver > runVersionBlocks {
-		return nil, ErrCorruptRun
-	}
-	if crc32.ChecksumIEEE(data[runHdrSize:]) != get32(20) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptRun)
-	}
-	n := int(get32(8))
-	// The count is untrusted: bound it by the bytes available for the
-	// table before allocating anything proportional to it.
-	if n < 0 || runHdrSize+n*entrySize > len(data) {
-		return nil, ErrCorruptRun
-	}
-	r := &Run{
-		FirstDoc: get32(12),
-		LastDoc:  get32(16),
-		Entries:  make([]RunEntry, n),
-		lookup:   make(map[uint64]int, n),
-	}
-	tableEnd := runHdrSize + n*entrySize
-	r.blob = data[tableEnd:]
-	for i := 0; i < n; i++ {
-		off := runHdrSize + i*entrySize
-		e := RunEntry{
-			Collection: get32(off),
-			Slot:       get32(off + 4),
-			Offset:     binary.LittleEndian.Uint64(data[off+8:]),
-			Length:     get32(off + 16),
-			Count:      get32(off + 20),
-			Flags:      get32(off + 24),
-		}
-		if e.Offset+uint64(e.Length) > uint64(len(r.blob)) {
-			return nil, ErrCorruptRun
-		}
-		if err := checkEntryCodec(ver, e); err != nil {
-			return nil, err
-		}
-		r.Entries[i] = e
-		r.lookup[uint64(e.Collection)<<32|uint64(e.Slot)] = i
-	}
-	return r, nil
-}
-
-// List decodes the partial list for (collection, slot); ok is false
-// when this run holds no postings for the term. Positions of
-// positional lists are decoded and discarded; use PositionalList to
-// keep them.
-func (r *Run) List(collection int, slot int32) (docIDs, tfs []uint32, ok bool, err error) {
-	docIDs, tfs, _, ok, err = r.PositionalList(collection, slot)
-	return docIDs, tfs, ok, err
-}
-
-// PositionalList decodes the partial list with positions (nil
-// positions for non-positional entries).
-func (r *Run) PositionalList(collection int, slot int32) (docIDs, tfs []uint32, positions [][]uint32, ok bool, err error) {
-	i, found := r.lookup[uint64(uint32(collection))<<32|uint64(uint32(slot))]
-	if !found {
-		return nil, nil, nil, false, nil
-	}
-	e := r.Entries[i]
-	blob := r.blob[e.Offset : e.Offset+uint64(e.Length)]
-	if e.Flags&FlagBlocks != 0 {
-		l, err := decodeBlockedEntry(blob, e)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		return l.DocIDs, l.TFs, nil, true, nil
-	}
-	codec, err := encoding.Lookup(e.Codec())
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("%w: %v", ErrCorruptRun, err)
-	}
-	docIDs, tfs, positions, err = codec.Decode(blob, int(e.Count), e.Flags&FlagPositional != 0)
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("store: %w", err)
-	}
-	return docIDs, tfs, positions, true, nil
-}
 
 // checkEntryCodec validates an untrusted entry's codec and layout
 // bits for the given run version: version-3 entries must carry none,
@@ -385,6 +290,3 @@ func checkEntryCodec(ver uint32, e RunEntry) error {
 	}
 	return nil
 }
-
-// BlobSize reports the compressed postings bytes in the run.
-func (r *Run) BlobSize() int { return len(r.blob) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fastinvert/internal/postings"
 	"fastinvert/internal/trie"
 )
 
@@ -18,6 +19,31 @@ func putU32At(b []byte, off int, v uint32) {
 	b[off+1] = byte(v >> 8)
 	b[off+2] = byte(v >> 16)
 	b[off+3] = byte(v >> 24)
+}
+
+// memRun serves in-memory bytes to parseRunReader.
+type memRun struct{ *bytes.Reader }
+
+func (memRun) Close() error { return nil }
+
+// openRunBytes parses data exactly as OpenRunFile parses a file.
+func openRunBytes(data []byte) (*RunFile, error) {
+	rr, err := parseRunReader("mem.post", memRun{bytes.NewReader(data)}, int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return &RunFile{rr: rr}, nil
+}
+
+// readList decodes the list for (coll, slot); ok is false when the
+// run holds no postings for it.
+func readList(rf *RunFile, coll int, slot int32) (l *postings.List, ok bool, err error) {
+	e, ok := rf.Find(uint32(coll), uint32(slot))
+	if !ok {
+		return nil, false, nil
+	}
+	l, err = rf.ReadList(e)
+	return l, err == nil, err
 }
 
 func TestRunRoundTrip(t *testing.T) {
@@ -38,24 +64,24 @@ func TestRunRoundTrip(t *testing.T) {
 		t.Fatalf("Lists = %d, want 3", b.Lists())
 	}
 	data := b.Finalize(1, 200)
-	run, err := ParseRun(data)
+	run, err := openRunBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.FirstDoc != 1 || run.LastDoc != 200 {
-		t.Errorf("doc range = [%d,%d]", run.FirstDoc, run.LastDoc)
+	if first, last := run.DocRange(); first != 1 || last != 200 {
+		t.Errorf("doc range = [%d,%d]", first, last)
 	}
-	docIDs, tfs, ok, err := run.List(5, 0)
+	l, ok, err := readList(run, 5, 0)
 	if err != nil || !ok {
-		t.Fatalf("List(5,0): %v ok=%v", err, ok)
+		t.Fatalf("list (5,0): %v ok=%v", err, ok)
 	}
-	if len(docIDs) != 3 || docIDs[2] != 9 || tfs[2] != 5 {
-		t.Errorf("List(5,0) = %v/%v", docIDs, tfs)
+	if l.Len() != 3 || l.DocIDs[2] != 9 || l.TFs[2] != 5 {
+		t.Errorf("list (5,0) = %v/%v", l.DocIDs, l.TFs)
 	}
-	if _, _, ok, _ := run.List(6, 0); ok {
+	if _, ok, _ := readList(run, 6, 0); ok {
 		t.Error("empty list should be absent")
 	}
-	if _, _, ok, _ := run.List(99, 99); ok {
+	if _, ok, _ := readList(run, 99, 99); ok {
 		t.Error("unknown list should be absent")
 	}
 }
@@ -64,16 +90,16 @@ func TestRunRejectsCorruption(t *testing.T) {
 	b := NewRunBuilder()
 	b.AddList(1, 0, []uint32{1}, []uint32{1})
 	data := b.Finalize(1, 1)
-	if _, err := ParseRun(data[:10]); err == nil {
+	if _, err := openRunBytes(data[:10]); err == nil {
 		t.Error("truncated header must fail")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xFF
-	if _, err := ParseRun(bad); err == nil {
+	if _, err := openRunBytes(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
 	short := append([]byte(nil), data[:len(data)-1]...)
-	if _, err := ParseRun(short); err == nil {
+	if _, err := openRunBytes(short); err == nil {
 		t.Error("truncated blob must fail")
 	}
 }
@@ -93,7 +119,7 @@ func TestHostileHeadersDoNotAllocate(t *testing.T) {
 	putU32(0, runMagic)
 	putU32(4, runVersion)
 	putU32(8, 0xFFFFFFFF) // entry count
-	if _, err := ParseRun(hostile); err == nil {
+	if _, err := openRunBytes(hostile); err == nil {
 		t.Error("hostile run header must be rejected")
 	}
 
@@ -107,7 +133,7 @@ func TestHostileHeadersDoNotAllocate(t *testing.T) {
 	// Recompute CRC so only the count check can reject.
 	crc := crc32ChecksumForTest(data[runHdrSize:])
 	putU32At(data, 20, crc)
-	if _, err := ParseRun(data); err == nil {
+	if _, err := openRunBytes(data); err == nil {
 		t.Error("impossible Count must be rejected")
 	}
 }
@@ -331,14 +357,15 @@ func TestPositionalRunRoundTrip(t *testing.T) {
 	if err := b.AddList(41, 0, []uint32{1}, []uint32{1}); err != nil {
 		t.Fatal(err) // mixed runs are legal
 	}
-	run, err := ParseRun(b.Finalize(0, 9))
+	run, err := openRunBytes(b.Finalize(0, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, gt, gp, ok, err := run.PositionalList(40, 3)
+	l, ok, err := readList(run, 40, 3)
 	if err != nil || !ok {
-		t.Fatalf("PositionalList: %v ok=%v", err, ok)
+		t.Fatalf("positional list: %v ok=%v", err, ok)
 	}
+	gd, gt, gp := l.DocIDs, l.TFs, l.Positions
 	for i := range docs {
 		if gd[i] != docs[i] || gt[i] != tfs[i] {
 			t.Fatalf("posting %d mismatch", i)
@@ -349,13 +376,13 @@ func TestPositionalRunRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Plain entry has nil positions; List() works on both.
-	_, _, pp, ok, err := run.PositionalList(41, 0)
-	if err != nil || !ok || pp != nil {
-		t.Fatalf("plain entry: %v ok=%v positions=%v", err, ok, pp)
+	// Plain entry has nil positions.
+	plain, ok, err := readList(run, 41, 0)
+	if err != nil || !ok {
+		t.Fatalf("plain entry: %v ok=%v", err, ok)
 	}
-	if _, _, ok, _ := run.List(40, 3); !ok {
-		t.Fatal("List must decode positional entries too")
+	if plain.Positions != nil {
+		t.Fatalf("plain entry decoded positions %v", plain.Positions)
 	}
 	// tf/position mismatch is rejected.
 	bad := NewRunBuilder()
@@ -398,17 +425,17 @@ func TestRunQuickRoundTrip(t *testing.T) {
 			}
 			refs = append(refs, ref{coll, slot, docs, tfs})
 		}
-		run, err := ParseRun(b.Finalize(0, 1<<30))
+		run, err := openRunBytes(b.Finalize(0, 1<<30))
 		if err != nil {
 			return false
 		}
 		for _, rf := range refs {
-			docs, tfs, ok, err := run.List(rf.coll, rf.slot)
-			if err != nil || !ok || len(docs) != len(rf.docs) {
+			l, ok, err := readList(run, rf.coll, rf.slot)
+			if err != nil || !ok || l.Len() != len(rf.docs) {
 				return false
 			}
-			for j := range docs {
-				if docs[j] != rf.docs[j] || tfs[j] != rf.tfs[j] {
+			for j := range rf.docs {
+				if l.DocIDs[j] != rf.docs[j] || l.TFs[j] != rf.tfs[j] {
 					return false
 				}
 			}

@@ -183,7 +183,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	var ids []uint32
 
 	checkpoint := func(op int, trigger string) error {
-		live, err := liveLists(m)
+		live, err := liveLists(ctx, m)
 		if err != nil {
 			return fmt.Errorf("verify: live read-back at op %d (%s): %w", op, trigger, err)
 		}
@@ -235,7 +235,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			res.Deletes++
 		case p < 90: // query a random vocabulary term
 			term := vocab[rng.Intn(len(vocab))]
-			l, err := m.Postings(term)
+			l, err := m.PostingsCtx(ctx, term)
 			if err != nil {
 				res.QueryErrs = append(res.QueryErrs,
 					fmt.Sprintf("op %d: Postings(%q): %v", op, term, err))
@@ -299,10 +299,10 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 
 // liveLists reads every non-empty postings list out of the live index
 // through the same path queries take.
-func liveLists(m *segment.Manager) (map[string]*postings.List, error) {
+func liveLists(ctx context.Context, m *segment.Manager) (map[string]*postings.List, error) {
 	out := make(map[string]*postings.List)
 	for _, e := range m.Dictionary() {
-		l, err := m.Postings(e.Term)
+		l, err := m.PostingsCtx(ctx, e.Term)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", e.Term, err)
 		}
