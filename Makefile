@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/encoding/ -fuzz FuzzDecodePostings -fuzztime 30s
 	$(GO) test ./internal/encoding/ -fuzz FuzzBitGammaGolomb -fuzztime 30s
 	$(GO) test ./internal/encoding/ -fuzz FuzzCodecRoundTrip -fuzztime 30s
+	$(GO) test ./internal/corpus/ -fuzz FuzzDecompress -fuzztime 30s
 	$(GO) test ./internal/parser/ -fuzz FuzzParseDoc -fuzztime 30s
 	$(GO) test ./internal/parser/ -fuzz FuzzGroupForEach -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzParseRun -fuzztime 30s

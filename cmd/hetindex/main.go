@@ -25,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -44,36 +46,45 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hetindex: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command: it parses args, builds (and merges, verifies,
+// traces) as they ask, and prints the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hetindex", flag.ExitOnError)
 	var (
-		corpusDir  = flag.String("corpus", "", "corpus directory (omit to generate in memory)")
-		out        = flag.String("out", "", "index output directory (omit to skip persisting)")
-		parsers    = flag.Int("parsers", 6, "parallel parser threads (M)")
-		cpus       = flag.Int("cpu", 2, "CPU indexers (N1)")
-		gpus       = flag.Int("gpu", 2, "GPU indexers (N2, simulated Tesla C1060)")
-		files      = flag.Int("files", 16, "synthetic corpus: container files")
-		scale      = flag.Float64("scale", 1.0, "synthetic corpus: size factor")
-		gpuMem     = flag.Int("gpumem", 256, "simulated GPU device memory (MiB)")
-		positional = flag.Bool("positional", false, "build positional postings (enables phrase queries)")
-		concurrent = flag.Bool("concurrent", false, "run the goroutine-parallel executor")
-		verify     = flag.Bool("verify", false, "run an integrity check on the written index")
-		merge      = flag.Bool("merge", false, "run the post-processing merge on the written index (requires -out)")
-		codecName  = flag.String("codec", "", "postings codec for run files and the -merge pass: \"auto\" self-tunes per list, or force one registered codec (varbyte, gamma, golomb, bitpack, eliasfano); empty keeps runs on legacy varbyte and lets -merge self-tune")
-		progress   = flag.Bool("progress", false, "print a live progress ticker while building")
-		metricsOut = flag.String("metrics", "", "write a Prometheus metrics snapshot to this file (\"-\" = stdout)")
-		traceOut   = flag.String("trace", "", "write a JSONL build trace to this file")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a pprof allocation profile to this file")
-		verbose    = flag.Bool("v", false, "print the per-file throughput series")
+		corpusDir  = fs.String("corpus", "", "corpus directory (omit to generate in memory)")
+		out        = fs.String("out", "", "index output directory (omit to skip persisting)")
+		parsers    = fs.Int("parsers", 6, "parallel parser threads (M)")
+		cpus       = fs.Int("cpu", 2, "CPU indexers (N1)")
+		gpus       = fs.Int("gpu", 2, "GPU indexers (N2, simulated Tesla C1060)")
+		files      = fs.Int("files", 16, "synthetic corpus: container files")
+		scale      = fs.Float64("scale", 1.0, "synthetic corpus: size factor")
+		gpuMem     = fs.Int("gpumem", 256, "simulated GPU device memory (MiB)")
+		positional = fs.Bool("positional", false, "build positional postings (enables phrase queries)")
+		concurrent = fs.Bool("concurrent", false, "run the goroutine-parallel executor")
+		verify     = fs.Bool("verify", false, "run an integrity check on the written index")
+		merge      = fs.Bool("merge", false, "run the post-processing merge on the written index (requires -out)")
+		codecName  = fs.String("codec", "", "postings codec for run files and the -merge pass: \"auto\" self-tunes per list, or force one registered codec (varbyte, gamma, golomb, bitpack, eliasfano); empty keeps runs on legacy varbyte and lets -merge self-tune")
+		progress   = fs.Bool("progress", false, "print a live progress ticker while building")
+		metricsOut = fs.String("metrics", "", "write a Prometheus metrics snapshot to this file (\"-\" = stdout)")
+		traceOut   = fs.String("trace", "", "write a JSONL build trace to this file")
+		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf    = fs.String("memprofile", "", "write a pprof allocation profile to this file")
+		verbose    = fs.Bool("v", false, "print the per-file throughput series")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
+			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -83,7 +94,7 @@ func main() {
 	if *corpusDir != "" {
 		src, err = fastinvert.OpenCorpusDir(*corpusDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	} else {
 		src = fastinvert.GenerateCorpus(fastinvert.ClueWeb09Profile(*scale), *files)
@@ -110,7 +121,7 @@ func main() {
 		if *traceOut != "" {
 			tw, err = telemetry.CreateTrace(*traceOut)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		col = telemetry.NewCollector(reg, tw)
@@ -119,7 +130,7 @@ func main() {
 
 	b, err := fastinvert.NewBuilder(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	stopTicker := startProgress(*progress, col)
@@ -127,109 +138,111 @@ func main() {
 	stopTicker()
 	if tw != nil {
 		if cerr := tw.Close(); cerr != nil {
-			log.Fatalf("trace: %v", cerr)
+			return fmt.Errorf("trace: %w", cerr)
 		}
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("collection: %d files, %d documents, %d tokens, %d distinct terms\n",
+	fmt.Fprintf(w, "collection: %d files, %d documents, %d tokens, %d distinct terms\n",
 		rep.Files, rep.Docs, rep.Tokens, rep.Terms)
-	fmt.Printf("input: %.2f MB compressed, %.2f MB uncompressed\n",
+	fmt.Fprintf(w, "input: %.2f MB compressed, %.2f MB uncompressed\n",
 		float64(rep.CompressedBytes)/(1<<20), float64(rep.UncompressedBytes)/(1<<20))
-	fmt.Printf("pipeline (modeled on %dP + %dC + %dG):\n", *parsers, *cpus, *gpus)
-	fmt.Printf("  sampling        %9.4f s\n", rep.SamplingSec)
-	fmt.Printf("  parsers span    %9.4f s\n", rep.ParsersSpanSec)
-	fmt.Printf("  indexers span   %9.4f s (pre %.4f / indexing %.4f / post %.4f)\n",
+	fmt.Fprintf(w, "pipeline (modeled on %dP + %dC + %dG):\n", *parsers, *cpus, *gpus)
+	fmt.Fprintf(w, "  sampling        %9.4f s (%d docs, %.1f of %.1f MB)\n", rep.SamplingSec,
+		rep.SampledDocs, float64(rep.SampledBytes)/(1<<20), float64(rep.UncompressedBytes)/(1<<20))
+	fmt.Fprintf(w, "  parsers span    %9.4f s\n", rep.ParsersSpanSec)
+	fmt.Fprintf(w, "  indexers span   %9.4f s (pre %.4f / indexing %.4f / post %.4f)\n",
 		rep.IndexersSpanSec, rep.PreProcessingSec, rep.IndexingSec, rep.PostProcessingSec)
-	fmt.Printf("  dict combine    %9.4f s\n", rep.DictCombineSec)
-	fmt.Printf("  dict write      %9.4f s\n", rep.DictWriteSec)
-	fmt.Printf("  total           %9.4f s\n", rep.TotalSec)
-	fmt.Printf("throughput: %.2f MB/s total, %.2f MB/s indexing\n",
+	fmt.Fprintf(w, "  dict combine    %9.4f s\n", rep.DictCombineSec)
+	fmt.Fprintf(w, "  dict write      %9.4f s\n", rep.DictWriteSec)
+	fmt.Fprintf(w, "  total           %9.4f s\n", rep.TotalSec)
+	fmt.Fprintf(w, "throughput: %.2f MB/s total, %.2f MB/s indexing\n",
 		rep.ThroughputMBps, rep.IndexingThroughputMBps)
-	fmt.Printf("workload split: CPU %d tokens / %d terms, GPU %d tokens / %d terms\n",
+	fmt.Fprintf(w, "workload split: CPU %d tokens / %d terms, GPU %d tokens / %d terms\n",
 		rep.CPUTokens, rep.CPUTerms, rep.GPUTokens, rep.GPUTerms)
-	fmt.Printf("output: %.2f MB postings, %.2f MB dictionary\n",
+	fmt.Fprintf(w, "output: %.2f MB postings, %.2f MB dictionary\n",
 		float64(rep.PostingsBytes)/(1<<20), float64(rep.DictionaryBytes)/(1<<20))
 	if *merge && *out == "" {
-		log.Fatal("-merge requires -out")
+		return errors.New("-merge requires -out")
 	}
 	if *out != "" {
-		fmt.Printf("index written to %s\n", *out)
+		fmt.Fprintf(w, "index written to %s\n", *out)
 		if *merge {
 			idx, err := fastinvert.OpenWith(*out, fastinvert.ReaderOptions{MergeCodec: *codecName})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			t0 := time.Now()
 			ms, err := idx.Merge()
 			idx.Close()
 			if err != nil {
-				log.Fatalf("merge: %v", err)
+				return fmt.Errorf("merge: %w", err)
 			}
-			fmt.Printf("merged: %d lists from %d runs into %.2f MB (docs [%d,%d]) in %s\n",
+			fmt.Fprintf(w, "merged: %d lists from %d runs into %.2f MB (docs [%d,%d]) in %s\n",
 				ms.Lists, ms.Runs, float64(ms.Bytes)/(1<<20), ms.FirstDoc, ms.LastDoc,
 				time.Since(t0).Round(time.Millisecond))
 			if len(ms.Codecs) > 0 {
-				fmt.Printf("merged codecs:")
+				fmt.Fprintf(w, "merged codecs:")
 				names := make([]string, 0, len(ms.Codecs))
 				for name := range ms.Codecs {
 					names = append(names, name)
 				}
 				sort.Strings(names)
 				for _, name := range names {
-					fmt.Printf(" %s=%d", name, ms.Codecs[name])
+					fmt.Fprintf(w, " %s=%d", name, ms.Codecs[name])
 				}
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 		}
 		if *verify {
 			vr, err := fastinvert.VerifyIndex(*out)
 			if err != nil {
-				log.Fatalf("index verification FAILED: %v", err)
+				return fmt.Errorf("index verification FAILED: %w", err)
 			}
-			fmt.Printf("verified: %d runs, %d lists, %d postings, %d terms\n",
+			fmt.Fprintf(w, "verified: %d runs, %d lists, %d postings, %d terms\n",
 				vr.Runs, vr.Lists, vr.Postings, vr.Terms)
 		}
 	}
 	if *traceOut != "" {
 		st, err := telemetry.ValidateTraceFile(*traceOut)
 		if err != nil {
-			log.Fatalf("trace validation FAILED: %v", err)
+			return fmt.Errorf("trace validation FAILED: %w", err)
 		}
-		fmt.Printf("trace: %s (%d spans, %d samples, busy+stall coverage %.0f%%)\n",
+		fmt.Fprintf(w, "trace: %s (%d spans, %d samples, busy+stall coverage %.0f%%)\n",
 			*traceOut, st.Spans, st.Samples, 100*st.BusyStallCoverage)
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
-			log.Fatalf("metrics: %v", err)
+		if err := writeMetrics(w, *metricsOut, reg); err != nil {
+			return fmt.Errorf("metrics: %w", err)
 		}
 		if *metricsOut != "-" {
-			fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
+			fmt.Fprintf(w, "metrics snapshot written to %s\n", *metricsOut)
 		}
 	}
 	if *verbose {
-		fmt.Println("per-file indexing throughput (MB/s):")
+		fmt.Fprintln(w, "per-file indexing throughput (MB/s):")
 		for i, f := range rep.PerFile {
-			fmt.Printf("  %4d %-40s %8.2f\n", i, f.Name, f.ThroughputMBps)
+			fmt.Fprintf(w, "  %4d %-40s %8.2f\n", i, f.Name, f.ThroughputMBps)
 		}
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
-			log.Fatalf("memprofile: %v", err)
+			return fmt.Errorf("memprofile: %w", err)
 		}
 		runtime.GC() // settle live heap so the profile reflects retained + total allocs
 		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 			f.Close()
-			log.Fatalf("memprofile: %v", err)
+			return fmt.Errorf("memprofile: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatalf("memprofile: %v", err)
+			return fmt.Errorf("memprofile: %w", err)
 		}
-		fmt.Printf("allocation profile written to %s\n", *memProf)
+		fmt.Fprintf(w, "allocation profile written to %s\n", *memProf)
 	}
+	return nil
 }
 
 // startProgress launches the live ticker; the returned func stops it
@@ -282,9 +295,9 @@ func progressLine(p telemetry.Progress) string {
 }
 
 // writeMetrics renders the registry in Prometheus text format.
-func writeMetrics(path string, reg *telemetry.Registry) error {
+func writeMetrics(w io.Writer, path string, reg *telemetry.Registry) error {
 	if path == "-" {
-		return reg.WritePrometheus(os.Stdout)
+		return reg.WritePrometheus(w)
 	}
 	f, err := os.Create(path)
 	if err != nil {

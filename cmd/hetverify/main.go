@@ -137,6 +137,7 @@ func chaosMatrix(seed int64) []verify.ChaosConfig {
 		{Fault: verify.FaultIndexError, At: 1},
 		{Fault: verify.FaultWriteError, At: 1},
 		{Fault: verify.FaultCancel, At: 1},
+		{Fault: verify.FaultTruncateStored, At: 1},
 		{Fault: verify.FaultTruncateRun},
 		{Fault: verify.FaultBitFlipRun, Seed: seed},
 		{Fault: verify.FaultTruncateDict},

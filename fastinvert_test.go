@@ -1,6 +1,7 @@
 package fastinvert_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -100,6 +101,54 @@ func TestWriteAndOpenCorpusDir(t *testing.T) {
 	}
 	if src.NumFiles() != 2 {
 		t.Errorf("NumFiles = %d", src.NumFiles())
+	}
+}
+
+// TestBuildCorpusWithEmptyFile is the regression test for the sampling
+// phase's divide by zero on a container file that holds no document
+// (printf '   \n' > c/a.txt; printf 'hello world' > c/b.txt), and for the
+// index check's refusal of the empty run such a file leaves between two
+// others.
+func TestBuildCorpusWithEmptyFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"a.txt": "   \n", "b.txt": "hello world", "c.txt": "", "d.txt": "hello again"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := fastinvert.OpenCorpusDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, concurrent := range []bool{false, true} {
+		opts := smallOptions()
+		opts.Concurrent = concurrent
+		opts.OutDir = filepath.Join(t.TempDir(), "idx")
+		b, err := fastinvert.NewBuilder(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := b.Build(src)
+		if err != nil {
+			t.Fatalf("concurrent=%v: %v", concurrent, err)
+		}
+		if rep.Files != 4 || rep.Docs != 2 || rep.Tokens != 3 || rep.SampledDocs != 2 {
+			t.Errorf("concurrent=%v: files %d docs %d tokens %d sampled %d, want 4 / 2 / 3 / 2",
+				concurrent, rep.Files, rep.Docs, rep.Tokens, rep.SampledDocs)
+		}
+		if _, err := fastinvert.VerifyIndex(opts.OutDir); err != nil {
+			t.Errorf("concurrent=%v: %v", concurrent, err)
+		}
+		idx, err := fastinvert.Open(opts.OutDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := idx.Postings("hello")
+		idx.Close()
+		if err != nil || l.Len() != 2 {
+			t.Errorf("concurrent=%v: Postings(hello): %v", concurrent, err)
+		}
 	}
 }
 

@@ -74,26 +74,13 @@ func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) 
 	e.docLocs = e.docLocs[:0]
 	e.beginObserve(src.NumFiles(), true)
 
-	t0 := time.Now()
-	counts, err := sampling.Sample(src, e.cfg.Sampling)
-	if err != nil {
+	if err := e.samplePhase(src, rep); err != nil {
 		return nil, err
 	}
-	if e.cfg.RandomSplit {
-		e.assign, err = sampling.AssignRandom(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
-			e.cfg.Sampling.PopularCount, e.cfg.RandomSplitSeed)
-	} else {
-		e.assign, err = sampling.Assign(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
-			e.cfg.Sampling.PopularCount)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep.SamplingSec = e.measure(t0)
-	e.obs.span(telemetry.StageSampling, -1, -1, t0, 0, 0, 0)
 
 	var writer *store.IndexWriter
 	if e.cfg.OutDir != "" {
+		var err error
 		writer, err = store.NewIndexWriter(e.cfg.OutDir)
 		if err != nil {
 			return nil, err

@@ -111,6 +111,31 @@ func (e *Engine) measure(t0 time.Time) float64 {
 	return time.Since(t0).Seconds() * e.cfg.CPUThroughputScale
 }
 
+// samplePhase runs the sampling pass (§III.E) — serialized before the
+// pipeline — and binds every trie collection to its indexer.
+func (e *Engine) samplePhase(src corpus.Source, rep *Report) error {
+	t0 := time.Now()
+	counts, err := sampling.Sample(src, e.newParser(), e.cfg.Sampling)
+	if err != nil {
+		return err
+	}
+	if e.cfg.RandomSplit {
+		e.assign, err = sampling.AssignRandom(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
+			e.cfg.Sampling.PopularCount, e.cfg.RandomSplitSeed)
+	} else {
+		e.assign, err = sampling.Assign(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
+			e.cfg.Sampling.PopularCount)
+	}
+	if err != nil {
+		return err
+	}
+	rep.SamplingSec = e.measure(t0)
+	rep.SampledDocs = counts.DocsSeen
+	rep.SampledBytes = counts.Bytes
+	e.obs.span(telemetry.StageSampling, -1, -1, t0, counts.Bytes, counts.Total, counts.DocsSeen)
+	return nil
+}
+
 // Build runs the complete pipeline over src and returns the report.
 // When cfg.OutDir is set the run files, docmap and dictionary are
 // persisted there.
@@ -132,27 +157,13 @@ func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (*Report, 
 	e.docLocs = e.docLocs[:0]
 	e.beginObserve(src.NumFiles(), false)
 
-	// Sampling phase (§III.E) — serialized before the pipeline.
-	t0 := time.Now()
-	counts, err := sampling.Sample(src, e.cfg.Sampling)
-	if err != nil {
+	if err := e.samplePhase(src, rep); err != nil {
 		return nil, err
 	}
-	if e.cfg.RandomSplit {
-		e.assign, err = sampling.AssignRandom(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
-			e.cfg.Sampling.PopularCount, e.cfg.RandomSplitSeed)
-	} else {
-		e.assign, err = sampling.Assign(counts, e.cfg.CPUIndexers, e.cfg.GPUs,
-			e.cfg.Sampling.PopularCount)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep.SamplingSec = e.measure(t0)
-	e.obs.span(telemetry.StageSampling, -1, -1, t0, 0, 0, 0)
 
 	var writer *store.IndexWriter
 	if e.cfg.OutDir != "" {
+		var err error
 		writer, err = store.NewIndexWriter(e.cfg.OutDir)
 		if err != nil {
 			return nil, err

@@ -13,6 +13,11 @@ type Report struct {
 	CompressedBytes   int64
 	UncompressedBytes int64
 
+	// The §III.E sample: documents parsed and uncompressed bytes
+	// inflated (or sliced, for plain files) to obtain them.
+	SampledDocs  int64
+	SampledBytes int64
+
 	// Table VI rows (modeled seconds).
 	SamplingSec     float64
 	ParsersSpanSec  float64 // completion of the last parse

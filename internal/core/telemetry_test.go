@@ -76,6 +76,7 @@ func TestPipelineTelemetry(t *testing.T) {
 			// Re-read the raw events and sum span payloads against the
 			// build report.
 			var parseTokens, parseDocs, indexTokens int64
+			var sampled telemetry.Span
 			var flushes, reads int
 			var collCPU, collGPU float64
 			sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
@@ -86,6 +87,8 @@ func TestPipelineTelemetry(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch {
+				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageSampling:
+					sampled = *ev.Span
 				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageParse:
 					parseTokens += ev.Span.Tokens
 					parseDocs += ev.Span.Docs
@@ -106,6 +109,20 @@ func TestPipelineTelemetry(t *testing.T) {
 			if parseTokens != rep.Tokens || parseDocs != rep.Docs {
 				t.Errorf("parse spans sum to %d tokens / %d docs, report says %d / %d",
 					parseTokens, parseDocs, rep.Tokens, rep.Docs)
+			}
+			// The sampling span reports the sample it took, and the
+			// report and registry agree with it.
+			if sampled.Docs < int64(files) || sampled.Docs >= rep.Docs || sampled.Tokens <= 0 ||
+				sampled.Bytes <= 0 || sampled.Bytes >= rep.UncompressedBytes {
+				t.Errorf("sampling span carries %d docs / %d tokens / %d bytes of a %d-doc, %d-byte build",
+					sampled.Docs, sampled.Tokens, sampled.Bytes, rep.Docs, rep.UncompressedBytes)
+			}
+			if sampled.Docs != rep.SampledDocs || sampled.Bytes != rep.SampledBytes {
+				t.Errorf("sampling span %d docs / %d bytes, report says %d / %d",
+					sampled.Docs, sampled.Bytes, rep.SampledDocs, rep.SampledBytes)
+			}
+			if v := reg.Counter("fastinvert_build_sampled_docs_total", "").Value(); int64(v) != rep.SampledDocs {
+				t.Errorf("registry sampled docs = %v, report %d", v, rep.SampledDocs)
 			}
 			if indexTokens != rep.Tokens {
 				t.Errorf("index spans sum to %d tokens, report says %d", indexTokens, rep.Tokens)

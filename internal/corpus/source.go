@@ -3,8 +3,10 @@ package corpus
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +28,35 @@ type Source interface {
 	ReadFile(i int) (stored []byte, compressed bool, err error)
 }
 
-// Decompress returns the uncompressed content of a stored file.
+// maxInflateRatio bounds how far deflate can expand its input (a
+// stored run of one repeated byte approaches 1032:1), so no header
+// field of an untrusted file sizes an allocation beyond what its
+// length could really hold.
+const maxInflateRatio = 1032
+
+// PlainSize estimates the uncompressed size of a stored file without
+// inflating it: exact for plain files, and for gzip the trailer's
+// ISIZE field capped by what len(stored) could inflate to. ISIZE is
+// the last member's length mod 2^32 and is not verified here, so the
+// result is a budget and a capacity hint, never a length to trust.
+func PlainSize(stored []byte, compressed bool) int {
+	if !compressed {
+		return len(stored)
+	}
+	if len(stored) < 4 {
+		return 0
+	}
+	isize := uint64(binary.LittleEndian.Uint32(stored[len(stored)-4:]))
+	if limit := uint64(len(stored)) * maxInflateRatio; isize > limit {
+		isize = limit
+	}
+	return int(isize)
+}
+
+// Decompress returns the uncompressed content of a stored file. The
+// output is allocated once from PlainSize and grows only when that
+// hint lied low; the stream is still read to EOF, so gzip's CRC-32 and
+// length check cover every byte returned.
 func Decompress(stored []byte, compressed bool) ([]byte, error) {
 	if !compressed {
 		return stored, nil
@@ -36,11 +66,52 @@ func Decompress(stored []byte, compressed bool) ([]byte, error) {
 		return nil, fmt.Errorf("corpus: gzip open: %w", err)
 	}
 	defer zr.Close()
-	out, err := io.ReadAll(zr)
+	out, err := readAllHint(zr, PlainSize(stored, true))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: gzip read: %w", err)
 	}
 	return out, nil
+}
+
+// DecompressPrefix returns the first n bytes of a stored file's
+// uncompressed content, or all of it when the file is no longer than
+// n; whole reports the latter. A gzip stream is inflated only as far
+// as the prefix needs, so its tail is neither read nor checksummed
+// unless whole is true.
+func DecompressPrefix(stored []byte, compressed bool, n int) (prefix []byte, whole bool, err error) {
+	n = min(max(n, 0), math.MaxInt-1) // n+1 below must not overflow
+	if !compressed {
+		if n >= len(stored) {
+			return stored, true, nil
+		}
+		return stored[:n], false, nil
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(stored))
+	if err != nil {
+		return nil, false, fmt.Errorf("corpus: gzip open: %w", err)
+	}
+	defer zr.Close()
+	// One byte past n tells a file of exactly n bytes from a longer one.
+	out, err := readAllHint(io.LimitReader(zr, int64(n)+1), min(n+1, PlainSize(stored, true)))
+	if err != nil {
+		return nil, false, fmt.Errorf("corpus: gzip read: %w", err)
+	}
+	if len(out) > n {
+		return out[:n], false, nil
+	}
+	return out, true, nil
+}
+
+// readAllHint is io.ReadAll into a buffer preallocated for hint bytes;
+// the bytes.MinRead of slack lets the read that reports EOF find room
+// without growing the buffer.
+func readAllHint(r io.Reader, hint int) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(hint + bytes.MinRead)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // MemSource serves a generated collection lazily from memory.

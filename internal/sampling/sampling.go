@@ -9,6 +9,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -19,10 +20,11 @@ import (
 
 // Config tunes the sampling pass.
 type Config struct {
-	// Ratio is the sampled fraction of each file's documents; the
-	// paper samples 1 MB out of every 1 GB (0.001). Synthetic corpora
-	// are small, so the default is 0.02 with at least one document
-	// per file.
+	// Ratio is the sampled fraction of each file's uncompressed bytes,
+	// taken from the head of the file in whole documents; the paper
+	// samples 1 MB out of every 1 GB (0.001). Synthetic corpora are
+	// small, so the default is 0.02, and every file that holds a
+	// document contributes at least one.
 	Ratio float64
 
 	// PopularCount is the number of popular collections; the paper
@@ -39,52 +41,74 @@ type Counts struct {
 	Total     int64
 	DocsSeen  int64
 	FilesSeen int
+	// Bytes is the uncompressed bytes inflated (or sliced, for plain
+	// files) to obtain the sample, regrown prefixes included.
+	Bytes int64
 }
 
-// Sample parses a deterministic fraction of src and returns the
-// per-collection token counts (the paper's "several tests on the
-// sample to determine membership").
-func Sample(src corpus.Source, cfg Config) (*Counts, error) {
+// Sample parses the head of every file of src with p — the parser the
+// indexers will be fed by, so the counts weigh collections the way the
+// build will — and returns the per-collection token counts (the
+// paper's "several tests on the sample to determine membership"). Only
+// a Ratio-sized prefix of each file is decompressed; a corrupt tail is
+// the pipeline's to report, not the sampler's.
+func Sample(src corpus.Source, p *parser.Parser, cfg Config) (*Counts, error) {
 	if cfg.Ratio <= 0 {
 		cfg.Ratio = DefaultConfig().Ratio
 	}
 	var c Counts
-	p := parser.New(nil)
+	blk := parser.NewBlock(0)
 	for i := 0; i < src.NumFiles(); i++ {
 		stored, compressed, err := src.ReadFile(i)
 		if err != nil {
 			return nil, fmt.Errorf("sampling: %w", err)
 		}
-		plain, err := corpus.Decompress(stored, compressed)
+		budget := int(math.Ceil(cfg.Ratio * float64(corpus.PlainSize(stored, compressed))))
+		docs, inflated, err := headDocs(stored, compressed, budget)
 		if err != nil {
-			return nil, fmt.Errorf("sampling: %w", err)
+			return nil, fmt.Errorf("sampling: %s: %w", src.FileName(i), err)
 		}
-		docs := corpus.SplitDocs(plain)
-		take := int(cfg.Ratio * float64(len(docs)))
-		if take < 1 {
-			take = 1
+		for d, doc := range docs {
+			p.ParseDoc(uint32(d), doc, blk)
 		}
-		if take > len(docs) {
-			take = len(docs)
-		}
-		blk := parser.NewBlock(0)
-		stride := len(docs) / take
-		if stride < 1 {
-			stride = 1
-		}
-		taken := 0
-		for d := 0; d < len(docs) && taken < take; d += stride {
-			p.ParseDoc(uint32(d), docs[d], blk)
-			taken++
-		}
-		c.DocsSeen += int64(taken)
+		c.DocsSeen += int64(len(docs))
+		c.Bytes += inflated
 		c.FilesSeen++
 		for idx, g := range blk.Groups {
 			c.Tokens[idx] += int64(g.Tokens)
 			c.Total += int64(g.Tokens)
 		}
+		blk.Reset()
 	}
 	return &c, nil
+}
+
+// minPrefix is the smallest prefix worth inflating: a budget rounded
+// down to a few bytes would only buy a second, larger attempt.
+const minPrefix = 4 << 10
+
+// headDocs returns the whole documents at the head of a stored file
+// that end within its first max(budget, minPrefix) uncompressed bytes
+// — the first document regardless of its length, none when the file
+// holds none — and the number of bytes it inflated to find them.
+func headDocs(stored []byte, compressed bool, budget int) ([][]byte, int64, error) {
+	var inflated int64
+	for n := max(budget, minPrefix); ; n *= 2 {
+		prefix, whole, err := corpus.DecompressPrefix(stored, compressed, n)
+		if err != nil {
+			return nil, inflated, err
+		}
+		inflated += int64(len(prefix))
+		docs, offsets := corpus.SplitDocsOffsets(prefix)
+		// A document running to the end of a cut prefix may continue
+		// past it.
+		if last := len(docs) - 1; !whole && last >= 0 && offsets[last]+len(docs[last]) == len(prefix) {
+			docs = docs[:last]
+		}
+		if len(docs) > 0 || whole {
+			return docs, inflated, nil
+		}
+	}
 }
 
 // Kind identifies the indexer class owning a collection.

@@ -67,11 +67,17 @@ func Verify(dir string) (*VerifyReport, error) {
 
 	counts := make(map[uint64]int64, len(r.dict)) // per-key postings across runs
 	var prevLast uint32
-	for i, rm := range r.runs {
-		if i > 0 && rm.FirstDoc <= prevLast && !(rm.FirstDoc == 0 && prevLast == 0) {
-			return rep, fmt.Errorf("store: run %s doc range overlaps previous", rm.File)
+	var claimed bool // an earlier run holds postings
+	for _, rm := range r.runs {
+		// A run without lists — a container file with no document, or
+		// none but stop words — holds no docID, and the one-document
+		// range it is written with belongs to its successor.
+		if rm.Lists > 0 {
+			if claimed && rm.FirstDoc <= prevLast {
+				return rep, fmt.Errorf("store: run %s doc range overlaps previous", rm.File)
+			}
+			prevLast, claimed = rm.LastDoc, true
 		}
-		prevLast = rm.LastDoc
 		rr, err := r.runFile(rm)
 		if err != nil {
 			return rep, err

@@ -179,6 +179,14 @@ func (c *Collector) StageSpan(stage string, worker, file int, start time.Time,
 					"Term occurrences parsed (after stop-word removal).").Add(float64(tokens))
 			}
 		}
+		// The sampling span carries the size of the sample it took; its
+		// bytes are in stage_bytes_total{stage="sampling"} above.
+		if stage == StageSampling {
+			c.reg.Counter("fastinvert_build_sampled_docs_total",
+				"Documents parsed by the sampling phase.").Add(float64(docs))
+			c.reg.Counter("fastinvert_build_sampled_tokens_total",
+				"Term occurrences counted by the sampling phase.").Add(float64(tokens))
+		}
 		if stage == StageFlush {
 			c.reg.Gauge("fastinvert_build_files_done",
 				"Container files fully indexed and flushed.").Set(float64(c.filesDone.Load()))

@@ -1,9 +1,12 @@
 package verify
 
 import (
+	"compress/flate"
+	"compress/gzip"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -52,6 +55,18 @@ const (
 	// FaultCancel cancels the build context after At files are read.
 	FaultCancel
 
+	// FaultTruncateStored drops the second half of file At's stored
+	// gzip, on every read, keeping only its 8-byte trailer — so the
+	// file still states its true length (a bare truncation leaves
+	// deflate bytes where the length should be, and a sampler told the
+	// file is huge reads up to the cut itself). The sampling phase
+	// inflates only the head of each file, so it is the parse stage
+	// that must refuse this one: the build has to fail there with a
+	// gzip stream error and leave nothing store.Verify accepts.
+	// RunChaos forces a gzip corpus whose files are long enough that
+	// the sampled head ends before the cut.
+	FaultTruncateStored
+
 	// FaultTruncateRun truncates a run file after a clean build; the
 	// reopened index must fail with ErrCorruptIndex.
 	FaultTruncateRun
@@ -95,6 +110,8 @@ func (f Fault) String() string {
 		return "write-error"
 	case FaultCancel:
 		return "cancel"
+	case FaultTruncateStored:
+		return "truncate-stored"
 	case FaultTruncateRun:
 		return "truncate-run"
 	case FaultBitFlipRun:
@@ -137,8 +154,9 @@ type ChaosResult struct {
 	Correct bool
 
 	// TypedError is set when Err matches an accepted sentinel:
-	// ErrInjected, context.Canceled, context.DeadlineExceeded or
-	// store.ErrCorruptIndex.
+	// ErrInjected, context.Canceled, context.DeadlineExceeded,
+	// store.ErrCorruptIndex or, under FaultTruncateStored, one of
+	// compress/gzip's stream errors.
 	TypedError bool
 
 	// LeakedGoroutines counts goroutines still alive (beyond the
@@ -164,6 +182,18 @@ func (r *ChaosResult) String() string {
 		r.Fault.Fault, r.Fault.At, state, r.Err, r.LeakedGoroutines)
 }
 
+// truncateStoredMinDocs documents per file make a container of ~26 KiB,
+// whose sampled head (a few KiB) ends well before the half-way cut.
+const truncateStoredMinDocs = 128
+
+// isGzipDamage reports whether err is one of the ways compress/gzip
+// refuses a damaged stream.
+func isGzipDamage(err error) bool {
+	var corrupt flate.CorruptInputError
+	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, gzip.ErrChecksum) ||
+		errors.As(err, &corrupt)
+}
+
 // chaosSource wraps the corpus to inject read-stage faults. ReadFile
 // is called from the sampling phase and the disk goroutine; the
 // injected behaviors must therefore be safe under either caller.
@@ -185,6 +215,15 @@ func (s *chaosSource) ReadFile(i int) ([]byte, bool, error) {
 		if i == s.chaos.At {
 			s.cancel()
 		}
+	case FaultTruncateStored:
+		if i == s.chaos.At {
+			stored, gz, err := s.Source.ReadFile(i)
+			if err != nil {
+				return nil, false, err
+			}
+			cut := append(stored[:len(stored)/2:len(stored)/2], stored[len(stored)-8:]...)
+			return cut, gz, nil
+		}
 	}
 	return s.Source.ReadFile(i)
 }
@@ -197,6 +236,10 @@ func RunChaos(ctx context.Context, cfg Config, chaos ChaosConfig) (*ChaosResult,
 		cfg.Gen = DefaultGenConfig(cfg.Seed)
 	}
 	cfg.Seed = cfg.Gen.Seed
+	if chaos.Fault == FaultTruncateStored {
+		cfg.Gen.Compressed = true
+		cfg.Gen.DocsPerFile = max(cfg.Gen.DocsPerFile, truncateStoredMinDocs)
+	}
 
 	tmp, err := os.MkdirTemp("", "hetchaos-*")
 	if err != nil {
@@ -246,8 +289,14 @@ func RunChaos(ctx context.Context, cfg Config, chaos ChaosConfig) (*ChaosResult,
 		}
 		res.Correct = res.Err == nil
 	}
+	if buildErr != nil && chaos.Fault == FaultTruncateStored {
+		if _, err := store.Verify(outDir); err == nil {
+			res.Err = fmt.Errorf("verify: failed build left an index Verify accepts (build error: %v)", buildErr)
+		}
+	}
 	res.TypedError = res.Err != nil &&
 		(errors.Is(res.Err, ErrInjected) ||
+			chaos.Fault == FaultTruncateStored && isGzipDamage(res.Err) ||
 			errors.Is(res.Err, context.Canceled) ||
 			errors.Is(res.Err, context.DeadlineExceeded) ||
 			errors.Is(res.Err, store.ErrCorruptIndex))

@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +27,8 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{Fault: FaultWriteError, At: 1},
 		{Fault: FaultCancel, At: 0},
 		{Fault: FaultCancel, At: 1},
+		{Fault: FaultTruncateStored, At: 0},
+		{Fault: FaultTruncateStored, At: 1},
 		{Fault: FaultTruncateRun},
 		{Fault: FaultBitFlipRun, Seed: 11},
 		{Fault: FaultBitFlipRun, Seed: 12},
@@ -55,6 +58,12 @@ func TestChaosFaultMatrix(t *testing.T) {
 			case FaultCancel:
 				if !errors.Is(res.Err, context.Canceled) {
 					t.Errorf("want context.Canceled, got %v", res.Err)
+				}
+			case FaultTruncateStored:
+				// The sampler reads heads only; the cut in the tail
+				// must be the parse stage's to report.
+				if !strings.HasPrefix(res.Err.Error(), "core: decompress file "+itoa(chaos.At)+":") {
+					t.Errorf("want the parse stage's refusal of file %d, got %v", chaos.At, res.Err)
 				}
 			case FaultTruncateRun, FaultBitFlipRun, FaultTruncateDict, FaultGarbageDocmap:
 				if !errors.Is(res.Err, store.ErrCorruptIndex) {
