@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check lint smoke trace-serve bench microbench fuzz differential differential-live experiments tools clean
+.PHONY: all build test race check lint smoke trace-serve bench microbench profile fuzz differential differential-live experiments tools clean
 
 all: build test
 
@@ -54,15 +54,36 @@ trace-serve:
 	&& echo "trace-serve OK"; } || rc=1; \
 	rm -rf $$tmp; exit $$rc
 
+# CPU attribution of the headline build, the table under EXPERIMENTS.md
+# Table VI: the benchmark's build_web command and corpus shape under a
+# CPU profile, cut to the cumulative seconds of each stage's root
+# function (merge has two: the caller's, and the shard goroutines it
+# waits for). FILES and SCALE size the corpus; it asserts nothing about
+# time.
+FILES ?= 12
+SCALE ?= 4
+PROFILE_ROOTS = core\.\(\*Engine\)\.parseOne|corpus\.Decompress|parser\.\(\*Parser\)\.ParseDoc|cpuindexer\.\(\*Indexer\)\.IndexRun|gpuindexer\.\(\*kernelCtx\)\.processGroup|core\.\(\*Engine\)\.postProcessBlock|store\.\(\*IndexReader\)\.Merge|store\.\(\*merger\)\.mergeShard
+profile:
+	@tmp=$$(mktemp -d); rc=0; \
+	{ $(GO) build -o $$tmp/hetindex ./cmd/hetindex \
+	&& $(GO) run ./cmd/corpusgen -profile clueweb -files $(FILES) -scale $(SCALE) -out $$tmp/corpus >/dev/null \
+	&& $$tmp/hetindex -corpus $$tmp/corpus -out $$tmp/index -concurrent -merge -codec auto \
+		-cpuprofile $$tmp/cpu.pprof >/dev/null \
+	&& $(GO) tool pprof -top -cum -nodefraction=0 -nodecount=100000 $$tmp/hetindex $$tmp/cpu.pprof 2>/dev/null \
+		| grep -E '^Duration|flat%|($(PROFILE_ROOTS))$$'; } || rc=1; \
+	rm -rf $$tmp; exit $$rc
+
 # Everything CI runs (.github/workflows/ci.yml): lint, build, the full
 # race-enabled test suite, the benchmark's own module (bench/ is not
 # part of ./...; its TestQuick runs all four workloads at -quick sizes
-# and asserts no timing), and the telemetry smoke gate.
+# and asserts no timing), the telemetry smoke gate, and the profile
+# target on a tiny corpus so it cannot rot.
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) smoke
+	$(MAKE) profile FILES=2 SCALE=0.25
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md):
 # four workloads over the shipped hetindex/hetserve binaries, seven
@@ -70,8 +91,8 @@ check: lint
 bench:
 	bash bench/run.sh
 
-# One pass over every go-test microbenchmark with allocation metrics.
-# The root package's wrappers also assert the paper's timing orderings.
+# One pass over every go-test microbenchmark with allocation metrics
+# (BenchmarkParseDoc's ns/token and BenchmarkGPUIndexRun among them).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"fastinvert"
+	"fastinvert/internal/corpus"
 	"fastinvert/internal/gpu"
 	"fastinvert/internal/telemetry"
 )
@@ -78,6 +79,20 @@ func run(args []string, w io.Writer) error {
 	)
 	fs.Parse(args)
 
+	// The source is complete before the profile and the build's clock
+	// start: a generated collection is materialized here, or the sampling
+	// and read spans would time the generator.
+	var src fastinvert.Source
+	var err error
+	if *corpusDir != "" {
+		src, err = fastinvert.OpenCorpusDir(*corpusDir)
+		if err != nil {
+			return err
+		}
+	} else {
+		src = corpus.NewMemSource(corpus.NewGenerator(corpus.ClueWeb09(*scale)), *files).Materialize()
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -87,17 +102,6 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	var src fastinvert.Source
-	var err error
-	if *corpusDir != "" {
-		src, err = fastinvert.OpenCorpusDir(*corpusDir)
-		if err != nil {
-			return err
-		}
-	} else {
-		src = fastinvert.GenerateCorpus(fastinvert.ClueWeb09Profile(*scale), *files)
 	}
 
 	opts := fastinvert.DefaultOptions()
@@ -158,6 +162,13 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  dict combine    %9.4f s\n", rep.DictCombineSec)
 	fmt.Fprintf(w, "  dict write      %9.4f s\n", rep.DictWriteSec)
 	fmt.Fprintf(w, "  total           %9.4f s\n", rep.TotalSec)
+	rawTokens := rep.TokenCacheHits + rep.TokenCacheMisses
+	fmt.Fprintf(w, "  parse cache     %9.1f%% of %.1f M tokens\n",
+		100*float64(rep.TokenCacheHits)/float64(max(rawTokens, 1)), float64(rawTokens)/1e6)
+	reg.Counter("fastinvert_parser_token_cache_hits_total",
+		"Raw tokens the parsers resolved from their token caches.").Add(float64(rep.TokenCacheHits))
+	reg.Counter("fastinvert_parser_token_cache_misses_total",
+		"Raw tokens the parsers ran through stem, stop list and trie.").Add(float64(rep.TokenCacheMisses))
 	fmt.Fprintf(w, "throughput: %.2f MB/s total, %.2f MB/s indexing\n",
 		rep.ThroughputMBps, rep.IndexingThroughputMBps)
 	fmt.Fprintf(w, "workload split: CPU %d tokens / %d terms, GPU %d tokens / %d terms\n",

@@ -76,3 +76,46 @@ func TestRunBuildsMergesAndVerifies(t *testing.T) {
 		t.Errorf("postings of \"parallel\" = %v, want documents 0, 1 and 2", got)
 	}
 }
+
+// TestGeneratedAndDirectoryCorpusAgree: without -corpus the command
+// materializes the generated collection before the build; it must then
+// index exactly what -corpus reads back from the same profile written
+// to disk — the same sample, tokens and terms.
+func TestGeneratedAndDirectoryCorpusAgree(t *testing.T) {
+	const files, scale = 3, 0.5
+	corpusDir := filepath.Join(t.TempDir(), "corpus")
+	if _, err := fastinvert.WriteCorpus(fastinvert.ClueWeb09Profile(scale), files, corpusDir); err != nil {
+		t.Fatal(err)
+	}
+	// What the two reports have in common once timings are left out.
+	counts := func(args ...string) []string {
+		t.Helper()
+		var stdout bytes.Buffer
+		if err := run(append(args, "-metrics", "-"), &stdout); err != nil {
+			t.Fatalf("run %v: %v\n%s", args, err, stdout.String())
+		}
+		var kept []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			for _, prefix := range []string{
+				"collection: ", "input: ", "workload split: ",
+				`fastinvert_build_stage_bytes_total{stage="sampling"} `,
+				"fastinvert_build_sampled_docs_total ", "fastinvert_build_sampled_tokens_total ",
+				"fastinvert_build_tokens_total ",
+				"fastinvert_parser_token_cache_hits_total ", "fastinvert_parser_token_cache_misses_total ",
+			} {
+				if strings.HasPrefix(line, prefix) {
+					kept = append(kept, line)
+				}
+			}
+		}
+		return kept
+	}
+	generated := counts("-files", "3", "-scale", "0.5")
+	fromDir := counts("-corpus", corpusDir)
+	if len(generated) != 9 {
+		t.Fatalf("report lacks some of the nine count lines:\n%s", strings.Join(generated, "\n"))
+	}
+	if got, want := strings.Join(generated, "\n"), strings.Join(fromDir, "\n"); got != want {
+		t.Errorf("generated in memory:\n%s\nread from the directory:\n%s", got, want)
+	}
+}

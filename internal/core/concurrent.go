@@ -47,6 +47,8 @@ type parsedFile struct {
 	plain    int
 	err      error
 
+	cacheHits, cacheMisses int64 // the parser's token cache, this file
+
 	scr *fileScratch // recyclable backing for offsets/byteLens
 }
 
@@ -194,10 +196,7 @@ func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) 
 		if pf.err != nil {
 			return nil, fail(pf.err)
 		}
-		rep.CompressedBytes += int64(pf.stored)
-		rep.UncompressedBytes += int64(pf.plain)
-		rep.Docs += int64(pf.docs)
-		rep.Tokens += int64(pf.blk.Tokens)
+		rep.addParsed(&pf)
 
 		if err := e.cfg.Hooks.beforeIndex(pf.f); err != nil {
 			return nil, fail(err)
@@ -218,6 +217,16 @@ func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) 
 	}
 
 	return e.finishReport(rep, items, nIdx, writer)
+}
+
+// addParsed folds one parsed file's totals into the report.
+func (rep *Report) addParsed(pf *parsedFile) {
+	rep.CompressedBytes += int64(pf.stored)
+	rep.UncompressedBytes += int64(pf.plain)
+	rep.Docs += int64(pf.docs)
+	rep.Tokens += int64(pf.blk.Tokens)
+	rep.TokenCacheHits += pf.cacheHits
+	rep.TokenCacheMisses += pf.cacheMisses
 }
 
 // newParser builds a parser honoring the configured stop-word list
@@ -262,9 +271,12 @@ func (e *Engine) parseOne(psr *parser.Parser, f int, stored []byte, gz bool, rea
 	scr := e.scratch.Get().(*fileScratch)
 	scr.docs, scr.offsets = corpus.SplitDocsOffsetsAppend(plain, scr.docs[:0], scr.offsets[:0])
 	docs := scr.docs
+	hits0, misses0 := psr.TokenCacheStats()
 	for d, doc := range docs {
 		psr.ParseDoc(uint32(d), doc, blk)
 	}
+	hits, misses := psr.TokenCacheStats()
+	pf.cacheHits, pf.cacheMisses = hits-hits0, misses-misses0
 	pf.item.ParseSec = e.measure(t)
 	pf.blk = blk
 	pf.docs = len(docs)

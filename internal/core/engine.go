@@ -189,10 +189,7 @@ func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (*Report, 
 		if pf.err != nil {
 			return nil, pf.err
 		}
-		rep.CompressedBytes += int64(pf.stored)
-		rep.UncompressedBytes += int64(pf.plain)
-		rep.Docs += int64(pf.docs)
-		rep.Tokens += int64(pf.blk.Tokens)
+		rep.addParsed(&pf)
 
 		// Index: every indexer consumes its share of this block,
 		// serially here (BuildConcurrent overlaps them).
@@ -371,6 +368,7 @@ func (e *Engine) ParseOnly(src corpus.Source) (*Report, error) {
 		e.blocks.Put(blk)
 		items = append(items, item)
 	}
+	rep.TokenCacheHits, rep.TokenCacheMisses = p.TokenCacheStats()
 	res := pipesim.Simulate(pipesim.Config{
 		Parsers:         e.cfg.Parsers,
 		Indexers:        0,

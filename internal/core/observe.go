@@ -123,5 +123,7 @@ func (e *Engine) endObserve(rep *Report) {
 		"uncompressed_bytes": rep.UncompressedBytes,
 		"postings_bytes":     rep.PostingsBytes,
 		"dictionary_bytes":   rep.DictionaryBytes,
+		"token_cache_hits":   rep.TokenCacheHits,
+		"token_cache_misses": rep.TokenCacheMisses,
 	})
 }

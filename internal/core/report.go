@@ -18,6 +18,12 @@ type Report struct {
 	SampledDocs  int64
 	SampledBytes int64
 
+	// Raw tokens the pipeline's parsers resolved from their token caches
+	// and the ones they ran through stem, stop list and trie (the
+	// sampling parser's are not counted).
+	TokenCacheHits   int64
+	TokenCacheMisses int64
+
 	// Table VI rows (modeled seconds).
 	SamplingSec     float64
 	ParsersSpanSec  float64 // completion of the last parse

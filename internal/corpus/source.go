@@ -114,10 +114,13 @@ func readAllHint(r io.Reader, hint int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// MemSource serves a generated collection lazily from memory.
+// MemSource serves a generated collection from memory: lazily,
+// generating (and gzipping) a file anew on every ReadFile, until
+// Materialize has run.
 type MemSource struct {
 	gen      *Generator
 	numFiles int
+	stored   [][]byte // every file's stored bytes, once materialized
 }
 
 // NewMemSource wraps a generator as an n-file source.
@@ -131,12 +134,31 @@ func (s *MemSource) NumFiles() int { return s.numFiles }
 // FileName implements Source.
 func (s *MemSource) FileName(i int) string { return s.gen.FileName(i) }
 
+// Materialize generates every file now and keeps the stored bytes, and
+// returns s. A build reads each file once for the sample and once for
+// the pipeline, and times both: over a lazy source those spans measure
+// the generator.
+func (s *MemSource) Materialize() *MemSource {
+	if s.stored == nil {
+		s.stored = make([][]byte, s.numFiles)
+		for i := range s.stored {
+			s.stored[i], _ = s.gen.GenerateFile(i)
+		}
+	}
+	return s
+}
+
 // ReadFile implements Source.
 func (s *MemSource) ReadFile(i int) ([]byte, bool, error) {
 	if i < 0 || i >= s.numFiles {
 		return nil, false, fmt.Errorf("corpus: file %d out of range", i)
 	}
-	stored, _ := s.gen.GenerateFile(i)
+	var stored []byte
+	if s.stored != nil {
+		stored = s.stored[i]
+	} else {
+		stored, _ = s.gen.GenerateFile(i)
+	}
 	return stored, s.gen.Profile().Compressed, nil
 }
 

@@ -29,33 +29,11 @@ type Scale struct {
 // DefaultScale keeps every experiment in the seconds-to-a-minute range.
 func DefaultScale() Scale { return Scale{Files: 16, Factor: 1} }
 
-// generated is a synthetic collection held in memory. corpus.MemSource
-// generates (and gzips) a file anew on every ReadFile; an experiment
-// reads each file once per build for the sample and once for the
-// pipeline, and the sampling phase is timed reads included, so with the
-// lazy source Table VI's sampling column mostly measured the generator.
-type generated struct {
-	*corpus.MemSource
-	stored [][]byte
-}
-
-func generate(p corpus.Profile, files int) *generated {
-	g := &generated{
-		MemSource: corpus.NewMemSource(corpus.NewGenerator(p), files),
-		stored:    make([][]byte, files),
-	}
-	for i := range g.stored {
-		g.stored[i], _ = g.Generator().GenerateFile(i)
-	}
-	return g
-}
-
-// ReadFile implements corpus.Source from the files generate kept.
-func (g *generated) ReadFile(i int) ([]byte, bool, error) {
-	if i < 0 || i >= len(g.stored) {
-		return g.MemSource.ReadFile(i) // its out-of-range error
-	}
-	return g.stored[i], g.Generator().Profile().Compressed, nil
+// generate builds a synthetic collection held in memory: an experiment
+// times its reads, which over a lazy corpus.MemSource would time the
+// generator.
+func generate(p corpus.Profile, files int) corpus.Source {
+	return corpus.NewMemSource(corpus.NewGenerator(p), files).Materialize()
 }
 
 // ClueWebSource builds the ClueWeb09-like collection.

@@ -3,10 +3,10 @@ package gpu
 import "fmt"
 
 // Block is the execution context of one thread block (one warp in the
-// paper's configuration). Kernels express warp-lockstep computation
-// through ForLanes sections and explicit shared/global memory motion;
-// every operation charges the block's cycle counter according to the
-// device cost model.
+// paper's configuration). Kernels run a warp's lanes as a plain host
+// loop, charge each lockstep region with ChargeInstr, and move data
+// through the explicit shared/global memory calls; every operation
+// charges the block's cycle counter according to the device cost model.
 //
 // A Block is owned by a single SM goroutine; kernels must not share a
 // Block across goroutines. Distinct blocks may freely access disjoint
@@ -36,22 +36,12 @@ func (b *Block) Device() *Device { return b.dev }
 func (b *Block) Cycles() int64 { return b.ctr.cycles }
 
 // ChargeInstr charges n warp instructions (arithmetic, compare,
-// branch). Kernels call this for the lane work inside ForLanes
-// sections; helpers in this package charge automatically.
+// branch): one per lockstep region of a kernel's lane loop, more where
+// a lane body does nontrivial work. Helpers in this package charge
+// automatically.
 func (b *Block) ChargeInstr(n int64) {
 	b.ctr.instructions += n
 	b.ctr.cycles += n * b.dev.cfg.InstrCycles
-}
-
-// ForLanes executes fn once per lane, modeling one lockstep SIMT
-// region: all lanes run the same code and an implicit barrier follows.
-// One warp instruction is charged per call; kernels charge additional
-// instructions explicitly where a lane body does nontrivial work.
-func (b *Block) ForLanes(fn func(lane int)) {
-	for lane := 0; lane < b.Dim; lane++ {
-		fn(lane)
-	}
-	b.ChargeInstr(1)
 }
 
 // SyncThreads models __syncthreads(); within this sequential-lockstep
@@ -217,6 +207,38 @@ func (b *Block) ChargeSharedAccess(laneWords []int) int {
 		}
 	}
 	return worst
+}
+
+// SharedCharge is what one ChargeSharedAccess call charged: the cost of
+// an access pattern that is a constant of a kernel's data layout (a
+// node's 31 cache words, say), measured once and replayed per access.
+type SharedCharge struct {
+	accesses  int64 // half-warp accesses
+	cycles    int64
+	conflicts int64
+}
+
+// MeasureSharedAccess reports what ChargeSharedAccess(laneWords) charges
+// on this block without charging it. The bank rule lives only in
+// ChargeSharedAccess: this runs it and takes the counters back.
+func (b *Block) MeasureSharedAccess(laneWords []int) SharedCharge {
+	before := b.ctr
+	b.ChargeSharedAccess(laneWords)
+	c := SharedCharge{
+		accesses:  b.ctr.sharedAcc - before.sharedAcc,
+		cycles:    b.ctr.cycles - before.cycles,
+		conflicts: b.ctr.conflicts - before.conflicts,
+	}
+	b.ctr = before
+	return c
+}
+
+// ReplaySharedAccess charges a measured access again. The charge is
+// valid on any block of the device it was measured on.
+func (b *Block) ReplaySharedAccess(c SharedCharge) {
+	b.ctr.sharedAcc += c.accesses
+	b.ctr.cycles += c.cycles
+	b.ctr.conflicts += c.conflicts
 }
 
 // ParallelMin performs a warp parallel reduction (Harris-style, the

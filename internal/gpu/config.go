@@ -9,11 +9,11 @@
 // scattered device-memory transactions, shared-memory staging and bank
 // conflicts, warp instruction issue, and PCIe transfers.
 //
-// Kernels are written against the Block API: lane-parallel sections
-// (ForLanes) model one warp's lockstep execution, explicit LoadShared /
-// StoreGlobal calls model data movement, and every operation updates
-// the block's cycle counter. Launch returns aggregate Stats including
-// the simulated kernel time on the modeled hardware.
+// Kernels are written against the Block API: a loop over the lanes,
+// charged as one warp instruction, models a lockstep section; explicit
+// LoadShared / StoreGlobal calls model data movement; and every
+// operation updates the block's cycle counter. Launch returns aggregate
+// Stats including the simulated kernel time on the modeled hardware.
 package gpu
 
 // Config describes the simulated GPU.

@@ -388,3 +388,55 @@ func TestTrimTransientsBoundsResident(t *testing.T) {
 		t.Fatal("Reset must drop all materialized chunks")
 	}
 }
+
+// TestReplayedSharedAccessEqualsFresh: a measured charge replayed must
+// leave a block's counters exactly where a fresh ChargeSharedAccess of
+// the same lane words leaves them, for every prefix of a 31-word
+// pattern, including bank counts and warp sizes under which consecutive
+// words do conflict.
+func TestReplayedSharedAccessEqualsFresh(t *testing.T) {
+	patterns := map[string]func(i int) int{
+		"stride-1":  func(i int) int { return 8 + i },
+		"stride-2":  func(i int) int { return 2 * i },
+		"stride-16": func(i int) int { return 16 * i },
+		"broadcast": func(int) int { return 5 },
+	}
+	for _, shape := range []struct{ banks, warp int }{
+		{16, 32}, {32, 32}, {4, 32}, {3, 32}, {1, 32}, {16, 8}, {2, 8}, {16, 1},
+	} {
+		cfg := testConfig()
+		cfg.SharedBanks, cfg.WarpSize = shape.banks, shape.warp
+		d := MustDevice(cfg)
+		conflicts := int64(0) // of the stride-1 pattern, the kernel's own
+		d.Launch(1, func(b *Block) {
+			for name, at := range patterns {
+				var words [31]int
+				for i := range words {
+					words[i] = at(i)
+				}
+				for n := 1; n <= len(words); n++ {
+					b.ctr = blockCounters{}
+					charge := b.MeasureSharedAccess(words[:n])
+					if b.ctr != (blockCounters{}) {
+						t.Fatalf("banks %d warp %d %s[:%d]: measuring charged %+v",
+							shape.banks, shape.warp, name, n, b.ctr)
+					}
+					b.ReplaySharedAccess(charge)
+					replayed := b.ctr
+					b.ctr = blockCounters{}
+					b.ChargeSharedAccess(words[:n])
+					if replayed != b.ctr {
+						t.Errorf("banks %d warp %d %s[:%d]: replayed %+v, fresh %+v",
+							shape.banks, shape.warp, name, n, replayed, b.ctr)
+					}
+					if name == "stride-1" {
+						conflicts += b.ctr.conflicts
+					}
+				}
+			}
+		})
+		if shape.banks < 16 && shape.warp > 2 && conflicts == 0 {
+			t.Errorf("banks %d warp %d: consecutive words never conflicted; the property was not exercised", shape.banks, shape.warp)
+		}
+	}
+}

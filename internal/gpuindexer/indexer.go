@@ -15,6 +15,7 @@ package gpuindexer
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,12 +102,16 @@ type Indexer struct {
 	dev *gpu.Device
 	cfg Config
 
+	// The extent tables only grow, and every block reads them on each
+	// node load and arena access: growth happens under mu and publishes
+	// a new slice header, reads load the current one without locking.
+	// An append may write into spare capacity past a published length,
+	// which no reader of that header can index.
 	mu           sync.Mutex
-	nodeExtents  []gpu.Ptr
+	nodeExtents  atomic.Pointer[[]gpu.Ptr]
 	nodeNext     int64 // atomic: next free node index
-	arenaExtents []gpu.Ptr
-	arenaExt     int // current extent
-	arenaOff     int // offset within current extent
+	arenaExtents atomic.Pointer[[]gpu.Ptr]
+	arenaOff     int // offset within the last arena extent
 
 	collections map[int]*collection
 	stores      map[int]*postings.Store
@@ -136,12 +141,22 @@ func New(dev *gpu.Device, cfg Config) *Indexer {
 		cfg.NodeExtentNodes = DefaultConfig().NodeExtentNodes
 	}
 	cfg.ArenaExtentBytes = arenaExtentSize
-	return &Indexer{
+	ix := &Indexer{
 		dev:         dev,
 		cfg:         cfg,
 		collections: make(map[int]*collection),
 		stores:      make(map[int]*postings.Store),
 	}
+	ix.nodeExtents.Store(new([]gpu.Ptr))
+	ix.arenaExtents.Store(new([]gpu.Ptr))
+	return ix
+}
+
+// growExtents appends one n-byte device extent to a table. The caller
+// holds ix.mu.
+func (ix *Indexer) growExtents(table *atomic.Pointer[[]gpu.Ptr], n int) {
+	grown := append(*table.Load(), ix.dev.Malloc(n))
+	table.Store(&grown)
 }
 
 // Device returns the underlying simulated device.
@@ -179,24 +194,20 @@ func (ix *Indexer) TermCount(coll int) int {
 func (ix *Indexer) allocNode() int32 {
 	idx := atomic.AddInt64(&ix.nodeNext, 1) - 1
 	ext := int(idx) / ix.cfg.NodeExtentNodes
-	for {
+	if ext >= len(*ix.nodeExtents.Load()) {
 		ix.mu.Lock()
-		if ext < len(ix.nodeExtents) {
-			ix.mu.Unlock()
-			return int32(idx)
+		for ext >= len(*ix.nodeExtents.Load()) {
+			ix.growExtents(&ix.nodeExtents, ix.cfg.NodeExtentNodes*btree.NodeSize)
 		}
-		ix.nodeExtents = append(ix.nodeExtents,
-			ix.dev.Malloc(ix.cfg.NodeExtentNodes*btree.NodeSize))
 		ix.mu.Unlock()
 	}
+	return int32(idx)
 }
 
 // nodePtr converts a node index to its device address.
 func (ix *Indexer) nodePtr(idx int32) gpu.Ptr {
 	ext := int(idx) / ix.cfg.NodeExtentNodes
-	ix.mu.Lock()
-	base := ix.nodeExtents[ext]
-	ix.mu.Unlock()
+	base := (*ix.nodeExtents.Load())[ext]
 	return base + gpu.Ptr((int(idx)%ix.cfg.NodeExtentNodes)*btree.NodeSize)
 }
 
@@ -208,24 +219,20 @@ func (ix *Indexer) allocArena(n int) int32 {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(ix.arenaExtents) == 0 || ix.arenaOff+n > arenaExtentSize {
-		ix.arenaExtents = append(ix.arenaExtents, ix.dev.Malloc(arenaExtentSize))
-		ix.arenaExt = len(ix.arenaExtents) - 1
+	if len(*ix.arenaExtents.Load()) == 0 || ix.arenaOff+n > arenaExtentSize {
+		ix.growExtents(&ix.arenaExtents, arenaExtentSize)
 		ix.arenaOff = 0
 	}
 	off := ix.arenaOff
 	ix.arenaOff += n
-	return int32(ix.arenaExt)<<arenaOffBits | int32(off)
+	return int32(len(*ix.arenaExtents.Load())-1)<<arenaOffBits | int32(off)
 }
 
 // arenaPtr converts a packed string pointer to its device address.
 func (ix *Indexer) arenaPtr(sptr int32) gpu.Ptr {
 	ext := int(sptr >> arenaOffBits)
 	off := int(sptr & arenaOffMask)
-	ix.mu.Lock()
-	base := ix.arenaExtents[ext]
-	ix.mu.Unlock()
-	return base + gpu.Ptr(off)
+	return (*ix.arenaExtents.Load())[ext] + gpu.Ptr(off)
 }
 
 // groupWork is one scheduled collection within a run.
@@ -322,6 +329,12 @@ func (ix *Indexer) IndexRun(groups []*parser.Group, docBase uint32) (RunStats, e
 				return
 			}
 			k.processGroup(&work[gi], &newTerms)
+			// Let the other SMs' goroutines have their turn at the
+			// group queue. The host has fewer cores than the device
+			// has SMs, and nothing else in the kernel blocks: without
+			// the yield the goroutines scheduled first drain the queue
+			// and MaxSMCycles reads as if the device had two SMs.
+			runtime.Gosched()
 		}
 	})
 	rs.KernelSec = rs.Launch.SimSeconds
@@ -377,9 +390,7 @@ func (ix *Indexer) ResetRunPostings() {
 // program (§III.F: "the dictionary is kept in main memory until the
 // last batch of documents is processed, after which it is moved").
 func (ix *Indexer) snapshotArena() func(sptr int32) []byte {
-	ix.mu.Lock()
-	extPtrs := append([]gpu.Ptr(nil), ix.arenaExtents...)
-	ix.mu.Unlock()
+	extPtrs := *ix.arenaExtents.Load()
 	arenaBytes := make([][]byte, len(extPtrs))
 	for i, p := range extPtrs {
 		buf := make([]byte, arenaExtentSize)

@@ -2,6 +2,7 @@ package gpuindexer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync/atomic"
 
 	"fastinvert/internal/btree"
@@ -33,10 +34,13 @@ type kernelCtx struct {
 	b       *gpu.Block
 	docBase uint32
 
-	term      []byte // current term (assembled from the input chunk)
-	rest      []byte // arena read scratch
-	cmp       [btree.MaxKeys]int8
-	laneWords [btree.MaxKeys]int
+	term []byte // current term (assembled from the input chunk)
+	rest []byte // arena read scratch
+
+	// laneCost[n] is the shared-access charge of the first n lanes each
+	// touching its key's cache word: a constant of the node layout and
+	// the device's bank model, measured once per context.
+	laneCost [btree.MaxKeys + 1]gpu.SharedCharge
 
 	stageN    int
 	recSize   int // 8, or 12 when the current group is positional
@@ -59,8 +63,12 @@ func newKernelCtx(ix *Indexer, b *gpu.Block, docBase uint32) *kernelCtx {
 		rest:       make([]byte, 256),
 		cachedRoot: -1,
 	}
-	for i := range k.laneWords {
-		k.laneWords[i] = (btree.OffCache + 4*i) / 4
+	var laneWords [btree.MaxKeys]int
+	for i := range laneWords {
+		laneWords[i] = (btree.OffCache + 4*i) / 4
+	}
+	for n := 1; n <= btree.MaxKeys; n++ {
+		k.laneCost[n] = b.MeasureSharedAccess(laneWords[:n])
 	}
 	return k
 }
@@ -157,83 +165,72 @@ func (k *kernelCtx) readArenaRest(sptr int32) []byte {
 	return k.rest[:n]
 }
 
-// cacheTies reports whether the 4-byte caches alone cannot decide the
-// comparison of term against key i (the divergent arena path).
-func (k *kernelCtx) cacheTies(base, i int, term []byte) bool {
-	var tc [btree.CacheBytes]byte
-	copy(tc[:], term)
-	if !bytes.Equal(tc[:], k.cache(base, i)) {
-		return false
-	}
-	return len(term) > btree.CacheBytes || k.sptr(base, i) != btree.NilPtr
-}
-
-// compareAt orders term against key i of the node image at base,
-// replicating btree.Tree.compareAt: the 4-byte cache decides unless
-// the caches tie and a remainder exists.
-func (k *kernelCtx) compareAt(base, i int, term []byte) int {
-	if k.ix.cfg.NoStringCache {
-		// Without the cache the key's bytes live only in the arena:
-		// charge the scattered fetch the cache would have avoided.
-		if sp := k.sptr(base, i); sp != btree.NilPtr {
-			k.readArenaRest(sp)
-		} else {
-			k.b.ChargeScatteredRead(btree.CacheBytes)
-		}
-	}
-	var tc [btree.CacheBytes]byte
-	copy(tc[:], term)
-	if c := bytes.Compare(tc[:], k.cache(base, i)); c != 0 {
-		return c
-	}
-	var termRest []byte
-	if len(term) > btree.CacheBytes {
-		termRest = term[btree.CacheBytes:]
-	}
-	var nodeRest []byte
-	if sp := k.sptr(base, i); sp != btree.NilPtr {
-		nodeRest = k.readArenaRest(sp)
-	}
-	return bytes.Compare(termRest, nodeRest)
+// cacheWord reads key i's 4-byte string cache as the integer whose
+// order is the byte order of the cache: what a lane compares.
+func (k *kernelCtx) cacheWord(base, i int) uint32 {
+	return binary.BigEndian.Uint32(k.b.Shared[base+btree.OffCache+btree.CacheBytes*i:])
 }
 
 // findInNode is the paper's Fig. 7 warp search: all lanes compare term
 // against their key in parallel (one shared access over the cache
 // words), then a parallel reduction locates the insert position and
-// any exact match.
+// any exact match. A lane settles its key with one 32-bit compare of
+// the cache words, replicating btree.Tree.compareAt; only when they tie
+// and a remainder exists does it read the arena.
 func (k *kernelCtx) findInNode(base int, term []byte) (pos int, found bool) {
 	valid := int(k.valid(base))
+	var tc [btree.CacheBytes]byte
+	copy(tc[:], term)
+	termWord := binary.BigEndian.Uint32(tc[:])
+	var termRest []byte
+	if len(term) > btree.CacheBytes {
+		termRest = term[btree.CacheBytes:]
+	}
+	noCache := k.ix.cfg.NoStringCache
+	live := min(valid, btree.MaxKeys, k.b.Dim)
+	match := -1
 	divergent := 0
-	k.b.ForLanes(func(lane int) {
-		if lane >= valid || lane >= btree.MaxKeys {
-			return
+	for lane := 0; lane < live; lane++ {
+		if noCache {
+			// Without the cache the key's bytes live only in the arena:
+			// charge the scattered fetch the cache would have avoided.
+			if sp := k.sptr(base, lane); sp != btree.NilPtr {
+				k.readArenaRest(sp)
+			} else {
+				k.b.ChargeScatteredRead(btree.CacheBytes)
+			}
+		}
+		if keyWord := k.cacheWord(base, lane); termWord != keyWord {
+			if termWord > keyWord {
+				pos++
+			}
+			continue
 		}
 		// A cache tie forces this lane onto the slow arena path while
 		// the rest of the warp waits — warp divergence.
-		if k.cacheTies(base, lane, term) {
+		sp := k.sptr(base, lane)
+		if len(term) > btree.CacheBytes || sp != btree.NilPtr {
 			divergent++
 		}
-		switch c := k.compareAt(base, lane, term); {
-		case c < 0:
-			k.cmp[lane] = -1
-		case c > 0:
-			k.cmp[lane] = 1
-		default:
-			k.cmp[lane] = 0
+		var nodeRest []byte
+		if sp != btree.NilPtr {
+			nodeRest = k.readArenaRest(sp)
 		}
-	})
+		switch c := bytes.Compare(termRest, nodeRest); {
+		case c > 0:
+			pos++
+		case c == 0 && match < 0:
+			match = lane
+		}
+	}
+	k.b.ChargeInstr(1) // the lockstep compare region
 	k.b.ChargeDivergentLanes(divergent)
-	k.b.ChargeSharedAccess(k.laneWords[:max(valid, 1)])
+	k.b.ReplaySharedAccess(k.laneCost[max(valid, 1)])
 	// Parallel reduction (log2 32 = 5 steps): count keys below term
 	// and detect equality.
 	k.b.ChargeInstr(5)
-	pos = 0
-	for i := 0; i < valid; i++ {
-		if k.cmp[i] > 0 { // term > key i
-			pos++
-		} else if k.cmp[i] == 0 {
-			return i, true
-		}
+	if match >= 0 {
+		return match, true
 	}
 	return pos, false
 }
@@ -250,7 +247,7 @@ func (k *kernelCtx) insertAt(base, pos int, term []byte, coll *collection) int32
 	}
 	// Lane-parallel shift of three arrays plus the cache words.
 	k.b.ChargeInstr(3)
-	k.b.ChargeSharedAccess(k.laneWords[:max(valid-pos, 1)])
+	k.b.ReplaySharedAccess(k.laneCost[max(valid-pos, 1)])
 
 	cc := k.cache(base, pos)
 	for c := 0; c < btree.CacheBytes; c++ {

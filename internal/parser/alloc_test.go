@@ -3,6 +3,7 @@ package parser
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // allocDocs is a small but non-trivial corpus: repeated vocabulary so
@@ -42,7 +43,9 @@ func TestTokenizerNextSteadyStateAllocs(t *testing.T) {
 // TestParseDocSteadyStateAllocs pins the pooled parse path: once a
 // recycled Block has seen the vocabulary, parsing the same corpus again
 // must not allocate — group structures, stream capacity and map buckets
-// all survive the Get/Put cycle.
+// all survive the Get/Put cycle, and the parser's token cache was
+// allocated by the first ParseDoc of the warm-up (accounted for in
+// TestTokenCacheAllocatedOnce).
 func TestParseDocSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; budget is meaningless")
@@ -63,6 +66,43 @@ func TestParseDocSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, parseAll); avg > 0.5 {
 		t.Errorf("pooled ParseDoc allocates %.1f objects per file, want ~0", avg)
+	}
+}
+
+// TestTokenCacheAllocatedOnce accounts for the one allocation the token
+// cache costs: none in New, one fixed-size table in a parser's first
+// ParseDoc, kept for the parser's life. segment makes a parser per
+// memtable and sampling one per build, so the table must stay small.
+func TestTokenCacheAllocatedOnce(t *testing.T) {
+	if size := tokenCacheSlots * unsafe.Sizeof(tokenEntry{}); size > 512<<10 {
+		t.Errorf("token cache is %d KiB a parser, want at most 512", size>>10)
+	}
+	docs := allocDocs()
+	blk := NewBlock(0)
+	p := New(nil)
+	if p.cache != nil {
+		t.Fatal("New allocated the token cache; it is meant to wait for the first ParseDoc")
+	}
+	p.ParseDoc(0, docs[0], blk)
+	if len(p.cache) != tokenCacheSlots {
+		t.Fatalf("first ParseDoc left a cache of %d slots, want %d", len(p.cache), tokenCacheSlots)
+	}
+	table := &p.cache[0]
+	for i, d := range docs {
+		p.ParseDoc(uint32(i), d, blk)
+	}
+	if &p.cache[0] != table {
+		t.Error("the token cache was reallocated")
+	}
+	// A fresh parser's first document: the Parser, its cache, and the
+	// tokenizer's buffer doubling up to the longest token.
+	fresh := func() {
+		blk.Reset()
+		New(nil).ParseDoc(0, docs[0], blk)
+	}
+	fresh()
+	if avg := testing.AllocsPerRun(50, fresh); avg > 5 {
+		t.Errorf("a parser's first ParseDoc allocates %.1f objects, want at most 5 (parser, cache, token buffer)", avg)
 	}
 }
 

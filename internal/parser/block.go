@@ -155,6 +155,13 @@ type Block struct {
 
 	docCounted map[uint32]struct{}
 
+	// The token loop finds a collection's group without hashing: slot
+	// holds 1 + the group's position in live (creation order), 0 for a
+	// collection this block has no group for. Groups, which callers
+	// range over, is written only when a group is created.
+	slot [trie.NumCollections]uint16
+	live []*Group
+
 	// freeGroups recycles this block's Group structures (and their
 	// stream capacity) across Reset cycles, so a pooled block's steady
 	// state allocates nothing per file.
@@ -171,32 +178,25 @@ func NewBlock(parserID int) *Block {
 	}
 }
 
-func (b *Block) add(idx int, doc uint32, stripped []byte) {
-	b.group(idx).append(doc, stripped)
-	b.Tokens++
-	b.DocTokens[doc]++
-}
-
-func (b *Block) addPos(idx int, doc, pos uint32, stripped []byte) {
-	b.group(idx).appendPos(doc, pos, stripped)
-	b.Tokens++
-	b.DocTokens[doc]++
-}
-
+// group returns the block's group for collection idx, creating it on
+// the collection's first token.
 func (b *Block) group(idx int) *Group {
-	g := b.Groups[idx]
-	if g == nil {
-		if n := len(b.freeGroups); n > 0 {
-			g = b.freeGroups[n-1]
-			b.freeGroups[n-1] = nil
-			b.freeGroups = b.freeGroups[:n-1]
-			g.Index = idx
-			g.Positional = b.Positional
-		} else {
-			g = &Group{Index: idx, Positional: b.Positional}
-		}
-		b.Groups[idx] = g
+	if s := b.slot[idx]; s != 0 {
+		return b.live[s-1]
 	}
+	var g *Group
+	if n := len(b.freeGroups); n > 0 {
+		g = b.freeGroups[n-1]
+		b.freeGroups[n-1] = nil
+		b.freeGroups = b.freeGroups[:n-1]
+		g.Index = idx
+		g.Positional = b.Positional
+	} else {
+		g = &Group{Index: idx, Positional: b.Positional}
+	}
+	b.Groups[idx] = g
+	b.live = append(b.live, g)
+	b.slot[idx] = uint16(len(b.live))
 	return g
 }
 
@@ -206,10 +206,13 @@ func (b *Block) group(idx int) *Group {
 // every Group pointer and stream subslice taken from this block —
 // after Reset they will be overwritten by the next file's data.
 func (b *Block) Reset() {
-	for _, g := range b.Groups {
+	for i, g := range b.live {
+		b.slot[g.Index] = 0
 		g.reset()
 		b.freeGroups = append(b.freeGroups, g)
+		b.live[i] = nil
 	}
+	b.live = b.live[:0]
 	clear(b.Groups)
 	clear(b.DocTokens)
 	clear(b.docCounted)

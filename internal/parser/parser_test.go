@@ -1,10 +1,12 @@
 package parser
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"fastinvert/internal/stem"
 	"fastinvert/internal/stopwords"
 	"fastinvert/internal/trie"
 )
@@ -96,18 +98,54 @@ func TestParseDocPipeline(t *testing.T) {
 	}
 }
 
-func TestParseDocAblationFlags(t *testing.T) {
-	p := New(nil)
-	p.DisableStem = true
-	p.DisableStop = true
-	blk := NewBlock(0)
-	p.ParseDoc(1, []byte("the cats"), blk)
-	if blk.Tokens != 2 {
-		t.Fatalf("with stem+stop disabled: Tokens = %d, want 2", blk.Tokens)
+// TestParseDocStemsAndStops pins Steps 3 and 4 to the packages that
+// implement them: a word the default list holds is dropped, and a kept
+// word lands in the collection of its Porter stem, not of its raw form.
+func TestParseDocStemsAndStops(t *testing.T) {
+	if !stopwords.Default().Contains([]byte("the")) {
+		t.Fatal(`"the" is not a default stop word`)
 	}
-	idx := trie.IndexString("cats")
-	if blk.Groups[idx] == nil {
-		t.Error("unstemmed 'cats' group missing")
+	if got := stem.StemString("cats"); got != "cat" {
+		t.Fatalf(`stem of "cats" = %q, want "cat"`, got)
+	}
+	blk := NewBlock(0)
+	New(nil).ParseDoc(1, []byte("the cats"), blk)
+	if blk.Tokens != 1 {
+		t.Fatalf("Tokens = %d, want 1 (the stop word dropped)", blk.Tokens)
+	}
+	if blk.Groups[trie.IndexString("cat")] == nil {
+		t.Error("stemmed 'cat' group missing")
+	}
+	if blk.Groups[trie.IndexString("cats")] != nil {
+		t.Error("unstemmed 'cats' was indexed")
+	}
+}
+
+// TestPositionalFlipsBetweenDocuments: what the token cache holds for a
+// word does not depend on Positional, so one parser may serve positional
+// and plain blocks in turn, every word after the first document a hit.
+func TestPositionalFlipsBetweenDocuments(t *testing.T) {
+	text := []byte("the quick fox jumped over the quick dog")
+	p := New(nil)
+	for round := 0; round < 4; round++ {
+		p.Positional = round%2 == 1
+		fresh := New(nil)
+		fresh.Positional = p.Positional
+		got, want := NewBlock(0), NewBlock(0)
+		p.ParseDoc(uint32(round), text, got)
+		fresh.ParseDoc(uint32(round), text, want)
+		if got.Positional != want.Positional || got.Tokens != want.Tokens || len(got.Groups) != len(want.Groups) {
+			t.Fatalf("round %d: block %+v, a fresh parser gives %+v", round, got, want)
+		}
+		for idx, w := range want.Groups {
+			g := got.Groups[idx]
+			if g == nil || g.Positional != w.Positional || !bytes.Equal(g.Stream, w.Stream) {
+				t.Errorf("round %d collection %d: stream differs from a fresh parser's", round, idx)
+			}
+		}
+	}
+	if hits, misses := p.TokenCacheStats(); hits != 26 || misses != 6 {
+		t.Errorf("cache hits/misses = %d/%d, want 26/6 (six distinct words, 32 tokens)", hits, misses)
 	}
 }
 
@@ -267,17 +305,5 @@ func TestRegroupPreservesEverything(t *testing.T) {
 }
 
 func stemCopy(term []byte) []byte {
-	return append([]byte(nil), stemHelper(term)...)
-}
-
-func BenchmarkParseDoc(b *testing.B) {
-	text := []byte(strings.Repeat(
-		"The quick brown foxes are jumping over lazy dogs while parallel GPU indexers process documents. ", 50))
-	p := New(nil)
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		blk := NewBlock(0)
-		p.ParseDoc(uint32(i), text, blk)
-	}
+	return append([]byte(nil), stem.Stem(term)...)
 }
