@@ -120,8 +120,9 @@ fuzz:
 # including the merged-file parity comparison (every index is merged
 # and re-read through merged.post, which must match the per-run path
 # term for term) — plus the fault-injection matrix (with merged-file
-# truncation/bit-flip faults), under the race detector. Any failure
-# prints its seed; reproduce with:
+# truncation/bit-flip faults), under the race detector. CI runs it on
+# every pull request (the differential job). Any failure prints its
+# seed; reproduce with:
 #   go test ./internal/verify/ -run 'TestDifferential/seedN' -args -seeds 10
 differential:
 	$(GO) test ./internal/verify/ -race -count=1 -args -seeds 10

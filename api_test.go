@@ -9,6 +9,9 @@ import (
 	"fastinvert"
 )
 
+// The public name for what Index.Postings returns must be that type.
+var _ func(*fastinvert.Index, string) (*fastinvert.PostingsList, error) = (*fastinvert.Index).Postings
+
 // TestBuildContextPublic exercises the context-aware build surface:
 // cancellation aborts, a live context builds an index that Open can
 // serve, and Close flips queries to ErrClosed.

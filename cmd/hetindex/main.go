@@ -69,7 +69,7 @@ func run(args []string, w io.Writer) error {
 		concurrent = fs.Bool("concurrent", false, "run the goroutine-parallel executor")
 		verify     = fs.Bool("verify", false, "run an integrity check on the written index")
 		merge      = fs.Bool("merge", false, "run the post-processing merge on the written index (requires -out)")
-		codecName  = fs.String("codec", "", "postings codec for run files and the -merge pass: \"auto\" self-tunes per list, or force one registered codec (varbyte, gamma, golomb, bitpack, eliasfano); empty keeps runs on legacy varbyte and lets -merge self-tune")
+		codecName  = fs.String("codec", "", "postings codec for run files and the -merge pass: \"auto\" self-tunes per list, or force one registered codec (varbyte, gamma, golomb, bitpack, eliasfano); empty = varbyte runs, self-tuned merge")
 		progress   = fs.Bool("progress", false, "print a live progress ticker while building")
 		metricsOut = fs.String("metrics", "", "write a Prometheus metrics snapshot to this file (\"-\" = stdout)")
 		traceOut   = fs.String("trace", "", "write a JSONL build trace to this file")

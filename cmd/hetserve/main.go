@@ -141,7 +141,7 @@ func main() {
 			where = "a loopback selfcheck port"
 		}
 		fmt.Printf("hetserve: live index, %d docs in %d segments — listening on %s\n",
-			mgr.LiveDocs(), st.Segments, where)
+			mgr.NumDocs(), st.Segments, where)
 	} else {
 		idx, err := store.OpenIndex(*indexDir)
 		if err != nil {

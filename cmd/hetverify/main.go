@@ -26,7 +26,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"fastinvert/internal/verify"
@@ -35,20 +37,29 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hetverify: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command: it parses args, sweeps the selected harness over
+// the seeds, logs every failure as it happens, and prints the summary
+// line to w or returns the failure count as an error.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hetverify", flag.ExitOnError)
 	var (
-		seeds      = flag.Int("seeds", 10, "number of random corpus seeds")
-		start      = flag.Int64("start", 1000, "first seed")
-		positional = flag.Bool("positional", false, "build positional postings (pins positions against the reference)")
-		chaos      = flag.Bool("chaos", false, "also run the fault-injection matrix per seed")
-		live       = flag.Bool("live", false, "run the interleaved live-index differential harness instead of the batch one")
-		liveOps    = flag.Int("live-ops", 400, "operations per live schedule")
-		verbose    = flag.Bool("v", false, "print every comparison, not just failures")
+		seeds      = fs.Int("seeds", 10, "number of random corpus seeds")
+		start      = fs.Int64("start", 1000, "first seed")
+		positional = fs.Bool("positional", false, "build positional postings (pins positions against the reference)")
+		chaos      = fs.Bool("chaos", false, "also run the fault-injection matrix per seed")
+		live       = fs.Bool("live", false, "run the interleaved live-index differential harness instead of the batch one")
+		liveOps    = fs.Int("live-ops", 400, "operations per live schedule")
+		verbose    = fs.Bool("v", false, "print every comparison, not just failures")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *live {
-		runLive(*seeds, *start, *liveOps, *positional, *verbose)
-		return
+		return runLive(w, *seeds, *start, *liveOps, *positional, *verbose)
 	}
 
 	ctx := context.Background()
@@ -67,7 +78,7 @@ func main() {
 			log.Printf("FAIL %s", res.Summary())
 			failures++
 		} else if *verbose {
-			fmt.Println(res.Summary())
+			fmt.Fprintln(w, res.Summary())
 		}
 
 		if *chaos {
@@ -82,20 +93,21 @@ func main() {
 					log.Printf("FAIL seed %d chaos %s", seed, cres)
 					failures++
 				} else if *verbose {
-					fmt.Printf("seed %d chaos %s\n", seed, cres)
+					fmt.Fprintf(w, "seed %d chaos %s\n", seed, cres)
 				}
 			}
 		}
 	}
 	if failures > 0 {
-		log.Fatalf("%d failure(s) across %d seeds in %s", failures, *seeds, time.Since(t0).Round(time.Millisecond))
+		return fmt.Errorf("%d failure(s) across %d seeds in %s", failures, *seeds, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Printf("OK: %d seeds (chaos=%v, positional=%v) in %s\n",
+	fmt.Fprintf(w, "OK: %d seeds (chaos=%v, positional=%v) in %s\n",
 		*seeds, *chaos, *positional, time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
 // runLive sweeps the interleaved live-index harness across seeds.
-func runLive(seeds int, start int64, ops int, positional, verbose bool) {
+func runLive(w io.Writer, seeds int, start int64, ops int, positional, verbose bool) error {
 	ctx := context.Background()
 	failures := 0
 	t0 := time.Now()
@@ -115,14 +127,15 @@ func runLive(seeds int, start int64, ops int, positional, verbose bool) {
 			log.Printf("FAIL %s", res.Summary())
 			failures++
 		} else if verbose {
-			fmt.Println(res.Summary())
+			fmt.Fprintln(w, res.Summary())
 		}
 	}
 	if failures > 0 {
-		log.Fatalf("%d failure(s) across %d live seeds in %s", failures, seeds, time.Since(t0).Round(time.Millisecond))
+		return fmt.Errorf("%d failure(s) across %d live seeds in %s", failures, seeds, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Printf("OK: %d live seeds (%d ops each, positional=%v) in %s\n",
+	fmt.Fprintf(w, "OK: %d live seeds (%d ops each, positional=%v) in %s\n",
 		seeds, ops, positional, time.Since(t0).Round(time.Millisecond))
+	return nil
 }
 
 // chaosMatrix is the per-seed fault set: every kind, the stage faults

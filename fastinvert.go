@@ -35,6 +35,7 @@ import (
 
 	"fastinvert/internal/core"
 	"fastinvert/internal/corpus"
+	"fastinvert/internal/postings"
 	"fastinvert/internal/search"
 	"fastinvert/internal/stem"
 	"fastinvert/internal/store"
@@ -81,8 +82,9 @@ type Profile = corpus.Profile
 // Index reads a built index directory.
 type Index = store.IndexReader
 
-// PostingsList is a term's (docID, tf) list.
-type PostingsList = store.RunEntry
+// PostingsList is a term's (docID, tf) list, as Index.Postings returns
+// it.
+type PostingsList = postings.List
 
 // DefaultOptions mirrors the paper's best configuration: six parsers,
 // two CPU indexers, two (simulated) Tesla C1060 GPUs.
@@ -192,17 +194,7 @@ func VerifyIndex(dir string) (*VerifyReport, error) { return store.Verify(dir) }
 // NormalizeTerm applies the indexing pipeline's term normalization
 // (lowercase + Porter stem) to a query word, so lookups match what was
 // indexed.
-func NormalizeTerm(word string) string {
-	b := make([]byte, 0, len(word))
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b = append(b, c)
-	}
-	return string(stem.Stem(b))
-}
+func NormalizeTerm(word string) string { return string(stem.Normalize(word)) }
 
 // TrieIndex reports the Table I trie-collection index of a normalized
 // term — exposed because the collection index is part of the on-disk

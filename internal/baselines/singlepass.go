@@ -74,7 +74,7 @@ func SinglePassMR(src corpus.Source, reducers int) (*Result, error) {
 			if err != nil {
 				return fmt.Errorf("singlepass: %q: %w", term, err)
 			}
-			if err := postings.Concat(merged, &postings.List{DocIDs: docIDs, TFs: tfs}); err != nil {
+			if err := postings.Concat(merged, &postings.List{DocIDs: docIDs, TFs: tfs}, nil); err != nil {
 				return fmt.Errorf("singlepass: %q: %w", term, err)
 			}
 		}

@@ -106,7 +106,7 @@ func SPIMI(src corpus.Source, memoryBudget int) (*Result, error) {
 				dst = &postings.List{}
 				res.Lists[term] = dst
 			}
-			if err := postings.Concat(dst, &postings.List{DocIDs: docIDs, TFs: tfs}); err != nil {
+			if err := postings.Concat(dst, &postings.List{DocIDs: docIDs, TFs: tfs}, nil); err != nil {
 				return nil, fmt.Errorf("spimi merge %q: %w", term, err)
 			}
 		}

@@ -98,8 +98,7 @@ type Config struct {
 	// RunCodec selects how run files encode postings lists: "auto"
 	// for per-list self-tuning selection, a codec name ("varbyte",
 	// "gamma", "golomb", "bitpack", "eliasfano") to force one codec,
-	// or empty for the legacy varbyte format (version-3 run files,
-	// byte-identical to pre-codec builds).
+	// or empty for varbyte runs and a self-tuned merge.
 	RunCodec string
 
 	// Progress, when non-nil, is invoked after each container file

@@ -49,7 +49,7 @@ type Engine struct {
 	collTokens map[int]int64
 
 	// runSel is the per-list codec selector resolved from
-	// Config.RunCodec at New; nil keeps the legacy varbyte run format.
+	// Config.RunCodec at New; nil encodes every run list with varbyte.
 	runSel encoding.Selector
 }
 
@@ -266,24 +266,12 @@ func (e *Engine) flushRun(rb *store.RunBuilder) error {
 		ix.ResetRunPostings()
 	}
 	for _, ix := range e.gpuIxs {
-		if e.runSel != nil {
-			// Non-varbyte codecs: the GPU indexer encodes its own lists
-			// and ships compressed bytes (byte-identical output, see
-			// gpuindexer.EncodeRun; resets run postings itself).
-			if err := ix.EncodeRun(e.runSel, rb); err != nil {
-				return err
-			}
-			continue
+		// The GPU indexer encodes its own lists and ships compressed
+		// bytes (byte-identical to the CPU drain above, see
+		// gpuindexer.EncodeRun; resets run postings itself).
+		if err := ix.EncodeRun(e.runSel, rb); err != nil {
+			return err
 		}
-		for _, coll := range ix.Collections() {
-			st := ix.Store(coll)
-			for slot := 0; slot < st.NumSlots(); slot++ {
-				if err := addList(coll, int32(slot), st.List(int32(slot))); err != nil {
-					return err
-				}
-			}
-		}
-		ix.ResetRunPostings()
 	}
 	return nil
 }

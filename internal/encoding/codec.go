@@ -6,10 +6,8 @@ import (
 )
 
 // CodecID is the stable on-disk identifier of a postings codec. IDs are
-// recorded per list in run-file entry tables (format version 4), so
-// they must never be renumbered. CodecVarByte is zero on purpose:
-// version-3 entries carry no codec bits, and a zero ID decodes them as
-// the historical gap+varbyte format unchanged.
+// recorded per list in run-file entry tables, so they must never be
+// renumbered.
 type CodecID uint8
 
 const (

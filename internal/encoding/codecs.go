@@ -3,9 +3,8 @@ package encoding
 import "errors"
 
 // The three codecs the paper cites (§II), refitted onto the Codec
-// interface. VarByteCodec's wire format is byte-for-byte the historical
-// EncodePostings/EncodePositionalPostings output, so version-3 run
-// files decode through the registry unchanged.
+// interface. VarByteCodec's wire format is byte-for-byte the
+// EncodePostings/EncodePositionalPostings output.
 
 // Registered codec singletons.
 var (

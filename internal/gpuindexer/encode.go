@@ -16,8 +16,8 @@ import (
 // sorted order and slots sequentially, the exact order Engine.flushRun
 // uses, and the codec choice is the same pure function of
 // (n, first, last, positional), so the run file is byte-identical to
-// the raw-postings path. Per-run postings are reset afterwards, like
-// the engine's legacy drain.
+// the raw-postings path the CPU indexers take. Per-run postings are
+// reset afterwards, as that drain does.
 func (ix *Indexer) EncodeRun(sel encoding.Selector, rb *store.RunBuilder) error {
 	for _, coll := range ix.Collections() {
 		st := ix.stores[coll]

@@ -86,8 +86,7 @@ type Stats struct {
 	SimSec   float64
 
 	// EncodedLists/EncodedBytes count the device-encoded run output
-	// shipped through EncodeRun (zero when the engine drains raw
-	// postings instead).
+	// shipped through EncodeRun.
 	EncodedLists int64
 	EncodedBytes int64
 }

@@ -151,10 +151,12 @@ func (s *Store) Postings() int {
 	return n
 }
 
-// Concat appends part to dst, validating that part's docIDs all exceed
-// dst's tail — the condition run-ordered partial lists satisfy, making
-// the final merge a pure concatenation (§III.F's monolithic index).
-func Concat(dst *List, part *List) error {
+// Concat appends part to dst, validating that part is sorted and that
+// its docIDs all exceed dst's tail — the condition run-ordered partial
+// lists satisfy, making the final merge a pure concatenation (§III.F's
+// monolithic index). Postings whose document drop reports are left
+// out; a nil drop keeps every posting.
+func Concat(dst *List, part *List, drop func(doc uint32) bool) error {
 	if part.Len() == 0 {
 		return nil
 	}
@@ -170,10 +172,23 @@ func Concat(dst *List, part *List) error {
 			return errors.New("postings: partial list not sorted")
 		}
 	}
-	dst.DocIDs = append(dst.DocIDs, part.DocIDs...)
-	dst.TFs = append(dst.TFs, part.TFs...)
-	if part.Positional() {
-		dst.Positions = append(dst.Positions, part.Positions...)
+	if drop == nil {
+		dst.DocIDs = append(dst.DocIDs, part.DocIDs...)
+		dst.TFs = append(dst.TFs, part.TFs...)
+		if part.Positional() {
+			dst.Positions = append(dst.Positions, part.Positions...)
+		}
+		return nil
+	}
+	for i, doc := range part.DocIDs {
+		if drop(doc) {
+			continue
+		}
+		dst.DocIDs = append(dst.DocIDs, doc)
+		dst.TFs = append(dst.TFs, part.TFs[i])
+		if part.Positional() {
+			dst.Positions = append(dst.Positions, part.Positions[i])
+		}
 	}
 	return nil
 }

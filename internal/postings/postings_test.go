@@ -85,22 +85,36 @@ func TestStoreResetRunKeepsSlots(t *testing.T) {
 func TestConcatValidates(t *testing.T) {
 	a := &List{DocIDs: []uint32{1, 5}, TFs: []uint32{1, 2}}
 	b := &List{DocIDs: []uint32{6, 9}, TFs: []uint32{1, 1}}
-	if err := Concat(a, b); err != nil {
+	if err := Concat(a, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != 4 || a.DocIDs[3] != 9 {
 		t.Error("concat result wrong")
 	}
 	overlap := &List{DocIDs: []uint32{9}, TFs: []uint32{1}}
-	if err := Concat(a, overlap); err == nil {
+	if err := Concat(a, overlap, nil); err == nil {
 		t.Error("overlapping concat must fail")
 	}
 	unsorted := &List{DocIDs: []uint32{100, 50}, TFs: []uint32{1, 1}}
-	if err := Concat(a, unsorted); err == nil {
+	if err := Concat(a, unsorted, nil); err == nil {
 		t.Error("unsorted partial must fail")
 	}
-	if err := Concat(a, &List{}); err != nil {
+	if err := Concat(a, &List{}, nil); err != nil {
 		t.Errorf("empty partial should be a no-op, got %v", err)
+	}
+	// A drop filter leaves out the documents it names and keeps the
+	// parallel slices (positions included) aligned.
+	pos := &List{}
+	tail := &List{
+		DocIDs:    []uint32{10, 11, 12},
+		TFs:       []uint32{1, 2, 1},
+		Positions: [][]uint32{{0}, {3, 4}, {7}},
+	}
+	if err := Concat(pos, tail, func(doc uint32) bool { return doc == 11 }); err != nil {
+		t.Fatal(err)
+	}
+	if pos.Len() != 2 || pos.DocIDs[1] != 12 || pos.TFs[1] != 1 || pos.Positions[1][0] != 7 {
+		t.Errorf("filtered concat = %+v", pos)
 	}
 }
 

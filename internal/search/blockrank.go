@@ -73,17 +73,6 @@ func (m RankMode) String() string {
 	return fmt.Sprintf("RankMode(%d)", int32(m))
 }
 
-// BlockSource is the optional PostingsSource extension serving the
-// block-at-a-time view: the parsed skip tables with codec bodies left
-// undecoded. (nil, nil) means block evaluation is unavailable for the
-// current index state (no merged file, live tombstones) and the caller
-// must fall back to exhaustive scoring; a non-nil empty TermBlocks
-// means the term does not occur. store.IndexReader and segment.Manager
-// both implement it.
-type BlockSource interface {
-	BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error)
-}
-
 // boundSlack is the relative margin bound comparisons concede to
 // floating-point rounding: around 1e5 ulps, orders of magnitude above
 // the drift a realistic query's summation reordering can produce, and
@@ -325,7 +314,7 @@ func (s *Searcher) topKBlocks(ctx context.Context, k int, mode RankMode, words [
 		if stop || term == "" {
 			continue
 		}
-		tb, err := s.blockSrc.BlockPostingsCtx(ctx, term)
+		tb, err := s.idx.BlockPostingsCtx(ctx, term)
 		if err != nil {
 			return nil, false, err
 		}

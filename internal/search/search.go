@@ -36,40 +36,41 @@ var (
 	ErrInvalidK = errors.New("search: k must be positive")
 )
 
-// PostingsSource is what a Searcher needs from an index: postings
-// lookup plus the immutable metadata driving IDF and BM25. It is the
-// seam where a caching layer (internal/serve) slots in front of
-// *store.IndexReader, which satisfies it directly. Every per-term
-// fetch receives the query context, so a telemetry.RequestTrace it
-// carries flows down to the cache/pread/decode leaves.
-type PostingsSource interface {
+// Source is what a Searcher needs from an index: whole-list and
+// block-at-a-time postings lookup plus the metadata driving IDF and
+// BM25. store.IndexReader and segment.Manager implement it directly,
+// and it is the seam where serve's cached wrapper slots in front of
+// either. Every per-term fetch receives the query context, so a
+// telemetry.RequestTrace it carries flows down to the
+// cache/pread/decode leaves.
+type Source interface {
 	PostingsCtx(ctx context.Context, term string) (*postings.List, error)
-	DocLens() []uint32
-	Runs() []store.RunMeta
-	Dictionary() []store.DictEntry
-}
 
-// LiveSource is the optional extension a mutable index implements
-// (internal/segment's manager and serve's live wrapper): LiveDocs is
-// consulted on every NumDocs call, so IDF tracks the collection as
-// documents are added and deleted instead of freezing at construction.
-type LiveSource interface {
-	LiveDocs() int64
+	// BlockPostingsCtx serves the block evaluators: the parsed skip
+	// tables with codec bodies left undecoded. (nil, nil) means block
+	// evaluation is unavailable for the current index state (no merged
+	// file, live tombstones) and the caller must fall back to exhaustive
+	// scoring; a non-nil empty TermBlocks means the term does not occur.
+	BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error)
+
+	// NumDocs is the collection size IDF is computed from, consulted on
+	// every query so it tracks a live index as documents come and go.
+	NumDocs() int64
+	DocLens() []uint32
+	Dictionary() []store.DictEntry
 }
 
 // Searcher evaluates queries against one opened index.
 //
 // Concurrency: a Searcher is immutable after construction and safe for
-// concurrent use, provided its PostingsSource is (store.IndexReader
-// and serve's cached wrapper both are).
+// concurrent use, provided its Source is (store.IndexReader,
+// segment.Manager and serve's cached wrapper all are).
 type Searcher struct {
-	idx      PostingsSource
-	blockSrc BlockSource // idx's block-at-a-time face, when it has one
-	stop     *stopwords.Set
-	numDocs  int64
-	docLens  []uint32 // optional, enables BM25 length normalization
-	avgLen   float64
-	minNorm  float64 // smallest BM25 length norm any doc can have
+	idx     Source
+	stop    *stopwords.Set
+	docLens []uint32 // optional, enables BM25 length normalization
+	avgLen  float64
+	minNorm float64 // smallest BM25 length norm any doc can have
 
 	rankMode  atomic.Int32 // RankMode, read once per TopK call
 	rankStats rankCounters
@@ -80,25 +81,10 @@ type Searcher struct {
 // ranked retrieval uses BM25 instead of plain TF-IDF.
 func New(idx *store.IndexReader) *Searcher { return NewWithSource(idx) }
 
-// NewWithSource wraps any PostingsSource — typically a *store.IndexReader,
-// or serve's sharded postings cache fronting one.
-func NewWithSource(idx PostingsSource) *Searcher {
-	var maxDoc uint32
-	any := false
-	for _, r := range idx.Runs() {
-		if r.LastDoc >= maxDoc {
-			maxDoc = r.LastDoc
-			any = true
-		}
-	}
-	n := int64(0)
-	if any {
-		n = int64(maxDoc) + 1
-	}
-	s := &Searcher{idx: idx, stop: stopwords.Default(), numDocs: n}
-	if bs, ok := idx.(BlockSource); ok {
-		s.blockSrc = bs
-	}
+// NewWithSource wraps any Source — a *store.IndexReader, a
+// *segment.Manager, or serve's sharded postings cache fronting one.
+func NewWithSource(idx Source) *Searcher {
+	s := &Searcher{idx: idx, stop: stopwords.Default()}
 	if lens := idx.DocLens(); len(lens) > 0 {
 		s.docLens = lens
 		var sum float64
@@ -121,29 +107,15 @@ func NewWithSource(idx PostingsSource) *Searcher {
 // normalization (requires an index written with document lengths).
 func (s *Searcher) UsesBM25() bool { return s.avgLen > 0 }
 
-// NumDocs reports the collection size used for IDF. Static indexes
-// answer from the docID-range map captured at construction; a source
-// implementing LiveSource is consulted on every call.
-func (s *Searcher) NumDocs() int64 {
-	if ls, ok := s.idx.(LiveSource); ok {
-		return ls.LiveDocs()
-	}
-	return s.numDocs
-}
+// NumDocs reports the collection size used for IDF, as the Source
+// reports it now.
+func (s *Searcher) NumDocs() int64 { return s.idx.NumDocs() }
 
 // Normalize applies the indexing pipeline's normalization to a query
 // word; stop reports whether the word is a stop word (and therefore
 // unindexed).
 func (s *Searcher) Normalize(word string) (term string, stop bool) {
-	b := make([]byte, 0, len(word))
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b = append(b, c)
-	}
-	b = stem.Stem(b)
+	b := stem.Normalize(word)
 	return string(b), s.stop.Contains(b)
 }
 
@@ -394,7 +366,7 @@ func (s *Searcher) TopKModeCtx(ctx context.Context, mode RankMode, k int, words 
 	if k <= 0 {
 		return nil, ErrInvalidK
 	}
-	if mode != RankExhaustive && s.blockSrc != nil {
+	if mode != RankExhaustive {
 		out, ok, err := s.topKBlocks(ctx, k, mode, words)
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 
 	// Keep only dictionary terms whose remapped list survived the
 	// purge — fully-deleted terms vanish from both table and dict.
-	rf, err := store.OpenRunFile(tmp)
+	rf, err := store.OpenRunFile(tmp, nil)
 	if err != nil {
 		msp.End()
 		os.Remove(tmp)
@@ -117,13 +117,12 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		os.Remove(filepath.Join(m.dir, meta.File))
 		return err
 	}
-	seg, err := openSegment(m.dir, meta)
+	seg, err := openSegment(m.dir, meta, &m.reads)
 	if err != nil {
 		os.Remove(filepath.Join(m.dir, meta.File))
 		os.Remove(filepath.Join(m.dir, meta.Dict))
 		return err
 	}
-	seg.decodes = &m.codecDecodes
 	inputs := make(map[uint64]bool, len(segs))
 	for _, s := range segs {
 		inputs[s.meta.ID] = true

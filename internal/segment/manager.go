@@ -109,9 +109,9 @@ type Manager struct {
 	seals       atomic.Uint64
 	compactions atomic.Uint64
 
-	// codecDecodes counts sealed-segment list decodes per codec, the
-	// live-mode counterpart of store.ReaderStats.CodecDecodes.
-	codecDecodes [encoding.NumCodecs]atomic.Uint64
+	// reads counts what queries fetched from the sealed segments, the
+	// live-mode counterpart of store.ReaderStats' read counters.
+	reads store.ReadCounters
 
 	traceSink atomic.Pointer[TraceSink]
 
@@ -149,9 +149,11 @@ func Open(dir string, opts Options) (*Manager, error) {
 	// gone, like the unsealed documents they may have referenced.
 	tomb = tomb.grown(man.NextDoc)
 
+	mem := newMemtable(man.NextDoc, opts.Positional)
+	m := &Manager{dir: dir, opts: opts, sel: sel, man: man, mem: mem}
 	segs := make([]*segment, 0, len(man.Segments))
 	for _, sm := range man.Segments {
-		s, err := openSegment(dir, sm)
+		s, err := openSegment(dir, sm, &m.reads)
 		if err != nil {
 			for _, prev := range segs {
 				prev.run.Close()
@@ -159,11 +161,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 			return nil, fmt.Errorf("segment: %w", err)
 		}
 		segs = append(segs, s)
-	}
-	mem := newMemtable(man.NextDoc, opts.Positional)
-	m := &Manager{dir: dir, opts: opts, sel: sel, man: man, mem: mem}
-	for _, s := range segs {
-		s.decodes = &m.codecDecodes
 	}
 	m.opts.Codec = codec
 	m.nextDoc.Store(man.NextDoc)
@@ -217,22 +214,14 @@ func (m *Manager) finishOp(tr *telemetry.RequestTrace, err error) {
 	}
 }
 
-// CodecDecodes reports sealed-segment list decodes per codec name,
-// mirroring store.ReaderStats.CodecDecodes for the live path.
-func (m *Manager) CodecDecodes() map[string]uint64 {
-	out := make(map[string]uint64, len(encoding.Codecs()))
-	for _, c := range encoding.Codecs() {
-		out[c.Name()] = m.codecDecodes[c.ID()].Load()
-	}
-	return out
-}
+// CodecDecodes reports the lists queries fetched from sealed segments
+// by codec name, with the meaning of store.ReaderStats.CodecDecodes.
+func (m *Manager) CodecDecodes() map[string]uint64 { return m.reads.ListsByCodec() }
 
-// NumDocs reports the number of docIDs assigned (including deleted).
-func (m *Manager) NumDocs() uint32 { return m.nextDoc.Load() }
-
-// LiveDocs reports the number of non-deleted documents: assigned IDs
-// minus current tombstones minus docs already purged by compactions.
-func (m *Manager) LiveDocs() int64 {
+// NumDocs reports the number of non-deleted documents — the collection
+// size IDF is computed from: assigned IDs (Stats().Docs) minus current
+// tombstones minus docs already purged by compactions.
+func (m *Manager) NumDocs() int64 {
 	n := int64(m.nextDoc.Load()) - int64(m.purged.Load())
 	if d := m.tomb.Load(); d != nil {
 		n -= int64(d.deleted)
@@ -325,6 +314,8 @@ func (m *Manager) PostingsCtx(ctx context.Context, term string) (*postings.List,
 // bytes: exact for sealed segments (on-disk list lengths), estimated
 // for the memtable portion. Cache layers use it to charge budgets by
 // what the postings cost at rest rather than their decoded footprint.
+// (store.IndexReader's PostingsEncodedCtx is the same method; the two
+// names differ only because the benchmark pins both.)
 // A telemetry.RequestTrace carried by ctx sees the live read anatomy:
 // one merge span over the sealed-segment fan-out (with per-segment
 // dict/pread/decode children) and one memtable span for the in-memory
@@ -337,7 +328,10 @@ func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.
 	defer v.release()
 	tr := telemetry.TraceFrom(ctx)
 	tr.SetGeneration(v.gen)
-	dead := m.tomb.Load()
+	var drop func(doc uint32) bool
+	if dead := m.tomb.Load(); dead != nil && dead.deleted > 0 {
+		drop = dead.has
+	}
 	coll := int32(trie.IndexString(term))
 	out := &postings.List{}
 	var enc int64
@@ -353,28 +347,38 @@ func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.
 			continue
 		}
 		enc += n
-		if err := appendLive(out, part, dead); err != nil {
+		if err := concatLive(out, part, drop); err != nil {
 			msp.End()
 			return nil, 0, err
 		}
 	}
 	msp.End()
 	memsp := tr.StartSpan(telemetry.ReqStageMemtable)
+	defer memsp.End()
 	if part := v.mem.postings(term); part != nil {
 		enc += memEncodedEstimate(part)
-		if err := appendLive(out, part, dead); err != nil {
-			memsp.End()
+		if err := concatLive(out, part, drop); err != nil {
 			return nil, 0, err
 		}
 	}
-	memsp.End()
 	return out, enc, nil
+}
+
+// concatLive is postings.Concat with its failures typed: doc ranges
+// that interleave across segments, or positional and plain lists for
+// one term, mean the index is corrupt.
+func concatLive(dst, part *postings.List, drop func(doc uint32) bool) error {
+	if err := postings.Concat(dst, part, drop); err != nil {
+		return fmt.Errorf("segment: %v: %w", err, store.ErrCorruptIndex)
+	}
+	return nil
 }
 
 // BlockPostingsCtx returns the term's block-at-a-time view across the
 // sealed segments and the memtable, in ascending disjoint docID-range
-// order: stored skip tables for blocked sealed lists, exact
-// pseudo-blocks for short lists and the memtable tail.
+// order: per segment what store.RunFile.BlocksCtx gives (stored skip
+// tables for blocked lists, exact pseudo-blocks for short ones), then
+// the memtable tail as one more exact pseudo-block.
 //
 // It returns (nil, nil) — block evaluation unavailable, caller falls
 // back to exhaustive scoring — whenever any tombstone is live:
@@ -412,45 +416,10 @@ func (m *Manager) BlockPostingsCtx(ctx context.Context, term string) (*store.Ter
 	// memtable.postings already deep-copies, so the pseudo-block cannot
 	// alias a list tail a concurrent add is mutating.
 	if part := v.mem.postings(term); part != nil {
-		if bl := store.BlockListFromList(part); bl != nil {
-			tb.Lists = append(tb.Lists, bl)
-		}
+		tb.Lists = append(tb.Lists, store.BlockListFromList(part))
 	}
 	memsp.End()
 	return tb, nil
-}
-
-// appendLive concatenates part onto dst, skipping tombstoned docs and
-// enforcing the same ordering invariants as postings.Concat: doc
-// ranges must not interleave across segments, or the index is corrupt.
-func appendLive(dst, part *postings.List, dead *bitmap) error {
-	if part.Len() == 0 {
-		return nil
-	}
-	if dst.Len() > 0 && dst.Positional() != part.Positional() {
-		return fmt.Errorf("segment: positional and plain lists for one term: %w",
-			store.ErrCorruptIndex)
-	}
-	prev := int64(-1)
-	if n := dst.Len(); n > 0 {
-		prev = int64(dst.DocIDs[n-1])
-	}
-	for i, doc := range part.DocIDs {
-		if int64(doc) <= prev {
-			return fmt.Errorf("segment: postings disorder at doc %d: %w",
-				doc, store.ErrCorruptIndex)
-		}
-		prev = int64(doc)
-		if dead.has(doc) {
-			continue
-		}
-		dst.DocIDs = append(dst.DocIDs, doc)
-		dst.TFs = append(dst.TFs, part.TFs[i])
-		if part.Positional() {
-			dst.Positions = append(dst.Positions, part.Positions[i])
-		}
-	}
-	return nil
 }
 
 // memEncodedEstimate prices a memtable list as if varbyte-encoded:
@@ -494,35 +463,6 @@ func (m *Manager) Dictionary() []store.DictEntry {
 // TF-IDF (no BM25 length normalization).
 func (m *Manager) DocLens() []uint32 { return nil }
 
-// Runs describes the sealed segments plus the memtable as run
-// metadata, satisfying search.PostingsSource.
-func (m *Manager) Runs() []store.RunMeta {
-	v, err := m.acquire()
-	if err != nil {
-		return nil
-	}
-	defer v.release()
-	out := make([]store.RunMeta, 0, len(v.segs)+1)
-	for _, s := range v.segs {
-		out = append(out, store.RunMeta{
-			File:     s.meta.File,
-			FirstDoc: s.meta.FirstDoc,
-			LastDoc:  s.meta.LastDoc,
-			Lists:    s.meta.Lists,
-			Bytes:    s.meta.Bytes,
-		})
-	}
-	if docs := v.mem.numDocs(); docs > 0 {
-		out = append(out, store.RunMeta{
-			File:     "memtable",
-			FirstDoc: v.mem.firstDoc,
-			LastDoc:  v.mem.firstDoc + docs - 1,
-			Lists:    v.mem.terms(),
-		})
-	}
-	return out
-}
-
 // Seal freezes the memtable into an immutable on-disk segment and
 // starts a fresh memtable. A no-op when the memtable is empty.
 func (m *Manager) Seal() error {
@@ -563,9 +503,7 @@ func (m *Manager) sealLocked() (err error) {
 	tr.SetAttr("segment", id)
 	tr.SetAttr("docs", meta.Docs)
 	esp := tr.StartSpan(telemetry.ReqStageEncode)
-	// Forced-varbyte managers stay in the legacy unblocked layout; every
-	// other codec choice seals long lists with block skip tables.
-	data, dict, lists, err := m.mem.seal(m.sel, next-1, m.opts.Codec != "varbyte")
+	data, dict, lists, err := m.mem.seal(m.sel, next-1)
 	if err != nil {
 		esp.End()
 		return err
@@ -586,14 +524,13 @@ func (m *Manager) sealLocked() (err error) {
 		os.Remove(filepath.Join(m.dir, meta.File))
 		return err
 	}
-	seg, err := openSegment(m.dir, meta)
+	seg, err := openSegment(m.dir, meta, &m.reads)
 	wsp.End()
 	if err != nil {
 		os.Remove(filepath.Join(m.dir, meta.File))
 		os.Remove(filepath.Join(m.dir, meta.Dict))
 		return err
 	}
-	seg.decodes = &m.codecDecodes
 	csp := tr.StartSpan(telemetry.ReqStageCommit)
 	newMan := &Manifest{
 		Version:  manifestVersion,

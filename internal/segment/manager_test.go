@@ -92,8 +92,8 @@ func TestMemtableSealReopenRoundTrip(t *testing.T) {
 	if got := readBackLive(t, m2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened readback = %v, want %v", got, want)
 	}
-	if n := m2.NumDocs(); n != 3 {
-		t.Fatalf("NumDocs after reopen = %d", n)
+	if n := m2.Stats().Docs; n != 3 {
+		t.Fatalf("Docs after reopen = %d", n)
 	}
 	// New docs continue the ID sequence.
 	id, err := m2.AddDocument(docText("alpha"))
@@ -139,8 +139,8 @@ func TestDeleteFiltersAndPersists(t *testing.T) {
 	if !m.IsDeleted(1) || !m.IsDeleted(4) || m.IsDeleted(0) {
 		t.Fatal("IsDeleted disagrees with deletions")
 	}
-	if live := m.LiveDocs(); live != 3 {
-		t.Fatalf("LiveDocs = %d, want 3", live)
+	if live := m.NumDocs(); live != 3 {
+		t.Fatalf("NumDocs = %d, want 3", live)
 	}
 	if err := m.Delete(99); !errors.Is(err, ErrUnknownDoc) {
 		t.Fatalf("Delete(99) = %v, want ErrUnknownDoc", err)
@@ -234,8 +234,8 @@ func TestCompactionMergesSegmentsAndPurgesTombstones(t *testing.T) {
 	if l, _ := m.PostingsCtx(context.Background(), "gamma"); l.Len() != 0 {
 		t.Fatal("purged postings resurfaced")
 	}
-	if m.NumDocs() != 5 {
-		t.Fatalf("NumDocs = %d, want 5", m.NumDocs())
+	if m.Stats().Docs != 5 {
+		t.Fatalf("Docs = %d, want 5", m.Stats().Docs)
 	}
 }
 
@@ -301,8 +301,8 @@ func TestCompactEverythingPurged(t *testing.T) {
 	if len(m.Dictionary()) != 0 {
 		t.Fatal("dictionary survives total purge")
 	}
-	if m.LiveDocs() != 0 || m.NumDocs() != 3 {
-		t.Fatalf("LiveDocs=%d NumDocs=%d", m.LiveDocs(), m.NumDocs())
+	if m.NumDocs() != 0 || m.Stats().Docs != 3 {
+		t.Fatalf("NumDocs=%d Docs=%d", m.NumDocs(), m.Stats().Docs)
 	}
 	// The doc space stays consumed after reopen.
 	if err := m.Close(); err != nil {

@@ -155,15 +155,13 @@ func (m *memtable) terms() int {
 // seal encodes the memtable into run-file bytes plus the matching
 // sorted dictionary. Callers must have writes blocked (the manager's
 // write lock); concurrent readers are unaffected — seal only reads.
-// With blocks set, long lists get the blocked skip-table layout so the
-// ranked path can evaluate sealed segments block-at-a-time.
-func (m *memtable) seal(sel encoding.Selector, lastDoc uint32, blocks bool) (data []byte, dict []store.DictEntry, lists int, err error) {
+// Long lists get the blocked skip-table layout so the ranked path can
+// evaluate sealed segments block-at-a-time.
+func (m *memtable) seal(sel encoding.Selector, lastDoc uint32) (data []byte, dict []store.DictEntry, lists int, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	b := store.NewRunBuilderCodec(sel)
-	if blocks {
-		b.EnableBlocks()
-	}
+	b.EnableBlocks()
 	for _, coll := range m.ix.Collections() {
 		st := m.ix.Store(coll)
 		for slot := 0; slot < st.NumSlots(); slot++ {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"fastinvert/internal/encoding"
 	"fastinvert/internal/postings"
 	"fastinvert/internal/store"
 	"fastinvert/internal/telemetry"
@@ -22,16 +21,13 @@ type segment struct {
 	run  *store.RunFile
 	dict []store.DictEntry
 	refs atomic.Int64
-
-	// decodes points at the owning Manager's per-codec decode counters
-	// (nil for segments opened outside a manager, e.g. in tests).
-	decodes *[encoding.NumCodecs]atomic.Uint64
 }
 
 // openSegment opens and cross-checks a segment's files against its
-// manifest entry. Mismatches wrap store.ErrCorruptIndex.
-func openSegment(dir string, meta SegmentMeta) (*segment, error) {
-	run, err := store.OpenRunFile(filepath.Join(dir, meta.File))
+// manifest entry, counting the segment's reads on rc. Mismatches wrap
+// store.ErrCorruptIndex.
+func openSegment(dir string, meta SegmentMeta, rc *store.ReadCounters) (*segment, error) {
+	run, err := store.OpenRunFile(filepath.Join(dir, meta.File), rc)
 	if err != nil {
 		return nil, fmt.Errorf("segment %d: %w", meta.ID, err)
 	}
@@ -77,31 +73,35 @@ func (s *segment) release() {
 	}
 }
 
+// find resolves a term to its entry in this segment's run file under
+// a dict span; ok is false when the segment does not hold the term.
+func (s *segment) find(ctx context.Context, coll int32, term string) (re store.RunEntry, ok bool, err error) {
+	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
+	e, ok := store.Lookup(s.dict, coll, term)
+	dsp.End()
+	if !ok {
+		return store.RunEntry{}, false, nil
+	}
+	re, ok = s.run.Find(uint32(e.Collection), uint32(e.Slot))
+	if !ok {
+		return store.RunEntry{}, false, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
+			s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
+	}
+	return re, true, nil
+}
+
 // postings returns the term's list in this segment (nil when absent)
 // plus its encoded on-disk size.
 func (s *segment) postings(coll int32, term string) (*postings.List, int64, error) {
 	return s.postingsCtx(context.Background(), coll, term)
 }
 
-// postingsCtx is postings under a (possibly traced) context: the
-// dictionary probe gets a dict span and the list fetch flows through
-// store.RunFile.ReadListCtx for pread/decode spans.
+// postingsCtx is postings under a (possibly traced) context: the list
+// fetch flows through store.RunFile.ReadListCtx for pread/decode spans.
 func (s *segment) postingsCtx(ctx context.Context, coll int32, term string) (*postings.List, int64, error) {
-	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
-	e, ok := store.Lookup(s.dict, coll, term)
-	dsp.End()
-	if !ok {
-		return nil, 0, nil
-	}
-	re, ok := s.run.Find(uint32(e.Collection), uint32(e.Slot))
-	if !ok {
-		return nil, 0, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
-			s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
-	}
-	if s.decodes != nil {
-		if id := re.Codec(); id < encoding.NumCodecs {
-			s.decodes[id].Add(1)
-		}
+	re, ok, err := s.find(ctx, coll, term)
+	if err != nil || !ok {
+		return nil, 0, err
 	}
 	l, err := s.run.ReadListCtx(ctx, re)
 	if err != nil {
@@ -111,37 +111,17 @@ func (s *segment) postingsCtx(ctx context.Context, coll int32, term string) (*po
 }
 
 // blocksCtx returns the term's block-at-a-time view within this
-// segment (nil when absent): the stored skip table for blocked
-// entries, one exact pseudo-block for short unblocked lists.
+// segment (nil when absent), as store.RunFile.BlocksCtx gives it.
 func (s *segment) blocksCtx(ctx context.Context, coll int32, term string) (*store.BlockList, error) {
-	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
-	e, ok := store.Lookup(s.dict, coll, term)
-	dsp.End()
-	if !ok {
-		return nil, nil
+	re, ok, err := s.find(ctx, coll, term)
+	if err != nil || !ok {
+		return nil, err
 	}
-	re, ok := s.run.Find(uint32(e.Collection), uint32(e.Slot))
-	if !ok {
-		return nil, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
-			s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
-	}
-	if s.decodes != nil {
-		if id := re.Codec(); id < encoding.NumCodecs {
-			s.decodes[id].Add(1)
-		}
-	}
-	bl, err := s.run.ReadBlocksCtx(ctx, re)
+	bl, err := s.run.BlocksCtx(ctx, re)
 	if err != nil {
 		return nil, fmt.Errorf("segment %d: %w", s.meta.ID, err)
 	}
-	if bl != nil {
-		return bl, nil
-	}
-	l, err := s.run.ReadListCtx(ctx, re)
-	if err != nil {
-		return nil, fmt.Errorf("segment %d: %w", s.meta.ID, err)
-	}
-	return store.BlockListFromList(l), nil
+	return bl, nil
 }
 
 // view is one immutable read snapshot: the sealed segments in

@@ -60,6 +60,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hetserve_pool_workers",
 		"hetserve_pool_completed_total",
 		"hetserve_index_terms",
+		"hetserve_store_run_fallbacks_total 1", // the index is unmerged; the repeat hit the cache
+		"hetserve_store_merged_read_errors_total 0",
 		"hetserve_store_decode_varbyte_total",
 		"hetserve_store_decode_bitpack_total",
 		"hetserve_store_decode_eliasfano_total",

@@ -103,116 +103,82 @@ func (c *Config) fill() {
 	}
 }
 
-// cachedSource fronts an IndexReader with the sharded postings cache;
-// it is the search.PostingsSource the server's Searcher reads through,
-// so every query path — /search and /postings alike — shares one
-// cache. The cache budget is charged each list's encoded (at-rest)
-// size, so N MiB of budget admits what N MiB of index holds regardless
-// of which registered codec encoded each list.
+// cachedSource fronts a search.Source — the static IndexReader or the
+// live segment.Manager — with the sharded postings cache; it is the
+// Source the server's Searcher reads through, so every query path,
+// /search and /postings alike, shares one cache. The cache budget is
+// charged each list's encoded (at-rest) size, which fetch reports, so
+// N MiB of budget admits what N MiB of index holds regardless of which
+// registered codec encoded each list.
+//
+// A live index sets gen, and cache keys carry the generation it
+// returns, which advances on every add, delete, seal and compaction: a
+// cached list can therefore never serve a state it was not computed
+// from, and queries never block on the swap itself — a superseded
+// generation simply stops getting hits and ages out of the LRU.
 type cachedSource struct {
-	idx   *store.IndexReader
-	cache *PostingsCache
+	search.Source // NumDocs, DocLens and Dictionary pass through
+	cache         *PostingsCache
+	fetch         func(ctx context.Context, term string) (*postings.List, int64, error)
+	gen           func() uint64 // nil for a static index
+}
+
+// key returns the term's cache key and, for a live index, the
+// generation it names.
+func (cs *cachedSource) key(term string) (string, uint64) {
+	if cs.gen == nil {
+		return term, 0
+	}
+	gen := cs.gen()
+	return term + "#" + strconv.FormatUint(gen, 10), gen
 }
 
 // PostingsCtx reads through the cache: the probe gets a cache span
-// noting hit/miss, and a miss flows through the reader's context-aware
+// noting hit/miss, and a miss flows through the source's context-aware
 // path so its dict/pread/decode spans land in the same trace. Under an
 // untraced context the span handles are inert and cost no allocation.
 func (cs *cachedSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
-	csp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageCache)
-	if l, ok := cs.cache.Get(term); ok {
+	tr := telemetry.TraceFrom(ctx)
+	key, gen := cs.key(term)
+	if cs.gen != nil {
+		tr.SetGeneration(gen)
+	}
+	csp := tr.StartSpan(telemetry.ReqStageCache)
+	if l, ok := cs.cache.Get(key); ok {
 		csp.SetNote("hit")
 		csp.End()
 		return l, nil
 	}
 	csp.SetNote("miss")
 	csp.End()
-	l, enc, err := cs.idx.PostingsEncodedCtx(ctx, term)
+	l, enc, err := cs.fetch(ctx, term)
 	if err != nil {
 		return nil, err
 	}
-	cs.cache.PutSized(term, l, enc)
+	// A list computed under a newer generation must not be filed under
+	// an older key.
+	if cs.gen == nil || cs.gen() == gen {
+		cs.cache.PutSized(key, l, enc)
+	}
 	return l, nil
 }
 
 // BlockPostingsCtx serves the block evaluators: a term already
 // resident in the decoded-postings cache is wrapped as one exact
 // pseudo-block (same scores, zero I/O); anything else flows to the
-// reader's skip-table path, which deliberately bypasses the cache —
+// source's skip-table path, which deliberately bypasses the cache —
 // the whole point of block evaluation is not materializing long lists.
 func (cs *cachedSource) BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error) {
-	if l, ok := cs.cache.Get(term); ok {
+	key, _ := cs.key(term)
+	if l, ok := cs.cache.Get(key); ok {
+		tb := &store.TermBlocks{}
 		if bl := store.BlockListFromList(l); bl != nil {
-			return &store.TermBlocks{Lists: []*store.BlockList{bl}}, nil
+			tb.Lists = append(tb.Lists, bl)
 		}
-		return &store.TermBlocks{}, nil
+		return tb, nil
 	}
-	return cs.idx.BlockPostingsCtx(ctx, term)
+	return cs.Source.BlockPostingsCtx(ctx, term)
 }
-
-func (cs *cachedSource) DocLens() []uint32             { return cs.idx.DocLens() }
-func (cs *cachedSource) Runs() []store.RunMeta         { return cs.idx.Runs() }
-func (cs *cachedSource) Dictionary() []store.DictEntry { return cs.idx.Dictionary() }
-
-// liveSource reads through the cache against a segment.Manager. Cache
-// keys carry the manager's generation, which advances on every add,
-// delete, seal and compaction: a cached list can therefore never serve
-// a state it was not computed from, and queries never block on the
-// swap itself — a superseded generation simply stops getting hits and
-// ages out of the LRU. The size check after the fetch keeps a list
-// computed under a newer generation from being filed under an older
-// key.
-type liveSource struct {
-	mgr   *segment.Manager
-	cache *PostingsCache
-}
-
-// PostingsCtx mirrors cachedSource.PostingsCtx for the live index: a
-// cache span around the generation-keyed probe, then the manager's
-// traced fan-out (memtable + sealed segments) on a miss.
-func (ls *liveSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
-	tr := telemetry.TraceFrom(ctx)
-	gen := ls.mgr.Gen()
-	tr.SetGeneration(gen)
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	csp := tr.StartSpan(telemetry.ReqStageCache)
-	if l, ok := ls.cache.Get(key); ok {
-		csp.SetNote("hit")
-		csp.End()
-		return l, nil
-	}
-	csp.SetNote("miss")
-	csp.End()
-	l, enc, err := ls.mgr.PostingsSizedCtx(ctx, term)
-	if err != nil {
-		return nil, err
-	}
-	if ls.mgr.Gen() == gen {
-		ls.cache.PutSized(key, l, enc)
-	}
-	return l, nil
-}
-
-// BlockPostingsCtx serves the block evaluators from the live index: a
-// generation-keyed cache hit becomes one exact pseudo-block, otherwise
-// the manager assembles the per-segment skip tables (or reports block
-// evaluation unavailable while tombstones are live).
-func (ls *liveSource) BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error) {
-	gen := ls.mgr.Gen()
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	if l, ok := ls.cache.Get(key); ok {
-		if bl := store.BlockListFromList(l); bl != nil {
-			return &store.TermBlocks{Lists: []*store.BlockList{bl}}, nil
-		}
-		return &store.TermBlocks{}, nil
-	}
-	return ls.mgr.BlockPostingsCtx(ctx, term)
-}
-
-func (ls *liveSource) DocLens() []uint32             { return ls.mgr.DocLens() }
-func (ls *liveSource) Runs() []store.RunMeta         { return ls.mgr.Runs() }
-func (ls *liveSource) Dictionary() []store.DictEntry { return ls.mgr.Dictionary() }
-func (ls *liveSource) LiveDocs() int64               { return ls.mgr.LiveDocs() }
 
 // Server serves Boolean, phrase and ranked queries over one opened
 // index. Construct with New, mount Handler on an http.Server, and
@@ -263,8 +229,8 @@ func New(idx *store.IndexReader, cfg Config) *Server {
 	cfg.fill()
 	s := newServer(cfg)
 	s.idx = idx
-	s.searcher = search.NewWithSource(&cachedSource{idx: idx, cache: s.cache})
-	s.registerCommonMetrics(cfg.Registry)
+	s.searcher = search.NewWithSource(&cachedSource{Source: idx, cache: s.cache, fetch: idx.PostingsEncodedCtx})
+	s.registerCommonMetrics(cfg.Registry, func() map[string]uint64 { return idx.Stats().CodecDecodes })
 	s.registerStaticMetrics(cfg.Registry)
 	s.registerRoutes()
 	return s
@@ -279,8 +245,8 @@ func NewLive(mgr *segment.Manager, cfg Config) *Server {
 	cfg.fill()
 	s := newServer(cfg)
 	s.live = mgr
-	s.searcher = search.NewWithSource(&liveSource{mgr: mgr, cache: s.cache})
-	s.registerCommonMetrics(cfg.Registry)
+	s.searcher = search.NewWithSource(&cachedSource{Source: mgr, cache: s.cache, fetch: mgr.PostingsSizedCtx, gen: mgr.Gen})
+	s.registerCommonMetrics(cfg.Registry, mgr.CodecDecodes)
 	s.registerLiveMetrics(cfg.Registry)
 	s.registerRoutes()
 	s.mux.HandleFunc("/ingest", s.instrument("ingest", s.handleIngest))
@@ -316,10 +282,12 @@ func (s *Server) registerRoutes() {
 	}
 }
 
-// registerCommonMetrics publishes the cache and pool series shared by
-// both modes as func-backed metrics: values are read from the
-// subsystems' own atomic counters only when /metrics is scraped.
-func (s *Server) registerCommonMetrics(reg *telemetry.Registry) {
+// registerCommonMetrics publishes the cache, pool, ranking and
+// per-codec read series shared by both modes as func-backed metrics:
+// values are read from the subsystems' own atomic counters only when
+// /metrics is scraped. fetched reports the lists the index read from
+// disk by codec name (store.ReadCounters.ListsByCodec).
+func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() map[string]uint64) {
 	reg.CounterFunc("hetserve_cache_hits_total",
 		"Postings cache hits across all shards.",
 		func() float64 { return float64(s.cache.Hits()) })
@@ -377,6 +345,15 @@ func (s *Server) registerCommonMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("hetserve_slow_queries_total",
 		"Requests at or above the slow-query threshold.",
 		func() float64 { return float64(s.slowQueries.Load()) })
+	// Which registered postings codecs the read path actually exercised:
+	// one count per list fetched from disk, whole or as blocks, in both
+	// modes. A self-tuned index shows a mix.
+	for _, c := range encoding.Codecs() {
+		name := c.Name()
+		reg.CounterFunc("hetserve_store_decode_"+name+"_total",
+			"Postings lists fetched from disk that the "+name+" codec encoded.",
+			func() float64 { return float64(fetched()[name]) })
+	}
 }
 
 // registerStaticMetrics publishes the static reader's index-shape and
@@ -404,23 +381,17 @@ func (s *Server) registerStaticMetrics(reg *telemetry.Registry) {
 		"Term lookups answered from the merged postings file.",
 		func() float64 { return float64(s.idx.Stats().MergedHits) })
 	reg.CounterFunc("hetserve_store_run_fallbacks_total",
-		"Term lookups assembled from per-run partial lists.",
+		"Term lookups assembled from per-run partial lists, for either reason.",
 		func() float64 { return float64(s.idx.Stats().RunFallbacks) })
+	reg.CounterFunc("hetserve_store_merged_read_errors_total",
+		"Run fallbacks taken because a read of the active merged.post failed (the rest found none).",
+		func() float64 { return float64(s.idx.Stats().MergedReadErrors) })
 	reg.CounterFunc("hetserve_store_list_bytes_read_total",
 		"Compressed postings bytes fetched from disk by the reader.",
 		func() float64 { return float64(s.idx.Stats().ListBytesRead) })
 	reg.GaugeFunc("hetserve_store_cache_bytes",
 		"Decoded postings bytes resident in the reader's byte-budgeted LRU.",
 		func() float64 { return float64(s.idx.Stats().CacheBytes) })
-	// Per-codec decode counters: which registered postings codecs the
-	// read path actually exercised. A self-tuned merged file shows a mix;
-	// a legacy index counts only varbyte.
-	for _, c := range encoding.Codecs() {
-		name := c.Name()
-		reg.CounterFunc("hetserve_store_decode_"+name+"_total",
-			"Postings lists decoded with the "+name+" codec.",
-			func() float64 { return float64(s.idx.Stats().CodecDecodes[name]) })
-	}
 }
 
 // registerLiveMetrics publishes the segment manager's shape and
@@ -428,7 +399,7 @@ func (s *Server) registerStaticMetrics(reg *telemetry.Registry) {
 func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("hetserve_live_docs",
 		"Non-deleted documents in the live index.",
-		func() float64 { return float64(s.live.LiveDocs()) })
+		func() float64 { return float64(s.live.NumDocs()) })
 	reg.GaugeFunc("hetserve_live_deleted",
 		"Documents currently tombstoned (not yet purged).",
 		func() float64 { return float64(s.live.Stats().Deleted) })
@@ -453,14 +424,6 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("hetserve_live_generation",
 		"Current index generation (advances on every visible mutation).",
 		func() float64 { return float64(s.live.Gen()) })
-	// Per-codec decode counters, mirroring the static reader's set: which
-	// registered codecs the sealed-segment read path actually exercised.
-	for _, c := range encoding.Codecs() {
-		name := c.Name()
-		reg.CounterFunc("hetserve_store_decode_"+name+"_total",
-			"Postings lists decoded with the "+name+" codec.",
-			func() float64 { return float64(s.live.CodecDecodes()[name]) })
-	}
 }
 
 // Handler returns the route multiplexer.
@@ -702,7 +665,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":        "ok",
 			"mode":          "live",
-			"docs":          s.live.LiveDocs(),
+			"docs":          s.live.NumDocs(),
 			"deleted":       st.Deleted,
 			"segments":      st.Segments,
 			"memtable_docs": st.MemtableDocs,
@@ -711,11 +674,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"mode":   "static",
-		"terms":  s.idx.Terms(),
-		"docs":   s.searcher.NumDocs(),
-		"runs":   len(s.idx.Runs()),
+		"status":        "ok",
+		"mode":          "static",
+		"terms":         s.idx.Terms(),
+		"docs":          s.searcher.NumDocs(),
+		"runs":          len(s.idx.Runs()),
+		"merged_active": s.idx.MergedActive(),
 	})
 }
 

@@ -114,7 +114,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// /healthz
 	h := getJSON(t, ts, "/healthz", http.StatusOK)
-	if h["status"] != "ok" || h["terms"].(float64) <= 0 {
+	if h["status"] != "ok" || h["terms"].(float64) <= 0 || h["merged_active"] != false {
 		t.Fatalf("healthz = %v", h)
 	}
 

@@ -37,6 +37,21 @@ func StemString(word string) string {
 	return string(Stem(buf))
 }
 
+// Normalize applies the indexing pipeline's term normalization to a
+// query word — ASCII lowercase, then Stem — into a fresh buffer, so
+// lookups match what was indexed.
+func Normalize(word string) []byte {
+	b := make([]byte, len(word))
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b[i] = c
+	}
+	return Stem(b)
+}
+
 // stemmer holds the in-progress word: b[0..k] is the live region,
 // b[0..j] the stem candidate during suffix checks.
 type stemmer struct {

@@ -1,6 +1,6 @@
 package store
 
-// Block-max postings blocks (run format version 5, PR 10).
+// Block-max postings blocks.
 //
 // Long non-positional lists are split into fixed-size blocks so the
 // ranked path can skip most of a Zipf-head list: each block carries a
@@ -144,11 +144,6 @@ func (t *TermBlocks) Len() int {
 		n += l.count
 	}
 	return n
-}
-
-// blockable reports whether a list qualifies for the blocked layout.
-func blockable(blockMin, n int, positional bool) bool {
-	return blockMin > 0 && n >= blockMin && !positional
 }
 
 // appendBlockedList encodes (docIDs, tfs) as a blocked blob appended

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fastinvert/internal/encoding"
@@ -29,52 +29,10 @@ func bigList(n int, gapRange int, seed int64) (docs, tfs []uint32) {
 	return docs, tfs
 }
 
-// TestRunBuilderCodecVersioning: a selector that only ever picks
-// varbyte yields byte-identical version-3 files; a non-varbyte pick
-// flips the file to version 4 and round-trips through the run reader.
-func TestRunBuilderCodecVersioning(t *testing.T) {
-	docs, tfs := bigList(200, 3, 1)
-
-	legacy := NewRunBuilder()
-	forced := NewRunBuilderCodec(encoding.ForceSelect(encoding.VarByteCodec))
-	for _, b := range []*RunBuilder{legacy, forced} {
-		if err := b.AddList(0, 0, docs, tfs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(legacy.Finalize(0, 1000), forced.Finalize(0, 1000)) {
-		t.Fatal("forced-varbyte builder output differs from legacy builder")
-	}
-
-	auto := NewRunBuilderCodec(encoding.AutoSelect)
-	if err := auto.AddList(0, 0, docs, tfs); err != nil {
-		t.Fatal(err)
-	}
-	data := auto.Finalize(0, 1000)
-	if v := binary.LittleEndian.Uint32(data[4:]); v != runVersionCodec {
-		t.Fatalf("dense 200-posting run has version %d, want %d", v, runVersionCodec)
-	}
-	run, err := openRunBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run.Entries()[0].Codec(); got != encoding.CodecBitPack {
-		t.Fatalf("dense list stored with codec %d, want bitpack", got)
-	}
-	l, ok, err := readList(run, 0, 0)
-	if err != nil || !ok {
-		t.Fatalf("list: ok=%v err=%v", ok, err)
-	}
-	for i := range docs {
-		if l.DocIDs[i] != docs[i] || l.TFs[i] != tfs[i] {
-			t.Fatalf("posting %d = (%d,%d), want (%d,%d)", i, l.DocIDs[i], l.TFs[i], docs[i], tfs[i])
-		}
-	}
-}
-
-// TestRunRejectsCodecCorruption: codec bits in a version-3 entry,
-// unknown codec IDs, counts the codec cannot hold, and future run
-// versions must all surface ErrCorruptRun (wrapping ErrCorruptIndex).
+// TestRunRejectsCodecCorruption: every run version but the current
+// one, unknown codec IDs, counts the codec cannot hold and a blocked
+// positional entry must all surface ErrCorruptRun (wrapping
+// ErrCorruptIndex).
 func TestRunRejectsCodecCorruption(t *testing.T) {
 	docs, tfs := bigList(64, 3, 2)
 	b := NewRunBuilder()
@@ -86,37 +44,30 @@ func TestRunRejectsCodecCorruption(t *testing.T) {
 	// Flags live at entry offset 24; the entry table starts at the
 	// header boundary.
 	flagsOff := runHdrSize + 24
-	reseal := func(data []byte) []byte {
-		binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[runHdrSize:]))
-		return data
-	}
 	mutate := func(f func(data []byte)) []byte {
 		data := append([]byte(nil), base...)
 		f(data)
-		return reseal(data)
+		binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[runHdrSize:]))
+		return data
 	}
 
 	cases := map[string][]byte{
-		"codec bits in v3 entry": mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[flagsOff:], codecFlags(encoding.CodecGamma))
-		}),
-		"unknown codec in v4 entry": mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[4:], runVersionCodec)
+		"unknown codec": mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[flagsOff:], codecFlags(200))
 		}),
 		"count exceeds codec minimum": mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[4:], runVersionCodec)
 			binary.LittleEndian.PutUint32(d[flagsOff:], codecFlags(encoding.CodecGamma))
 			// 64 gamma postings cost >= 16 bytes; claim far more.
 			binary.LittleEndian.PutUint32(d[runHdrSize+20:], 1<<20)
 		}),
-		"future run version": mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[4:], runVersionBlocks+1)
+		"blocked positional entry": mutate(func(d []byte) {
+			binary.LittleEndian.PutUint32(d[flagsOff:], FlagBlocks|FlagPositional)
 		}),
-		"block flag in v4 entry": mutate(func(d []byte) {
-			binary.LittleEndian.PutUint32(d[4:], runVersionCodec)
-			binary.LittleEndian.PutUint32(d[flagsOff:], FlagBlocks)
-		}),
+	}
+	for _, ver := range []uint32{0, 3, 4, runVersion + 1} {
+		cases[fmt.Sprintf("run version %d", ver)] = mutate(func(d []byte) {
+			binary.LittleEndian.PutUint32(d[4:], ver)
+		})
 	}
 	for name, data := range cases {
 		if _, err := openRunBytes(data); !errors.Is(err, ErrCorruptRun) || !errors.Is(err, ErrCorruptIndex) {
@@ -201,14 +152,14 @@ func buildBigMergedDir(t testing.TB) (string, []string) {
 	return dir, terms
 }
 
-// TestMergeSelfTuningCodecs is the end-to-end v2 path: an auto merge
-// over long lists writes a version-4 merged file with a version-2
-// sidecar, chooses at least two codecs, serves identical postings to
-// a forced-varbyte merge of the same runs, and passes Verify.
+// TestMergeSelfTuningCodecs: an auto merge over long lists chooses at
+// least two codecs and blocks the long lists, serves identical
+// postings to a forced-varbyte merge of the same runs (which blocks
+// them too), and passes Verify.
 func TestMergeSelfTuningCodecs(t *testing.T) {
 	dir, terms := buildBigMergedDir(t)
 
-	// Reference: forced-varbyte merge (v1-compatible output).
+	// Reference: forced-varbyte merge.
 	vb, err := OpenIndexWith(dir, ReaderOptions{MergeCodec: "varbyte"})
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +168,9 @@ func TestMergeSelfTuningCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Codecs["varbyte"] != stats.Lists {
-		t.Fatalf("forced varbyte merge codecs = %v", stats.Codecs)
+	if stats.Codecs["varbyte"] != stats.Lists || stats.Blocked == 0 {
+		t.Fatalf("forced varbyte merge: codecs %v, %d blocked", stats.Codecs, stats.Blocked)
 	}
-	assertMergedVersions(t, dir, runVersion, mergedSidecarVersion)
 	want := map[string]*postings.List{}
 	for _, term := range terms {
 		l, err := vb.Postings(term)
@@ -231,9 +181,7 @@ func TestMergeSelfTuningCodecs(t *testing.T) {
 	}
 	vb.Close()
 
-	// A pre-codec build must still open this file: its version is 3 and
-	// no entry carries codec bits (checked above); now the self-tuned
-	// re-merge.
+	// Now the self-tuned re-merge.
 	auto, err := OpenIndex(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -246,12 +194,11 @@ func TestMergeSelfTuningCodecs(t *testing.T) {
 	if stats.Codecs["bitpack"] == 0 || stats.Codecs["eliasfano"] == 0 || stats.Codecs["varbyte"] == 0 {
 		t.Fatalf("self-tuning merge codecs = %v, want bitpack+eliasfano+varbyte", stats.Codecs)
 	}
-	// The long lists cross the blocking threshold, so the self-tuned
-	// merge now carries skip tables: run format 5, sidecar version 3.
+	// The long lists cross the blocking threshold, so the merge carries
+	// skip tables.
 	if stats.Blocked == 0 {
 		t.Fatalf("self-tuning merge wrote no blocked lists: %+v", stats)
 	}
-	assertMergedVersions(t, dir, runVersionBlocks, mergedSidecarVersionBlocks)
 
 	post, err := OpenIndex(dir)
 	if err != nil {
@@ -259,7 +206,7 @@ func TestMergeSelfTuningCodecs(t *testing.T) {
 	}
 	defer post.Close()
 	if !post.MergedActive() {
-		t.Fatal("v4 merged file not active")
+		t.Fatal("merged file not active")
 	}
 	for _, term := range terms {
 		got, err := post.Postings(term)
@@ -279,26 +226,6 @@ func TestMergeSelfTuningCodecs(t *testing.T) {
 	}
 	if rep.MergedCodecs["bitpack"] == 0 || rep.MergedCodecs["eliasfano"] == 0 {
 		t.Fatalf("Verify merged codecs = %v", rep.MergedCodecs)
-	}
-}
-
-// assertMergedVersions checks the on-disk run-format version of
-// merged.post and the sidecar version of merged.json.
-func assertMergedVersions(t *testing.T, dir string, wantRun uint32, wantSidecar int) {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, mergedFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != wantRun {
-		t.Fatalf("merged.post version %d, want %d", v, wantRun)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, mergedSidecarName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"version": `+string(rune('0'+wantSidecar))) {
-		t.Fatalf("merged.json version not %d: %s", wantSidecar, raw)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"fastinvert/internal/encoding"
 	"fastinvert/internal/postings"
-	"fastinvert/internal/telemetry"
 )
 
 // This file holds the shared sharded k-way merge core behind both
@@ -28,30 +27,13 @@ import (
 // postings — the reserved table is shrunk in place when that happens.
 
 // merger is one merge invocation's configuration: read-only cursors
-// over the input files, the output codec selector, and optional hooks
-// for tombstone filtering and reader telemetry.
+// over the input files, the output codec selector, and the optional
+// tombstone filter. Its reads are bulk I/O, not queries, and are not
+// counted on the files' ReadCounters.
 type merger struct {
-	cursors  []*mergeCursor
-	sel      encoding.Selector
-	blockMin int                   // blocked-layout threshold; 0 disables blocking
-	drop     func(doc uint32) bool // nil keeps every posting
-	onBytes  func(n uint64)        // compressed bytes read, nil → unobserved
-	decode   func([]byte, RunEntry) (*postings.List, error)
-	readErr  func(name string, err error) error
-}
-
-func (m *merger) decodeList(blob []byte, e RunEntry) (*postings.List, error) {
-	if m.decode != nil {
-		return m.decode(blob, e)
-	}
-	return decodeEntry(blob, e)
-}
-
-func (m *merger) wrapReadErr(name string, err error) error {
-	if m.readErr != nil {
-		return m.readErr(name, err)
-	}
-	return fmt.Errorf("store: %s: %w", name, err)
+	cursors []*mergeCursor
+	sel     encoding.Selector
+	drop    func(doc uint32) bool // nil keeps every posting
 }
 
 // mergeCursor is one run's entries in merge-key order. It is read-only
@@ -62,7 +44,7 @@ func (m *merger) wrapReadErr(name string, err error) error {
 // their own sort because union slots are assigned in term order while
 // segment-local slots follow first-appearance order.
 type mergeCursor struct {
-	rr      *runReader
+	rf      *RunFile
 	keys    []uint64
 	ordered []int
 }
@@ -70,22 +52,22 @@ type mergeCursor struct {
 // keyAt returns the merge key of the i-th entry in key order.
 func (c *mergeCursor) keyAt(i int) uint64 { return c.keys[c.ordered[i]] }
 
-// newMergeCursor builds a cursor over rr; a nil remap is the identity.
+// newMergeCursor builds a cursor over rf; a nil remap is the identity.
 // Every entry must resolve through the remap — a list the remap does
 // not know indicates a dictionary/run mismatch, reported as corruption.
-func newMergeCursor(rr *runReader, remap func(coll, slot uint32) (uint32, bool)) (*mergeCursor, error) {
+func newMergeCursor(rf *RunFile, remap func(coll, slot uint32) (uint32, bool)) (*mergeCursor, error) {
 	c := &mergeCursor{
-		rr:      rr,
-		keys:    make([]uint64, len(rr.entries)),
-		ordered: make([]int, len(rr.entries)),
+		rf:      rf,
+		keys:    make([]uint64, len(rf.entries)),
+		ordered: make([]int, len(rf.entries)),
 	}
-	for i, e := range rr.entries {
+	for i, e := range rf.entries {
 		slot := e.Slot
 		if remap != nil {
 			ns, ok := remap(e.Collection, e.Slot)
 			if !ok {
 				return nil, fmt.Errorf("store: %s: list (%d,%d) missing from slot remap: %w",
-					rr.name, e.Collection, e.Slot, ErrCorruptIndex)
+					rf.name, e.Collection, e.Slot, ErrCorruptIndex)
 			}
 			slot = ns
 		}
@@ -145,7 +127,7 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 		// per-list reads rather than dragging in unrelated bytes.
 		var minOff, maxEnd, sum uint64
 		for _, idx := range c.ordered[pos[ci]:end[ci]] {
-			e := c.rr.entries[idx]
+			e := c.rf.entries[idx]
 			if e.Length == 0 {
 				continue
 			}
@@ -159,8 +141,8 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 		}
 		if sum > 0 && maxEnd-minOff <= sum+sum/2+(64<<10) {
 			buf := make([]byte, maxEnd-minOff)
-			if err := c.rr.readBlobRange(minOff, buf); err != nil {
-				res.err = m.wrapReadErr(c.rr.name, err)
+			if err := c.rf.readAt(minOff, buf); err != nil {
+				res.err = err
 				return res
 			}
 			spans[ci] = runSpan{buf: buf, base: minOff}
@@ -175,75 +157,51 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 		// Reuse docID/tf capacity across keys; Positions stays nil so
 		// the plain-vs-positional bookkeeping in Concat is untouched.
 		acc = postings.List{DocIDs: acc.DocIDs[:0], TFs: acc.TFs[:0]}
-		flags := uint32(0)
 		for ci, c := range cursors {
 			if pos[ci] >= len(c.ordered) || c.keyAt(pos[ci]) != key {
 				continue
 			}
-			e := c.rr.entries[c.ordered[pos[ci]]]
+			e := c.rf.entries[c.ordered[pos[ci]]]
 			pos[ci]++
 			var partBlob []byte
 			if s := spans[ci]; s.buf != nil && e.Length > 0 {
 				partBlob = s.buf[e.Offset-s.base : e.Offset-s.base+uint64(e.Length)]
-			} else if e.Length > 0 {
-				var err error
-				partBlob, err = c.rr.readBlobInto(e, partBuf)
-				if err != nil {
-					res.err = m.wrapReadErr(c.rr.name, err)
+			} else {
+				// Keep the grown buffer for the next read.
+				if cap(partBuf) < int(e.Length) {
+					partBuf = make([]byte, e.Length)
+				}
+				partBlob = partBuf[:e.Length]
+				if err := c.rf.readAt(e.Offset, partBlob); err != nil {
+					res.err = err
 					return res
 				}
-				partBuf = partBlob // keep the grown buffer for the next read
 			}
-			if m.onBytes != nil {
-				m.onBytes(uint64(e.Length))
-			}
-			part, err := m.decodeList(partBlob, e)
+			part, err := decodeEntry(partBlob, e)
 			if err != nil {
-				res.err = fmt.Errorf("store: %s: %w", c.rr.name, err)
+				res.err = fmt.Errorf("store: %s: %w", c.rf.name, err)
 				return res
 			}
-			if err := postings.Concat(&acc, part); err != nil {
+			if err := postings.Concat(&acc, part, m.drop); err != nil {
 				res.err = fmt.Errorf("store: merge (%d,%d): %w", coll, slot, err)
 				return res
 			}
-		}
-		if m.drop != nil {
-			dropPostings(&acc, m.drop)
 		}
 		if acc.Len() == 0 {
 			continue
 		}
 		// Encode straight into the shard blob: the list's start offset
 		// is the blob length before the append, so no per-list scratch
-		// copy is needed. The codec choice is a pure function of the
-		// list's shape, so every worker count yields identical bytes.
-		n := acc.Len()
-		codec := encoding.VarByteCodec
-		if m.sel != nil {
-			codec = m.sel(n, acc.DocIDs[0], acc.DocIDs[n-1], acc.Positional())
-		}
-		var accPos [][]uint32
-		if acc.Positional() {
-			flags = FlagPositional
-			accPos = acc.Positions
-		}
-		flags |= codecFlags(codec.ID())
+		// copy is needed. Long non-positional lists get the blocked
+		// layout — same codec, split into skip-indexed blocks so the
+		// ranked path can prune — whatever the codec.
 		start := len(res.blob)
-		var err error
-		// Long non-positional lists get the blocked layout: same codec,
-		// split into skip-indexed blocks so the ranked path can prune.
-		// Blocking is a pure function of the list's shape, preserving
-		// worker-count-independent output bytes.
-		if blockable(m.blockMin, n, acc.Positional()) {
-			res.blob, err = appendBlockedList(res.blob, codec, acc.DocIDs, acc.TFs)
-			flags |= FlagBlocks
-		} else {
-			res.blob, err = codec.Encode(res.blob, acc.DocIDs, acc.TFs, accPos)
-		}
+		blob, flags, err := appendList(res.blob, m.sel, true, acc.DocIDs, acc.TFs, acc.Positions)
 		if err != nil {
 			res.err = fmt.Errorf("store: merge (%d,%d): %w", coll, slot, err)
 			return res
 		}
+		res.blob = blob
 		res.entries = append(res.entries, RunEntry{
 			Collection: coll,
 			Slot:       slot,
@@ -263,28 +221,6 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 	return res
 }
 
-// dropPostings removes postings whose document the filter rejects,
-// compacting the list in place.
-func dropPostings(l *postings.List, drop func(uint32) bool) {
-	k := 0
-	for i, doc := range l.DocIDs {
-		if drop(doc) {
-			continue
-		}
-		l.DocIDs[k] = doc
-		l.TFs[k] = l.TFs[i]
-		if l.Positions != nil {
-			l.Positions[k] = l.Positions[i]
-		}
-		k++
-	}
-	l.DocIDs = l.DocIDs[:k]
-	l.TFs = l.TFs[:k]
-	if l.Positions != nil {
-		l.Positions = l.Positions[:k]
-	}
-}
-
 // writeMergedFile runs the sharded merge over m's cursors and writes a
 // complete run-format file at path, atomically (temp + fsync +
 // rename). ctx cancels in-flight shards; a cancelled merge removes the
@@ -295,7 +231,7 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 	// region can be sized and reserved up front.
 	nLists := 0
 	for _, c := range m.cursors {
-		nLists += len(c.rr.entries)
+		nLists += len(c.rf.entries)
 	}
 	keys := make([]uint64, 0, nLists)
 	for _, c := range m.cursors {
@@ -436,12 +372,8 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 		}
 	}
 
-	// Codec histogram decides the format version: any non-varbyte list
-	// forces run format 4, any blocked list forces format 5; an
-	// all-varbyte unblocked output stays byte-compatible with pre-codec
-	// readers.
+	// Codec and layout histogram for the stats and the sidecar.
 	codecCounts := make(map[string]int)
-	hasCodec := false
 	blocked := 0
 	for _, e := range entries {
 		c, err := encoding.Lookup(e.Codec())
@@ -449,23 +381,13 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 			return nil, 0, fmt.Errorf("store: merge: %w", err)
 		}
 		codecCounts[c.Name()]++
-		if c.ID() != encoding.CodecVarByte {
-			hasCodec = true
-		}
 		if e.Flags&FlagBlocks != 0 {
 			blocked++
 		}
 	}
-	ver := uint32(runVersion)
-	if hasCodec {
-		ver = runVersionCodec
-	}
-	if blocked > 0 {
-		ver = runVersionBlocks
-	}
 	hdrTable := make([]byte, runHdrSize+tableSize)
 	binary.LittleEndian.PutUint32(hdrTable[0:], runMagic)
-	binary.LittleEndian.PutUint32(hdrTable[4:], ver)
+	binary.LittleEndian.PutUint32(hdrTable[4:], runVersion)
 	binary.LittleEndian.PutUint32(hdrTable[8:], uint32(len(entries)))
 	binary.LittleEndian.PutUint32(hdrTable[12:], first)
 	binary.LittleEndian.PutUint32(hdrTable[16:], last)
@@ -593,31 +515,25 @@ func CompactRuns(ctx context.Context, sources []CompactSource, outPath string, o
 	cursors := make([]*mergeCursor, 0, len(sources))
 	defer func() {
 		for _, c := range cursors {
-			c.rr.close()
+			c.rf.Close()
 		}
 	}()
 	for _, src := range sources {
-		rr, err := openRunReader(src.Path)
+		rf, err := OpenRunFile(src.Path, nil)
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", filepath.Base(src.Path), err)
 		}
-		c, err := newMergeCursor(rr, src.Remap)
+		c, err := newMergeCursor(rf, src.Remap)
 		if err != nil {
-			rr.close()
+			rf.Close()
 			return nil, err
 		}
 		cursors = append(cursors, c)
 	}
 	// Ascending doc order makes same-key partial lists concatenate into
 	// globally sorted postings.
-	sort.SliceStable(cursors, func(i, j int) bool { return cursors[i].rr.firstDoc < cursors[j].rr.firstDoc })
+	sort.SliceStable(cursors, func(i, j int) bool { return cursors[i].rf.firstDoc < cursors[j].rf.firstDoc })
 	m := &merger{cursors: cursors, sel: sel, drop: opts.Drop}
-	// Forced-varbyte compaction is the legacy-compatible mode (the
-	// differential harness diffs its bytes against v1 output), so only
-	// self-tuned compactions emit blocked lists.
-	if codecName != "varbyte" {
-		m.blockMin = blockMinPostings
-	}
 	stats, _, err := m.writeMergedFile(ctx, outPath, opts.Workers)
 	if err != nil {
 		return nil, err
@@ -625,96 +541,3 @@ func CompactRuns(ctx context.Context, sources []CompactSource, outPath string, o
 	stats.Runs = len(sources)
 	return stats, nil
 }
-
-// RunFile is an exported lazy reader over one run-format file, for
-// callers outside IndexReader — the segment layer reads sealed
-// segments through it. The header and table are parsed and
-// CRC-verified at open; lists are fetched with one positioned read
-// each. Safe for concurrent use.
-type RunFile struct {
-	rr *runReader
-}
-
-// OpenRunFile opens and verifies a run-format file. Structural
-// failures wrap ErrCorruptIndex.
-func OpenRunFile(path string) (*RunFile, error) {
-	rr, err := openRunReader(path)
-	if err != nil {
-		return nil, err
-	}
-	return &RunFile{rr: rr}, nil
-}
-
-// DocRange returns the [first, last] document range the file covers.
-func (r *RunFile) DocRange() (first, last uint32) { return r.rr.firstDoc, r.rr.lastDoc }
-
-// NumLists reports the number of postings lists in the file.
-func (r *RunFile) NumLists() int { return len(r.rr.entries) }
-
-// Size reports the file size in bytes.
-func (r *RunFile) Size() int64 { return r.rr.size }
-
-// Entries exposes the parsed table. Callers must not mutate it.
-func (r *RunFile) Entries() []RunEntry { return r.rr.entries }
-
-// Find locates the entry for (collection, slot).
-func (r *RunFile) Find(coll, slot uint32) (RunEntry, bool) { return r.rr.find(coll, slot) }
-
-// ReadList fetches and decodes one entry's postings list.
-func (r *RunFile) ReadList(e RunEntry) (*postings.List, error) {
-	return r.ReadListCtx(context.Background(), e)
-}
-
-// ReadListCtx is ReadList attributing the positioned read and the
-// codec decode to a telemetry.RequestTrace when ctx carries one — the
-// leaf spans of a live-index query. Untraced contexts take the same
-// path with inert span handles.
-func (r *RunFile) ReadListCtx(ctx context.Context, e RunEntry) (*postings.List, error) {
-	tr := telemetry.TraceFrom(ctx)
-	psp := tr.StartSpan(telemetry.ReqStagePread)
-	blob, err := r.rr.readBlob(e)
-	psp.AddBytes(int64(e.Length))
-	psp.End()
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", r.rr.name, err)
-	}
-	dsp := tr.StartSpan(telemetry.ReqStageDecode)
-	l, err := decodeEntry(blob, e)
-	if tr != nil {
-		if c, cerr := encoding.Lookup(e.Codec()); cerr == nil {
-			dsp.SetNote(c.Name())
-		}
-	}
-	dsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", r.rr.name, err)
-	}
-	return l, nil
-}
-
-// ReadBlocksCtx fetches one blocked entry's blob with a single
-// positioned read and parses its skip table, leaving the per-block
-// codec bodies undecoded — the block-at-a-time cursor feed for the
-// ranked path. Entries without FlagBlocks return (nil, nil); callers
-// fall back to ReadListCtx for those.
-func (r *RunFile) ReadBlocksCtx(ctx context.Context, e RunEntry) (*BlockList, error) {
-	if e.Flags&FlagBlocks == 0 {
-		return nil, nil
-	}
-	tr := telemetry.TraceFrom(ctx)
-	psp := tr.StartSpan(telemetry.ReqStagePread)
-	blob, err := r.rr.readBlob(e)
-	psp.AddBytes(int64(e.Length))
-	psp.End()
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", r.rr.name, err)
-	}
-	bl, err := parseBlockedBlob(blob, e)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", r.rr.name, err)
-	}
-	return bl, nil
-}
-
-// Close releases the file handle.
-func (r *RunFile) Close() error { return r.rr.close() }

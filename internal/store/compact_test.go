@@ -75,7 +75,7 @@ func TestCompactRunsRemapAndDrop(t *testing.T) {
 	if stats.Lists != 3 || stats.Runs != 2 {
 		t.Fatalf("stats = %+v, want 3 lists over 2 runs", stats)
 	}
-	rf, err := OpenRunFile(out)
+	rf, err := OpenRunFile(out, nil)
 	if err != nil {
 		t.Fatalf("OpenRunFile: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestCompactRunsRemapAndDrop(t *testing.T) {
 		if !ok {
 			t.Fatalf("list (%d,%d) missing", key[0], key[1])
 		}
-		l, err := rf.ReadList(e)
+		l, err := rf.ReadListCtx(context.Background(), e)
 		if err != nil {
 			t.Fatalf("ReadList (%d,%d): %v", key[0], key[1], err)
 		}
@@ -131,7 +131,7 @@ func TestCompactRunsShrinksFullyPurgedTerms(t *testing.T) {
 	if stats.Lists != 2 {
 		t.Fatalf("Lists = %d, want 2 (one term fully purged)", stats.Lists)
 	}
-	rf, err := OpenRunFile(out)
+	rf, err := OpenRunFile(out, nil)
 	if err != nil {
 		t.Fatalf("OpenRunFile after shrink: %v", err)
 	}

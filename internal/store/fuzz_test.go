@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 	"fastinvert/internal/encoding"
 )
 
-// blockedRunSeed is a version-5 run holding one blocked list (600
+// blockedRunSeed is a run holding one blocked list (600
 // postings, auto-selected codec) and one short unblocked one.
 func blockedRunSeed(f *testing.F) []byte {
 	docs := make([]uint32, 600)
@@ -35,8 +36,10 @@ func blockedRunSeed(f *testing.F) []byte {
 // production open goes through — against arbitrary bytes: it must
 // reject typed or parse, never panic, and every entry of a parsed run
 // must survive the decodes the read path runs on it (whole-list via
-// ReadListCtx; skip table plus every block via ReadBlocksCtx) without
-// a panic or more postings than its table entry declares.
+// ReadListCtx; skip table plus every block via BlocksCtx) without a
+// panic or more postings than its table entry declares. Only the
+// current format version parses: a header stamped with any other is
+// rejected as ErrCorruptRun whatever follows it.
 func FuzzParseRun(f *testing.F) {
 	b := NewRunBuilder()
 	b.AddList(5, 0, []uint32{1, 7}, []uint32{2, 1})
@@ -45,6 +48,11 @@ func FuzzParseRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x49, 0x52, 0x46, 1, 0, 0, 0})
 	f.Add(blockedRunSeed(f))
+	for _, ver := range []uint32{3, 4, 6} {
+		other := b.Finalize(1, 9)
+		putU32At(other, 4, ver)
+		f.Add(other)
+	}
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Mutated bytes almost never carry a matching checksum, which
@@ -55,6 +63,9 @@ func FuzzParseRun(f *testing.F) {
 			putU32At(data, 20, crc32.ChecksumIEEE(data[runHdrSize:]))
 		}
 		run, err := openRunBytes(data)
+		if len(data) >= runHdrSize && binary.LittleEndian.Uint32(data[4:]) != runVersion && !errors.Is(err, ErrCorruptRun) {
+			t.Fatalf("run stamped version %d: open = %v, want ErrCorruptRun", binary.LittleEndian.Uint32(data[4:]), err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptIndex) {
 				t.Fatalf("untyped error: %v", err)
@@ -65,7 +76,7 @@ func FuzzParseRun(f *testing.F) {
 			if l, err := run.ReadListCtx(ctx, e); err == nil && l.Len() > int(e.Count) {
 				t.Fatalf("decoded %d postings from an entry claiming %d", l.Len(), e.Count)
 			}
-			bl, err := run.ReadBlocksCtx(ctx, e)
+			bl, err := run.BlocksCtx(ctx, e)
 			if err != nil || bl == nil {
 				continue
 			}
@@ -212,7 +223,7 @@ func FuzzBlockedList(f *testing.F) {
 		f.Fatal(err)
 	}
 	e := run.Entries()[0]
-	blob, err := run.rr.readBlob(e)
+	blob, err := run.readBlob(nil, e)
 	if err != nil {
 		f.Fatal(err)
 	}

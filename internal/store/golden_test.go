@@ -21,7 +21,7 @@ func TestRunFormatGolden(t *testing.T) {
 	}
 	data := b.Finalize(1, 300)
 	sum := sha256.Sum256(data)
-	const want = "549628fac6fa6c3965779c96499ae725eecea455d8c560de1cb912579c0efbb8"
+	const want = "e5a3345179a525e480839b203bfe65d70e5234dfbbc7ca91063bba42197b5d0c"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("run format changed: sha256 = %s, want %s (update deliberately)", got, want)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -281,8 +280,7 @@ type ReaderOptions struct {
 	// MergeCodec selects how Merge encodes each output list: "auto"
 	// (per-list self-tuning from density and length), a codec name
 	// ("varbyte", "gamma", "golomb", "bitpack", "eliasfano") to force
-	// one codec for every list, or empty for "auto". "varbyte" keeps
-	// version-3 files readable by pre-codec builds. Unknown names fail
+	// one codec for every list, or empty for "auto". Unknown names fail
 	// OpenIndexWith.
 	MergeCodec string
 }
@@ -306,28 +304,28 @@ type IndexReader struct {
 	dir     string
 	dict    []DictEntry
 	runs    []RunMeta
+	numDocs int64    // one past the highest docID any run covers
 	docLens []uint32 // optional; nil when the index carries no lengths
 
 	docFiles []string      // optional doc table: source file names
 	docLocs  []DocLocation // optional doc table: per-doc locations
 
-	cache *listCache
+	cache *listCache   // decoded lists, shared by every file opened below
+	reads ReadCounters // what those files' read methods fetched
 
-	mergeMu        sync.Mutex        // serializes Merge invocations
-	mergeWorkers   int               // shard-worker bound for Merge (0 = GOMAXPROCS)
-	mergeSelect    encoding.Selector // per-list codec choice for Merge output
-	mergeCodecName string            // resolved MergeCodec ("auto" or a forced codec)
+	mergeMu      sync.Mutex        // serializes Merge invocations
+	mergeWorkers int               // shard-worker bound for Merge (0 = GOMAXPROCS)
+	mergeSelect  encoding.Selector // per-list codec choice for Merge output
 
 	mu        sync.Mutex
 	closed    bool
 	runFiles  map[string]*runSlot // lazy run readers, opened on first use
-	merged    *mergedState        // non-nil when a trusted merged file is active
+	merged    *RunFile            // non-nil when a trusted merged file is active
 	mergedErr error               // sidecar present but merged file unusable
 
-	mergedHits   atomic.Uint64
-	runFallbacks atomic.Uint64
-	listBytes    atomic.Uint64
-	codecDecodes [encoding.NumCodecs]atomic.Uint64 // per-codec list decodes
+	mergedHits       atomic.Uint64
+	runFallbacks     atomic.Uint64
+	mergedReadErrors atomic.Uint64
 }
 
 // runSlot coalesces concurrent opens of one run file: the first
@@ -335,7 +333,7 @@ type IndexReader struct {
 // arrivals block on it and share the handle.
 type runSlot struct {
 	once sync.Once
-	rr   *runReader
+	rf   *RunFile
 	err  error
 }
 
@@ -384,22 +382,36 @@ func OpenIndexWith(dir string, opts ReaderOptions) (*IndexReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged, mergedErr := loadMerged(dir)
-	return &IndexReader{
-		dir:            dir,
-		dict:           dict,
-		runs:           runs,
-		docLens:        lens,
-		docFiles:       names,
-		docLocs:        locs,
-		cache:          newListCache(opts.CacheBytes),
-		mergeWorkers:   opts.MergeWorkers,
-		mergeSelect:    mergeSelect,
-		mergeCodecName: codecName,
-		runFiles:       make(map[string]*runSlot),
-		merged:         merged,
-		mergedErr:      mergedErr,
-	}, nil
+	r := &IndexReader{
+		dir:          dir,
+		dict:         dict,
+		runs:         runs,
+		docLens:      lens,
+		docFiles:     names,
+		docLocs:      locs,
+		cache:        newListCache(opts.CacheBytes),
+		mergeWorkers: opts.MergeWorkers,
+		mergeSelect:  mergeSelect,
+		runFiles:     make(map[string]*runSlot),
+	}
+	for _, rm := range runs {
+		if n := int64(rm.LastDoc) + 1; n > r.numDocs {
+			r.numDocs = n
+		}
+	}
+	r.merged, r.mergedErr = r.loadMerged()
+	return r, nil
+}
+
+// openRunFile opens one of the index's run-format files on the
+// reader's counters and decoded-list cache.
+func (r *IndexReader) openRunFile(path string) (*RunFile, error) {
+	rf, err := OpenRunFile(path, &r.reads)
+	if err != nil {
+		return nil, err
+	}
+	rf.cache = r.cache
+	return rf, nil
 }
 
 // Close releases the reader: every run (and merged) file handle is
@@ -423,12 +435,12 @@ func (r *IndexReader) Close() error {
 	for _, slot := range slots {
 		// once.Do waits out any in-flight open, so no handle escapes.
 		slot.once.Do(func() { slot.err = ErrClosed })
-		if slot.rr != nil {
-			slot.rr.close()
+		if slot.rf != nil {
+			slot.rf.Close()
 		}
 	}
 	if merged != nil {
-		merged.rr.close()
+		merged.Close()
 	}
 	r.cache.purge()
 	return nil
@@ -459,10 +471,14 @@ func (r *IndexReader) DocLocation(doc uint32) (file string, offset, length uint3
 // index was written with them, else nil.
 func (r *IndexReader) DocLens() []uint32 { return r.docLens }
 
+// NumDocs reports the collection size the docID-range map implies: one
+// past the highest docID any run covers.
+func (r *IndexReader) NumDocs() int64 { return r.numDocs }
+
 // runFile returns the lazy reader for one run file, opening and
 // CRC-verifying it on first use. The per-file runSlot serializes the
 // open while letting distinct files open concurrently.
-func (r *IndexReader) runFile(meta RunMeta) (*runReader, error) {
+func (r *IndexReader) runFile(meta RunMeta) (*RunFile, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -475,12 +491,12 @@ func (r *IndexReader) runFile(meta RunMeta) (*runReader, error) {
 	}
 	r.mu.Unlock()
 	slot.once.Do(func() {
-		rr, err := openRunReader(filepath.Join(r.dir, meta.File))
+		rf, err := r.openRunFile(filepath.Join(r.dir, meta.File))
 		if err != nil {
 			slot.err = fmt.Errorf("store: %s: %w", meta.File, err)
 			return
 		}
-		slot.rr = rr
+		slot.rf = rf
 	})
 	if slot.err != nil {
 		if errors.Is(slot.err, ErrClosed) {
@@ -495,21 +511,7 @@ func (r *IndexReader) runFile(meta RunMeta) (*runReader, error) {
 		r.mu.Unlock()
 		return nil, slot.err
 	}
-	return slot.rr, nil
-}
-
-// readErr classifies a positioned-read failure: reads against a closed
-// reader surface ErrClosed, truncation mid-file is corruption, and
-// anything else passes through with the file name attached.
-func (r *IndexReader) readErr(name string, err error) error {
-	switch {
-	case errors.Is(err, os.ErrClosed):
-		return ErrClosed
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("store: %s: truncated read: %w", name, ErrCorruptIndex)
-	default:
-		return fmt.Errorf("store: %s: %w", name, err)
-	}
+	return slot.rf, nil
 }
 
 // Terms reports the dictionary size.
@@ -523,10 +525,13 @@ func (r *IndexReader) Runs() []RunMeta { return r.runs }
 
 // MergedActive reports whether term lookups are currently served from
 // a validated merged file.
-func (r *IndexReader) MergedActive() bool {
+func (r *IndexReader) MergedActive() bool { return r.mergedFile() != nil }
+
+// mergedFile snapshots the active merged file, nil when there is none.
+func (r *IndexReader) mergedFile() *RunFile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.merged != nil
+	return r.merged
 }
 
 // MergedErr returns the validation error of a merged sidecar that was
@@ -543,11 +548,16 @@ func (r *IndexReader) MergedErr() error {
 type ReaderStats struct {
 	MergedActive  bool
 	MergedHits    uint64 // lookups answered from the merged file
-	RunFallbacks  uint64 // lookups assembled from per-run partial lists
+	RunFallbacks  uint64 // lookups assembled from per-run partial lists, for either reason
 	ListBytesRead uint64 // compressed list bytes fetched from disk
 
-	// CodecDecodes counts list decodes by codec name, revealing which
-	// encodings the self-tuning selection actually serves.
+	// MergedReadErrors counts the RunFallbacks taken because a read of
+	// the active merged file failed; the rest found no merged file.
+	MergedReadErrors uint64
+
+	// CodecDecodes counts lists fetched from disk by codec name (see
+	// ReadCounters.ListsByCodec), revealing which encodings the
+	// self-tuning selection actually serves.
 	CodecDecodes map[string]uint64
 
 	CacheHits      uint64
@@ -560,21 +570,18 @@ type ReaderStats struct {
 // Stats snapshots reader counters.
 func (r *IndexReader) Stats() ReaderStats {
 	bytes, entries := r.cache.occupancy()
-	codecs := make(map[string]uint64, len(r.codecDecodes))
-	for _, c := range encoding.Codecs() {
-		codecs[c.Name()] = r.codecDecodes[c.ID()].Load()
-	}
 	return ReaderStats{
-		MergedActive:   r.MergedActive(),
-		MergedHits:     r.mergedHits.Load(),
-		RunFallbacks:   r.runFallbacks.Load(),
-		ListBytesRead:  r.listBytes.Load(),
-		CodecDecodes:   codecs,
-		CacheHits:      r.cache.hits.Load(),
-		CacheMisses:    r.cache.misses.Load(),
-		CacheEvictions: r.cache.evictions.Load(),
-		CacheBytes:     bytes,
-		CacheEntries:   entries,
+		MergedActive:     r.MergedActive(),
+		MergedHits:       r.mergedHits.Load(),
+		RunFallbacks:     r.runFallbacks.Load(),
+		MergedReadErrors: r.mergedReadErrors.Load(),
+		ListBytesRead:    r.reads.ListBytes(),
+		CodecDecodes:     r.reads.ListsByCodec(),
+		CacheHits:        r.cache.hits.Load(),
+		CacheMisses:      r.cache.misses.Load(),
+		CacheEvictions:   r.cache.evictions.Load(),
+		CacheBytes:       bytes,
+		CacheEntries:     entries,
 	}
 }
 
@@ -597,8 +604,8 @@ func (r *IndexReader) LookupTerm(term string) (DictEntry, error) {
 // Postings returns the full postings list of a term (stemmed, lowercase
 // — the caller applies the same normalization as indexing). Missing
 // terms yield an empty list. With a merged file active this is one
-// binary-searched table hit, one positioned read and one decode;
-// otherwise partial lists are assembled across run files in doc order.
+// table hit, one positioned read and one decode; otherwise partial
+// lists are assembled across run files in doc order.
 func (r *IndexReader) Postings(term string) (*postings.List, error) {
 	return r.PostingsRange(term, 0, ^uint32(0))
 }
@@ -618,7 +625,8 @@ func (r *IndexReader) PostingsCtx(ctx context.Context, term string) (*postings.L
 // footprint the codec registry actually achieved, available even on
 // cache hits. The serve cache charges this size instead of the decoded
 // estimate, so better-compressed lists leave room for more cached
-// entries.
+// entries. (segment.Manager's PostingsSizedCtx is the same method; the
+// two names differ only because the benchmark pins both.)
 func (r *IndexReader) PostingsEncodedCtx(ctx context.Context, term string) (*postings.List, int64, error) {
 	return r.postingsRange(ctx, term, 0, ^uint32(0))
 }
@@ -633,24 +641,29 @@ func (r *IndexReader) PostingsRange(term string, minDoc, maxDoc uint32) (*postin
 	return l, err
 }
 
+// lookup resolves a term to its dictionary entry under a dict span.
+func (r *IndexReader) lookup(ctx context.Context, term string) (DictEntry, bool) {
+	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
+	e, ok := Lookup(r.dict, int32(trie.IndexString(term)), term)
+	dsp.End()
+	return e, ok
+}
+
 func (r *IndexReader) postingsRange(ctx context.Context, term string, minDoc, maxDoc uint32) (*postings.List, int64, error) {
 	if err := r.checkClosed(); err != nil {
 		return nil, 0, err
 	}
-	tr := telemetry.TraceFrom(ctx)
-	coll := trie.IndexString(term)
-	dsp := tr.StartSpan(telemetry.ReqStageDict)
-	e, ok := Lookup(r.dict, int32(coll), term)
-	dsp.End()
+	e, ok := r.lookup(ctx, term)
 	if !ok {
 		return &postings.List{}, 0, nil
 	}
 
-	r.mu.Lock()
-	m := r.merged
-	r.mu.Unlock()
-	if m != nil {
-		l, enc, err := r.lookupList(tr, m.key, m.rr, uint32(e.Collection), uint32(e.Slot), m.find)
+	// The merged file is one part holding the whole list; without it the
+	// parts are the runs overlapping the range. Either way the list is
+	// the concatenation of what the parts hold.
+	note := "run-fallback:unmerged"
+	if m := r.mergedFile(); m != nil {
+		l, enc, _, err := concatParts(ctx, []*RunFile{m}, e)
 		if err == nil {
 			r.mergedHits.Add(1)
 			return sliceRange(l, minDoc, maxDoc), enc, nil
@@ -661,156 +674,107 @@ func (r *IndexReader) postingsRange(ctx context.Context, term string, minDoc, ma
 		// Merged read failed under us (e.g. the file vanished or went
 		// bad after open): serve from the runs instead of failing the
 		// query.
+		r.mergedReadErrors.Add(1)
+		note = "run-fallback:merged-read-error"
 	}
 
 	r.runFallbacks.Add(1)
-	msp := tr.StartSpan(telemetry.ReqStageMerge)
-	msp.SetNote("run-fallback")
-	out := &postings.List{}
-	var encoded int64
+	msp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageMerge)
+	defer msp.End()
+	msp.SetNote(note)
+	parts := make([]*RunFile, 0, len(r.runs))
 	for _, rm := range r.runs {
 		if rm.LastDoc < minDoc || rm.FirstDoc > maxDoc {
 			continue
 		}
-		rr, err := r.runFile(rm)
+		rf, err := r.runFile(rm)
 		if err != nil {
-			msp.End()
 			return nil, 0, err
 		}
-		part, enc, err := r.lookupList(tr, rr.name, rr, uint32(e.Collection), uint32(e.Slot),
-			func(c, s uint32) (RunEntry, bool) { return rr.find(c, s) })
-		if err != nil {
-			msp.End()
-			return nil, 0, err
-		}
-		if part == nil {
-			continue
-		}
-		msp.AddItems(1)
-		encoded += enc
-		if err := postings.Concat(out, part); err != nil {
-			msp.End()
-			return nil, 0, fmt.Errorf("store: %s: %w", rm.File, err)
-		}
+		parts = append(parts, rf)
 	}
-	msp.End()
+	l, enc, n, err := concatParts(ctx, parts, e)
+	if err != nil {
+		return nil, 0, err
+	}
+	msp.AddItems(int64(n))
 	// Trim postings the boundary runs carry outside [minDoc, maxDoc] so
 	// both paths return the same exact range.
-	return sliceRange(out, minDoc, maxDoc), encoded, nil
+	return sliceRange(l, minDoc, maxDoc), enc, nil
+}
+
+// concatParts reads the dictionary entry's list from every part that
+// holds one and concatenates them in the order given (ascending doc
+// ranges). It also returns the encoded bytes of the contributing
+// entries and how many parts contributed. A lone part's list is
+// returned as read — possibly shared with the decoded-list cache, so
+// results must not be mutated.
+func concatParts(ctx context.Context, parts []*RunFile, e DictEntry) (out *postings.List, encoded int64, n int, err error) {
+	for _, rf := range parts {
+		re, ok := rf.Find(uint32(e.Collection), uint32(e.Slot))
+		if !ok {
+			continue
+		}
+		part, err := rf.ReadListCtx(ctx, re)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		encoded += int64(re.Length)
+		n++
+		if len(parts) == 1 {
+			return part, encoded, n, nil
+		}
+		if out == nil {
+			out = &postings.List{}
+		}
+		if err := postings.Concat(out, part, nil); err != nil {
+			return nil, 0, 0, fmt.Errorf("store: %s: %w", rf.name, err)
+		}
+	}
+	return out, encoded, n, nil
 }
 
 // BlockPostingsCtx returns the block-at-a-time view of a term from the
-// merged file: the parsed skip table (per-block lastDoc/count/maxTF)
-// with the codec bodies left undecoded, costing one dictionary lookup
-// and one positioned read. The ranked path decodes only the blocks
+// merged file (RunFile.BlocksCtx): the parsed skip table with the
+// codec bodies left undecoded, or a list too short for the blocked
+// layout as one exact pseudo-block, costing one dictionary lookup and
+// at most one positioned read. The ranked path decodes only the blocks
 // its pruning bounds cannot skip. Returns (nil, nil) when no merged
-// file is active — block evaluation is unavailable and the caller
-// falls back to the exhaustive whole-list path. A known term too
-// short for the blocked layout is decoded whole (through the cache)
-// and wrapped as a single exact pseudo-block, so the availability of
-// block evaluation depends only on the merged file, not on any one
-// term's length. Missing terms return an empty TermBlocks.
+// file is active or a read of it failed — block evaluation is
+// unavailable and the caller falls back to the exhaustive whole-list
+// path, which can still answer from the runs. Missing terms return an
+// empty TermBlocks.
 func (r *IndexReader) BlockPostingsCtx(ctx context.Context, term string) (*TermBlocks, error) {
 	if err := r.checkClosed(); err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	m := r.merged
-	r.mu.Unlock()
+	m := r.mergedFile()
 	if m == nil {
 		return nil, nil
 	}
-	tr := telemetry.TraceFrom(ctx)
-	coll := trie.IndexString(term)
-	dsp := tr.StartSpan(telemetry.ReqStageDict)
-	e, ok := Lookup(r.dict, int32(coll), term)
-	dsp.End()
+	tb := &TermBlocks{}
+	e, ok := r.lookup(ctx, term)
 	if !ok {
-		return &TermBlocks{}, nil
+		return tb, nil
 	}
-	entry, ok := m.find(uint32(e.Collection), uint32(e.Slot))
+	re, ok := m.Find(uint32(e.Collection), uint32(e.Slot))
 	if !ok {
-		return &TermBlocks{}, nil
+		return tb, nil
 	}
-	if entry.Flags&FlagBlocks == 0 {
-		l, _, err := r.lookupList(tr, m.key, m.rr, uint32(e.Collection), uint32(e.Slot), m.find)
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return nil, err
-			}
-			// Merged read failed under us: signal unavailability so the
-			// caller retries through the exhaustive run-fallback path.
-			return nil, nil
-		}
-		r.mergedHits.Add(1)
-		bl := BlockListFromList(l)
-		if bl == nil {
-			return &TermBlocks{}, nil
-		}
-		return &TermBlocks{Lists: []*BlockList{bl}}, nil
+	bl, err := m.BlocksCtx(ctx, re)
+	if errors.Is(err, ErrClosed) {
+		return nil, err
 	}
-	psp := tr.StartSpan(telemetry.ReqStagePread)
-	blob, err := m.rr.readBlob(entry)
-	psp.AddBytes(int64(entry.Length))
-	psp.End()
 	if err != nil {
-		return nil, r.readErr(m.rr.name, err)
-	}
-	r.listBytes.Add(uint64(entry.Length))
-	bl, err := parseBlockedBlob(blob, entry)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", m.rr.name, err)
+		// Merged read failed under us: the exhaustive path the caller
+		// falls back to counts it and serves from the runs.
+		return nil, nil
 	}
 	r.mergedHits.Add(1)
-	return &TermBlocks{Lists: []*BlockList{bl}}, nil
-}
-
-// lookupList fetches one (collection, slot) list from a run-format
-// file through the decoded-list cache: a cache hit costs no I/O, a
-// miss costs exactly one positioned read plus one decode. The second
-// return is the entry's encoded byte length, known before the cache is
-// consulted. A list the file does not hold returns (nil, 0, nil).
-// Returned lists are shared and must not be mutated.
-func (r *IndexReader) lookupList(tr *telemetry.RequestTrace, cacheFile string, rr *runReader, coll, slot uint32,
-	find func(uint32, uint32) (RunEntry, bool)) (*postings.List, int64, error) {
-	e, ok := find(coll, slot)
-	if !ok {
-		return nil, 0, nil
+	if bl != nil {
+		tb.Lists = append(tb.Lists, bl)
 	}
-	key := listKey{file: cacheFile, coll: coll, slot: slot}
-	if l, ok := r.cache.get(key); ok {
-		return l, int64(e.Length), nil
-	}
-	psp := tr.StartSpan(telemetry.ReqStagePread)
-	blob, err := rr.readBlob(e)
-	psp.AddBytes(int64(e.Length))
-	psp.End()
-	if err != nil {
-		return nil, 0, r.readErr(rr.name, err)
-	}
-	r.listBytes.Add(uint64(e.Length))
-	dsp := tr.StartSpan(telemetry.ReqStageDecode)
-	l, err := r.decodeEntry(blob, e)
-	if tr != nil {
-		if c, cerr := encoding.Lookup(e.Codec()); cerr == nil {
-			dsp.SetNote(c.Name())
-		}
-	}
-	dsp.End()
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", rr.name, err)
-	}
-	r.cache.put(key, l)
-	return l, int64(e.Length), nil
-}
-
-// decodeEntry is the counted decode path: decodeEntry plus the
-// per-codec telemetry the serve metrics export.
-func (r *IndexReader) decodeEntry(blob []byte, e RunEntry) (*postings.List, error) {
-	if id := e.Codec(); id < encoding.NumCodecs {
-		r.codecDecodes[id].Add(1)
-	}
-	return decodeEntry(blob, e)
+	return tb, nil
 }
 
 // sliceRange narrows a sorted postings list to [minDoc, maxDoc]. The

@@ -1,38 +1,71 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"fastinvert/internal/encoding"
 	"fastinvert/internal/postings"
+	"fastinvert/internal/telemetry"
 )
 
-// runReader is the lazy, handle-based view of one run file (or the
-// merged file): the header and mapping table are parsed up front, the
-// compressed blob stays on disk and individual lists are fetched with
-// one positioned read each, which is what bounds reader memory. It is
-// the only run-format parser.
-type runReader struct {
-	name     string // file name, for cache keys and error messages
+// RunFile is the lazy, handle-based reader of one run-format file — a
+// build-time run, merged.post, or a sealed live segment, which all
+// share the format. The header and mapping table are parsed and the
+// whole-file CRC verified at open; the compressed blob stays on disk
+// and each list is fetched with one positioned read, which is what
+// bounds reader memory. It is the only run-format parser and the only
+// place a list is read and decoded for a query. Safe for concurrent
+// use.
+type RunFile struct {
+	name     string // file name, for error messages
 	src      runSource
-	size     int64
 	crc      uint32 // header checksum of table + blob, verified at open
 	firstDoc uint32
 	lastDoc  uint32
 	entries  []RunEntry
 	blobOff  int64
 	lookup   map[uint64]int // (coll<<32|slot) -> entry index
+
+	reads *ReadCounters
+	cache *listCache // decoded-list cache of the owning IndexReader, or nil
 }
 
-// openRunReader opens path, parses the header and table, verifies the
+// ReadCounters accumulates what the read methods of every RunFile
+// opened with it fetched from disk: the owner's view of its read path
+// (an IndexReader over its runs and merged file, a segment manager
+// over its segments).
+type ReadCounters struct {
+	listBytes atomic.Uint64
+	byCodec   [encoding.NumCodecs]atomic.Uint64
+}
+
+// ListBytes reports the compressed list bytes fetched.
+func (c *ReadCounters) ListBytes() uint64 { return c.listBytes.Load() }
+
+// ListsByCodec reports the lists fetched, by the name of the codec
+// that encoded them. A list counts once per fetch, whether it was then
+// decoded whole or handed out as undecoded blocks.
+func (c *ReadCounters) ListsByCodec() map[string]uint64 {
+	out := make(map[string]uint64, len(c.byCodec))
+	for _, codec := range encoding.Codecs() {
+		out[codec.Name()] = c.byCodec[codec.ID()].Load()
+	}
+	return out
+}
+
+// OpenRunFile opens path, parses the header and table, verifies the
 // whole-file CRC with one streaming pass (bounded memory — nothing is
 // retained), and leaves the handle open for per-list positioned reads.
-// Every structural failure wraps ErrCorruptIndex.
-func openRunReader(path string) (*runReader, error) {
+// Reads are counted on rc; nil counts them privately. Every structural
+// failure wraps ErrCorruptIndex.
+func OpenRunFile(path string, rc *ReadCounters) (*RunFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -42,7 +75,7 @@ func openRunReader(path string) (*runReader, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := parseRunReader(st.Name(), f, st.Size())
+	r, err := parseRunFile(st.Name(), f, st.Size(), rc)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -50,16 +83,19 @@ func openRunReader(path string) (*runReader, error) {
 	return r, nil
 }
 
-// runSource is what a runReader reads: an *os.File in production,
+// runSource is what a RunFile reads: an *os.File in production,
 // in-memory bytes under test and fuzz.
 type runSource interface {
 	io.ReaderAt
 	io.Closer
 }
 
-// parseRunReader parses and verifies the size bytes of f as a run
-// file. It takes ownership of f only on success.
-func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
+// parseRunFile parses and verifies the size bytes of f as a run file.
+// It takes ownership of f only on success.
+func parseRunFile(name string, f runSource, size int64, rc *ReadCounters) (*RunFile, error) {
+	if rc == nil {
+		rc = &ReadCounters{}
+	}
 	if size < runHdrSize {
 		return nil, ErrCorruptRun
 	}
@@ -68,9 +104,11 @@ func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
 		return nil, fmt.Errorf("%w: short header read", ErrCorruptRun)
 	}
 	get32 := func(off int) uint32 { return binary.LittleEndian.Uint32(hdr[off:]) }
-	ver := get32(4)
-	if get32(0) != runMagic || ver < runVersion || ver > runVersionBlocks {
+	if get32(0) != runMagic {
 		return nil, ErrCorruptRun
+	}
+	if ver := get32(4); ver != runVersion {
+		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorruptRun, ver, runVersion)
 	}
 	n := int(get32(8))
 	// The count is untrusted: bound it by the bytes available for the
@@ -93,16 +131,16 @@ func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
 	if crc.Sum32() != get32(20) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptRun)
 	}
-	r := &runReader{
+	r := &RunFile{
 		name:     name,
 		src:      f,
-		size:     size,
 		crc:      get32(20),
 		firstDoc: get32(12),
 		lastDoc:  get32(16),
 		entries:  make([]RunEntry, n),
 		blobOff:  int64(runHdrSize + n*entrySize),
 		lookup:   make(map[uint64]int, n),
+		reads:    rc,
 	}
 	blobLen := uint64(size - r.blobOff)
 	for i := 0; i < n; i++ {
@@ -118,7 +156,7 @@ func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
 		if e.Offset+uint64(e.Length) > blobLen || e.Offset+uint64(e.Length) < e.Offset {
 			return nil, ErrCorruptRun
 		}
-		if err := checkEntryCodec(ver, e); err != nil {
+		if err := checkEntryCodec(e); err != nil {
 			return nil, err
 		}
 		r.entries[i] = e
@@ -127,8 +165,17 @@ func parseRunReader(name string, f runSource, size int64) (*runReader, error) {
 	return r, nil
 }
 
-// find locates the entry for (collection, slot).
-func (r *runReader) find(coll uint32, slot uint32) (RunEntry, bool) {
+// DocRange returns the [first, last] document range the file covers.
+func (r *RunFile) DocRange() (first, last uint32) { return r.firstDoc, r.lastDoc }
+
+// NumLists reports the number of postings lists in the file.
+func (r *RunFile) NumLists() int { return len(r.entries) }
+
+// Entries exposes the parsed table. Callers must not mutate it.
+func (r *RunFile) Entries() []RunEntry { return r.entries }
+
+// Find locates the entry for (collection, slot).
+func (r *RunFile) Find(coll, slot uint32) (RunEntry, bool) {
 	i, ok := r.lookup[uint64(coll)<<32|uint64(slot)]
 	if !ok {
 		return RunEntry{}, false
@@ -136,43 +183,115 @@ func (r *runReader) find(coll uint32, slot uint32) (RunEntry, bool) {
 	return r.entries[i], true
 }
 
-// readBlob fetches one entry's compressed bytes with a single
-// positioned read.
-func (r *runReader) readBlob(e RunEntry) ([]byte, error) {
-	return r.readBlobInto(e, nil)
+// Close releases the file handle.
+func (r *RunFile) Close() error { return r.src.Close() }
+
+// readAt fills buf from blob offset off with one positioned read,
+// which makes it safe to call concurrently with distinct buffers.
+// Failures are classified: a read against a closed file surfaces
+// ErrClosed, truncation mid-file is corruption, anything else passes
+// through with the file name attached.
+func (r *RunFile) readAt(off uint64, buf []byte) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := r.src.ReadAt(buf, r.blobOff+int64(off))
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, os.ErrClosed):
+		return ErrClosed
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("store: %s: truncated read: %w", r.name, ErrCorruptIndex)
+	default:
+		return fmt.Errorf("store: %s: %w", r.name, err)
+	}
 }
 
-// readBlobInto is readBlob reusing buf's capacity when it suffices.
-// Positioned reads make it safe to call concurrently with distinct
-// buffers. The caller must be done with buf's previous contents.
-func (r *runReader) readBlobInto(e RunEntry, buf []byte) ([]byte, error) {
-	if e.Length == 0 {
-		return nil, nil
-	}
-	if cap(buf) < int(e.Length) {
-		buf = make([]byte, e.Length)
-	}
-	buf = buf[:e.Length]
-	if _, err := r.src.ReadAt(buf, r.blobOff+int64(e.Offset)); err != nil {
+// readBlob fetches one entry's compressed bytes for a query: the
+// pread span, the bytes-read counter and the per-codec list counter
+// all live here and nowhere else.
+func (r *RunFile) readBlob(tr *telemetry.RequestTrace, e RunEntry) ([]byte, error) {
+	psp := tr.StartSpan(telemetry.ReqStagePread)
+	blob := make([]byte, e.Length)
+	err := r.readAt(e.Offset, blob)
+	psp.AddBytes(int64(e.Length))
+	psp.End()
+	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	r.reads.listBytes.Add(uint64(e.Length))
+	if id := e.Codec(); id < encoding.NumCodecs {
+		r.reads.byCodec[id].Add(1)
+	}
+	return blob, nil
 }
 
-// readBlobRange fills buf with raw blob bytes starting at blob offset
-// off, for batched reads spanning several adjacent entries.
-func (r *runReader) readBlobRange(off uint64, buf []byte) error {
-	_, err := r.src.ReadAt(buf, r.blobOff+int64(off))
-	return err
+// ReadListCtx fetches and decodes one entry's whole postings list: one
+// positioned read plus one decode, or neither when the owning reader's
+// decoded-list cache holds it. A telemetry.RequestTrace carried by ctx
+// sees the pread and decode as leaf spans; untraced contexts take the
+// same path with inert span handles. Returned lists may be shared and
+// must not be mutated.
+func (r *RunFile) ReadListCtx(ctx context.Context, e RunEntry) (*postings.List, error) {
+	key := listKey{file: r, coll: e.Collection, slot: e.Slot}
+	if r.cache != nil {
+		if l, ok := r.cache.get(key); ok {
+			return l, nil
+		}
+	}
+	tr := telemetry.TraceFrom(ctx)
+	blob, err := r.readBlob(tr, e)
+	if err != nil {
+		return nil, err
+	}
+	dsp := tr.StartSpan(telemetry.ReqStageDecode)
+	l, err := decodeEntry(blob, e)
+	if tr != nil {
+		if c, cerr := encoding.Lookup(e.Codec()); cerr == nil {
+			dsp.SetNote(c.Name())
+		}
+	}
+	dsp.End()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
+	}
+	if r.cache != nil {
+		r.cache.put(key, l)
+	}
+	return l, nil
 }
 
-func (r *runReader) close() error { return r.src.Close() }
+// BlocksCtx returns one entry's block-at-a-time view, the cursor feed
+// of the ranked path: for a blocked entry, one positioned read and the
+// parsed skip table with the per-block codec bodies left undecoded;
+// for any other entry, the whole list (ReadListCtx) as one exact
+// pseudo-block, so the availability of block evaluation never depends
+// on one list's length. An entry with no postings returns nil.
+func (r *RunFile) BlocksCtx(ctx context.Context, e RunEntry) (*BlockList, error) {
+	if e.Flags&FlagBlocks == 0 {
+		l, err := r.ReadListCtx(ctx, e)
+		if err != nil {
+			return nil, err
+		}
+		return BlockListFromList(l), nil
+	}
+	blob, err := r.readBlob(telemetry.TraceFrom(ctx), e)
+	if err != nil {
+		return nil, err
+	}
+	bl, err := parseBlockedBlob(blob, e)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
+	}
+	return bl, nil
+}
 
 // decodeEntry decodes one entry's blob bytes into a postings list,
 // dispatching on the codec ID carried in the entry flags. Blocked
 // entries are decoded block by block and concatenated — the shape
-// whole-list readers expect; the ranked path uses parseBlockedBlob
-// directly to avoid exactly this cost.
+// whole-list readers expect; the ranked path uses BlocksCtx to avoid
+// exactly this cost.
 func decodeEntry(blob []byte, e RunEntry) (*postings.List, error) {
 	if e.Flags&FlagBlocks != 0 {
 		return decodeBlockedEntry(blob, e)

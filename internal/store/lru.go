@@ -9,10 +9,11 @@ import (
 )
 
 // listKey identifies one decoded postings list in the reader cache:
-// the blob it was read from (a run file name, or the merged file's
-// generation-stamped name) plus the (collection, slot) pair.
+// the open file it was read from plus the (collection, slot) pair. A
+// re-merged merged.post is a new RunFile, so lists cached from the
+// file it replaced can never answer for it.
 type listKey struct {
-	file string
+	file *RunFile
 	coll uint32
 	slot uint32
 }
@@ -105,7 +106,7 @@ func (c *listCache) put(key listKey, l *postings.List) {
 	}
 }
 
-// purge drops every entry (Close, or re-merge invalidation).
+// purge drops every entry (Close).
 func (c *listCache) purge() {
 	c.mu.Lock()
 	c.entries = make(map[listKey]*list.Element)

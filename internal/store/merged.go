@@ -7,33 +7,22 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 )
 
 // Merged-file layout: merged.post reuses the run-file format (header,
-// mapping table, blob) with the table sorted by (collection, slot) so
-// a term lookup is one binary search, one positioned read and one
-// decode. The file is only trusted when the versioned sidecar
-// merged.json matches it: the sidecar records the format version, the
-// exact byte size and the table+blob CRC, all verified at open. Both
-// files are written atomically (temp + fsync + rename), so a crash
-// mid-merge leaves the previous index fully intact.
+// mapping table, blob) with the table sorted by (collection, slot).
+// The file is only trusted when the sidecar merged.json matches it:
+// the sidecar records the format version, the exact byte size and the
+// table+blob CRC, all verified at open. Both files are written
+// atomically (temp + fsync + rename), so a crash mid-merge leaves the
+// previous index fully intact.
 const (
 	mergedFileName    = "merged.post"
 	mergedSidecarName = "merged.json"
-	// mergedSidecarVersion gates trust: a sidecar with a different
-	// version is ignored and the reader falls back to per-run assembly.
-	mergedSidecarVersion = 1
-	// mergedSidecarVersionCodec marks a merged file whose entry table
-	// carries per-list codec IDs (run format 4). Written only when at
-	// least one list is non-varbyte, so all-varbyte merges keep the v1
-	// sidecar and stay readable by pre-codec builds.
-	mergedSidecarVersionCodec = 2
-	// mergedSidecarVersionBlocks marks a merged file holding blocked
-	// lists (run format 5, skip tables with per-block maxTF bounds).
-	// Written only when at least one list is blocked, so unblocked
-	// merges keep the older sidecar versions.
-	mergedSidecarVersionBlocks = 3
+	// mergedSidecarVersion is the one sidecar version written and
+	// trusted; a sidecar stamped otherwise is reported through
+	// MergedErr like any other mismatch.
+	mergedSidecarVersion = 3
 )
 
 // mergedSidecar is the on-disk merged.json shape.
@@ -46,31 +35,20 @@ type mergedSidecar struct {
 	FirstDoc uint32 `json:"first_doc"`
 	LastDoc  uint32 `json:"last_doc"`
 	Runs     int    `json:"runs"`
-	// Codecs counts lists per codec name (version >= 2 only).
+	// Codecs counts lists per codec name.
 	Codecs map[string]int `json:"codecs,omitempty"`
-	// Blocked counts lists in the blocked layout (version >= 3 only).
+	// Blocked counts lists in the blocked layout.
 	Blocked int `json:"blocked_lists,omitempty"`
 }
 
-// mergedGen stamps each loaded merged file so reader-cache keys from a
-// superseded merge can never alias a re-merged file's lists.
-var mergedGen atomic.Uint64
-
-// mergedState is an open, verified merged file.
-type mergedState struct {
-	rr  *runReader
-	key string // generation-stamped cache-key prefix
-}
-
-// loadMerged opens and verifies the merged file of an index directory.
-// Returns (nil, nil) when no sidecar exists (the index was never
-// merged, or was merged by a pre-sidecar version — either way the
-// merged file is not trusted). A sidecar that exists but does not
-// match the merged file yields a nil state and an error wrapping
-// ErrCorruptIndex: OpenIndex records it and falls back to per-run
-// assembly, Verify surfaces it.
-func loadMerged(dir string) (*mergedState, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, mergedSidecarName))
+// loadMerged opens and verifies the merged file of an index directory
+// for r. Returns (nil, nil) when no sidecar exists (the index was never
+// merged). A sidecar that exists but does not match the merged file —
+// another version, another size or checksum, a table out of order —
+// yields a nil file and an error wrapping ErrCorruptIndex: OpenIndex
+// records it and falls back to per-run assembly, Verify surfaces it.
+func (r *IndexReader) loadMerged() (*RunFile, error) {
+	raw, err := os.ReadFile(filepath.Join(r.dir, mergedSidecarName))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -81,15 +59,14 @@ func loadMerged(dir string) (*mergedState, error) {
 	if err := json.Unmarshal(raw, &sc); err != nil {
 		return nil, fmt.Errorf("merged sidecar (%v): %w", err, ErrCorruptIndex)
 	}
-	if sc.Version < mergedSidecarVersion || sc.Version > mergedSidecarVersionBlocks {
-		// A future format we do not understand: not corruption, just
-		// not trustable. Fall back silently.
-		return nil, nil
+	if sc.Version != mergedSidecarVersion {
+		return nil, fmt.Errorf("merged sidecar version %d, want %d: %w",
+			sc.Version, mergedSidecarVersion, ErrCorruptIndex)
 	}
 	if sc.File != mergedFileName {
 		return nil, fmt.Errorf("merged sidecar names %q: %w", sc.File, ErrCorruptIndex)
 	}
-	path := filepath.Join(dir, mergedFileName)
+	path := filepath.Join(r.dir, mergedFileName)
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, fmt.Errorf("merged file missing (%v): %w", err, ErrCorruptIndex)
@@ -98,44 +75,26 @@ func loadMerged(dir string) (*mergedState, error) {
 		return nil, fmt.Errorf("merged file is %d bytes, sidecar says %d: %w",
 			st.Size(), sc.Size, ErrCorruptIndex)
 	}
-	rr, err := openRunReader(path)
+	rf, err := r.openRunFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("merged: %w", err)
 	}
-	if rr.crc != sc.CRC32 || len(rr.entries) != sc.Lists {
-		rr.close()
+	if rf.crc != sc.CRC32 || len(rf.entries) != sc.Lists {
+		rf.Close()
 		return nil, fmt.Errorf("merged file does not match sidecar: %w", ErrCorruptIndex)
 	}
-	// The binary-searched lookup requires the table sorted by
-	// (collection, slot); the writer guarantees it, a tampered file
-	// might not.
-	for i := 1; i < len(rr.entries); i++ {
-		p, c := rr.entries[i-1], rr.entries[i]
+	// The writer sorts the table by (collection, slot); a file that
+	// passes its checksum with the table out of order was not written
+	// by Merge.
+	for i := 1; i < len(rf.entries); i++ {
+		p, c := rf.entries[i-1], rf.entries[i]
 		if c.Collection < p.Collection ||
 			(c.Collection == p.Collection && c.Slot <= p.Slot) {
-			rr.close()
+			rf.Close()
 			return nil, fmt.Errorf("merged table disorder at entry %d: %w", i, ErrCorruptIndex)
 		}
 	}
-	return &mergedState{
-		rr:  rr,
-		key: fmt.Sprintf("%s#%d", mergedFileName, mergedGen.Add(1)),
-	}, nil
-}
-
-// find binary-searches the sorted merged table.
-func (m *mergedState) find(coll, slot uint32) (RunEntry, bool) {
-	es := m.rr.entries
-	i := sort.Search(len(es), func(i int) bool {
-		if es[i].Collection != coll {
-			return es[i].Collection >= coll
-		}
-		return es[i].Slot >= slot
-	})
-	if i < len(es) && es[i].Collection == coll && es[i].Slot == slot {
-		return es[i], true
-	}
-	return RunEntry{}, false
+	return rf, nil
 }
 
 // MergeStats summarizes one post-processing merge.
@@ -175,51 +134,24 @@ func (r *IndexReader) Merge() (*MergeStats, error) {
 	sort.SliceStable(metas, func(i, j int) bool { return metas[i].FirstDoc < metas[j].FirstDoc })
 	cursors := make([]*mergeCursor, 0, len(metas))
 	for _, rm := range metas {
-		rr, err := r.runFile(rm)
+		rf, err := r.runFile(rm)
 		if err != nil {
 			return nil, err
 		}
-		c, err := newMergeCursor(rr, nil)
+		c, err := newMergeCursor(rf, nil)
 		if err != nil {
 			return nil, err
 		}
 		cursors = append(cursors, c)
 	}
-	m := &merger{
-		cursors: cursors,
-		sel:     r.mergeSelect,
-		onBytes: func(n uint64) { r.listBytes.Add(n) },
-		decode:  r.decodeEntry,
-		readErr: r.readErr,
-	}
-	// A forced-varbyte merge is the legacy-compatible mode; self-tuned
-	// merges emit the blocked layout for long lists.
-	if r.mergeCodecName != "varbyte" {
-		m.blockMin = blockMinPostings
-	}
+	m := &merger{cursors: cursors, sel: r.mergeSelect}
 	stats, fileCRC, err := m.writeMergedFile(context.Background(),
 		filepath.Join(r.dir, mergedFileName), r.mergeWorkers)
 	if err != nil {
 		return nil, err
 	}
-	// Any non-varbyte list forces sidecar version 2, any blocked list
-	// version 3; an all-varbyte unblocked merge stays byte-compatible
-	// with pre-codec readers.
-	scVer := mergedSidecarVersion
-	var scCodecs map[string]int
-	for name, cnt := range stats.Codecs {
-		if name != "varbyte" && cnt > 0 {
-			scVer = mergedSidecarVersionCodec
-			scCodecs = stats.Codecs
-			break
-		}
-	}
-	if stats.Blocked > 0 {
-		scVer = mergedSidecarVersionBlocks
-		scCodecs = stats.Codecs
-	}
 	sc := mergedSidecar{
-		Version:  scVer,
+		Version:  mergedSidecarVersion,
 		File:     mergedFileName,
 		Size:     stats.Bytes,
 		CRC32:    fileCRC,
@@ -227,7 +159,7 @@ func (r *IndexReader) Merge() (*MergeStats, error) {
 		FirstDoc: stats.FirstDoc,
 		LastDoc:  stats.LastDoc,
 		Runs:     len(metas),
-		Codecs:   scCodecs,
+		Codecs:   stats.Codecs,
 		Blocked:  stats.Blocked,
 	}
 	if err := writeSidecar(r.dir, sc); err != nil {
@@ -237,23 +169,23 @@ func (r *IndexReader) Merge() (*MergeStats, error) {
 
 	// Switch this reader onto the merged path so subsequent lookups go
 	// through it; a fresh OpenIndex picks it up via the sidecar.
-	mState, err := loadMerged(r.dir)
+	merged, err := r.loadMerged()
 	if err != nil {
 		return nil, fmt.Errorf("store: reloading merged file: %w", err)
 	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		if mState != nil {
-			mState.rr.close()
+		if merged != nil {
+			merged.Close()
 		}
 		return nil, ErrClosed
 	}
 	old := r.merged
-	r.merged, r.mergedErr = mState, nil
+	r.merged, r.mergedErr = merged, nil
 	r.mu.Unlock()
 	if old != nil {
-		old.rr.close()
+		old.Close()
 	}
 	return stats, nil
 }

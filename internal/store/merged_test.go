@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"fastinvert/internal/postings"
+	"fastinvert/internal/telemetry"
 	"fastinvert/internal/trie"
 )
 
@@ -73,58 +75,6 @@ func mergeDir(t testing.TB, dir string) *MergeStats {
 		t.Fatal(err)
 	}
 	return stats
-}
-
-// TestMergedMatchesRuns is the store-level parity check: every term
-// answers identically from per-run assembly and from the merged file,
-// for full fetches and narrowed ranges.
-func TestMergedMatchesRuns(t *testing.T) {
-	dir, terms := buildMergedTestDir(t)
-
-	want := map[string]*postings.List{}
-	pre, err := OpenIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, term := range terms {
-		l, err := pre.Postings(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[term] = l
-	}
-	pre.Close()
-
-	mergeDir(t, dir)
-	post, err := OpenIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer post.Close()
-	if !post.MergedActive() {
-		t.Fatal("merged file not active after merge")
-	}
-	for _, term := range terms {
-		got, err := post.Postings(term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameList(t, term, got, want[term])
-		// Range narrowed to the middle run.
-		gr, err := post.PostingsRange(term, 100, 199)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr := sliceRange(want[term], 100, 199)
-		assertSameList(t, term+"[100,199]", gr, wr)
-	}
-	st := post.Stats()
-	if st.MergedHits == 0 || st.RunFallbacks != 0 {
-		t.Fatalf("merged reader stats = %+v, want only merged hits", st)
-	}
-	if _, err := Verify(dir); err != nil {
-		t.Fatalf("Verify of merged index: %v", err)
-	}
 }
 
 func assertSameList(t *testing.T, label string, got, want *postings.List) {
@@ -282,9 +232,66 @@ func TestBitFlippedMergedFallsBack(t *testing.T) {
 	}
 }
 
+// TestRunFallbackReasons: a lookup assembled from the runs says why —
+// the index was never merged, or a read of the active merged file
+// failed under the query — in its merge span's note, and the second
+// kind is counted apart.
+func TestRunFallbackReasons(t *testing.T) {
+	mergeNote := func(idx *IndexReader, term string) string {
+		t.Helper()
+		tr := telemetry.NewRequestTrace("test")
+		l, err := idx.PostingsCtx(telemetry.ContextWithTrace(context.Background(), tr), term)
+		if err != nil || l.Len() != 6 {
+			t.Fatalf("postings for %q = %v err=%v", term, l, err)
+		}
+		tr.Finish(0, "")
+		for _, sp := range tr.Snapshot().Spans {
+			if sp.Stage == telemetry.ReqStageMerge {
+				return sp.Note
+			}
+		}
+		return ""
+	}
+
+	dir, terms := buildMergedTestDir(t)
+	unmerged, err := OpenIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if note := mergeNote(unmerged, terms[0]); note != "run-fallback:unmerged" {
+		t.Errorf("unmerged lookup noted %q", note)
+	}
+	if st := unmerged.Stats(); st.RunFallbacks != 1 || st.MergedReadErrors != 0 {
+		t.Errorf("unmerged stats = %+v", st)
+	}
+	unmerged.Close()
+
+	mergeDir(t, dir)
+	idx, err := OpenIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	if note := mergeNote(idx, terms[0]); note != "" {
+		t.Errorf("merged lookup has a merge span noted %q", note)
+	}
+	// The file goes bad after it passed validation at open.
+	if err := os.Truncate(filepath.Join(dir, mergedFileName), runHdrSize); err != nil {
+		t.Fatal(err)
+	}
+	if note := mergeNote(idx, terms[1]); note != "run-fallback:merged-read-error" {
+		t.Errorf("lookup over a truncated merged file noted %q", note)
+	}
+	if tb, err := idx.BlockPostingsCtx(context.Background(), terms[2]); tb != nil || err != nil {
+		t.Errorf("block view over a truncated merged file = (%v, %v), want unavailable", tb, err)
+	}
+	if st := idx.Stats(); st.MergedHits != 1 || st.RunFallbacks != 1 || st.MergedReadErrors != 1 {
+		t.Errorf("stats after a failed merged read = %+v", st)
+	}
+}
+
 // TestMergedWithoutSidecarIgnored: a bare merged.post with no sidecar
-// (e.g. written by a pre-sidecar version) is not trusted and not an
-// error.
+// is not trusted and not an error.
 func TestMergedWithoutSidecarIgnored(t *testing.T) {
 	dir, terms := buildMergedTestDir(t)
 	mergeDir(t, dir)
@@ -310,33 +317,42 @@ func TestMergedWithoutSidecarIgnored(t *testing.T) {
 	}
 }
 
-// TestMergedSidecarVersionGating: an unknown future sidecar version is
-// ignored, not treated as corruption.
-func TestMergedSidecarVersionGating(t *testing.T) {
-	dir, _ := buildMergedTestDir(t)
+// TestMergedSidecarOtherVersion: a sidecar stamped with any version but
+// the current one is a mismatch like any other — reported by MergedErr
+// and Verify, never a silent fall back to per-run assembly.
+func TestMergedSidecarOtherVersion(t *testing.T) {
+	dir, terms := buildMergedTestDir(t)
 	mergeDir(t, dir)
 	scPath := filepath.Join(dir, mergedSidecarName)
 	raw, err := os.ReadFile(scPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bumped := strings.Replace(string(raw), `"version": 1`, `"version": 99`, 1)
-	if bumped == string(raw) {
-		t.Fatalf("sidecar version field not found in %s", raw)
-	}
-	if err := os.WriteFile(scPath, []byte(bumped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := OpenIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idx.Close()
-	if idx.MergedActive() {
-		t.Fatal("future-versioned sidecar must not be trusted")
-	}
-	if err := idx.MergedErr(); err != nil {
-		t.Fatalf("future version is not corruption, got %v", err)
+	for _, ver := range []string{"1", "2", "99"} {
+		bumped := strings.Replace(string(raw), `"version": 3`, `"version": `+ver, 1)
+		if bumped == string(raw) {
+			t.Fatalf("sidecar version field not found in %s", raw)
+		}
+		if err := os.WriteFile(scPath, []byte(bumped), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		idx, err := OpenIndex(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.MergedActive() {
+			t.Fatalf("version %s: sidecar must not be trusted", ver)
+		}
+		if err := idx.MergedErr(); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("version %s: MergedErr = %v, want ErrCorruptIndex", ver, err)
+		}
+		if l, err := idx.Postings(terms[0]); err != nil || l.Len() != 6 {
+			t.Fatalf("version %s: postings = %v err=%v", ver, l, err)
+		}
+		idx.Close()
+		if _, err := Verify(dir); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("version %s: Verify = %v, want ErrCorruptIndex", ver, err)
+		}
 	}
 }
 
@@ -405,7 +421,8 @@ func TestListCacheUnit(t *testing.T) {
 		}
 		return l
 	}
-	k := func(i int) listKey { return listKey{file: "f", coll: 1, slot: uint32(i)} }
+	f := &RunFile{}
+	k := func(i int) listKey { return listKey{file: f, coll: 1, slot: uint32(i)} }
 
 	if _, ok := c.get(k(0)); ok {
 		t.Fatal("hit on empty cache")

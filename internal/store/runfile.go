@@ -14,48 +14,38 @@ import (
 	"fastinvert/internal/encoding"
 )
 
-// Run-file layout (little-endian):
+// Run-file layout (little-endian), shared byte for byte by build-time
+// runs, merged.post and sealed live segments:
 //
 //	magic  u32  "FRIN" (bytes 4e 49 52 46 on disk — a historic
 //	            transposition of the intended 'FIRN'; the golden test
 //	            pins these exact bytes, so the constant is the format)
-//	ver    u32
+//	ver    u32  runVersion; any other value is rejected (ErrCorruptRun)
 //	nLists u32
 //	first  u32  first global docID covered by this run
 //	last   u32  last global docID covered
 //	crc    u32  IEEE CRC-32 of table + blob
 //	table  nLists x { coll u32, slot u32, off u64, len u32, count u32,
 //	                  flags u32 }
-//	blob   gap+varbyte-encoded postings (encoding.EncodePostings, or
-//	       encoding.EncodePositionalPostings when FlagPositional)
+//	blob   per list, the entry codec's encoding of its postings (with
+//	       positions when FlagPositional), or the blocked layout of
+//	       blocks.go when FlagBlocks
 const (
 	runMagic   = 0x4652494e // "FRIN"
-	runVersion = 3
-	// runVersionCodec marks a run whose entries may carry a non-varbyte
-	// codec ID in their flags. Files where every list is varbyte are
-	// still written as version 3, byte-identical to pre-codec builds,
-	// so old readers only fail (with ErrCorruptRun) on files they truly
-	// cannot decode.
-	runVersionCodec = 4
-	// runVersionBlocks marks a run where some entries carry FlagBlocks:
-	// their blobs hold a skip header plus independently decodable
-	// fixed-size blocks (see blocks.go). Files without any blocked list
-	// keep the version-3/4 decision, byte-identical to pre-block builds.
-	runVersionBlocks = 5
-	runHdrSize       = 24
-	entrySize        = 28
+	runVersion = 5
+	runHdrSize = 24
+	entrySize  = 28
 )
 
-// Entry flags. Bits 8-15 hold the list's encoding.CodecID; a zero
-// codec field is varbyte, which is why version-3 files (no codec
-// bits) parse identically through the registry.
+// Entry flags. Bits 8-15 hold the list's encoding.CodecID and are
+// always valid; zero is varbyte.
 const (
 	// FlagPositional marks a list encoded with in-document positions.
 	FlagPositional uint32 = 1 << 0
 
 	// FlagBlocks marks a list stored in the blocked layout of
-	// blocks.go: skip header + per-block codec bodies. Never combined
-	// with FlagPositional, and only valid in version-5 files.
+	// blocks.go: skip header + per-block codec bodies. Optional per
+	// entry, never combined with FlagPositional.
 	FlagBlocks uint32 = 1 << 1
 
 	codecShift        = 8
@@ -92,16 +82,14 @@ func (e RunEntry) Codec() encoding.CodecID {
 
 // RunBuilder accumulates one run's partial postings lists.
 type RunBuilder struct {
-	entries   []RunEntry
-	blob      []byte
-	sel       encoding.Selector
-	hasCodec  bool // any entry uses a non-varbyte codec -> version 4
-	hasBlocks bool // any entry uses the blocked layout -> version 5
-	blockMin  int  // blocking threshold; 0 disables blocking
+	entries []RunEntry
+	blob    []byte
+	sel     encoding.Selector
+	blocks  bool // long non-positional lists take the blocked layout
 }
 
-// NewRunBuilder returns an empty builder writing the legacy varbyte
-// format (version-3 files, byte-identical to pre-codec builds).
+// NewRunBuilder returns an empty builder that encodes every list with
+// varbyte.
 func NewRunBuilder() *RunBuilder { return &RunBuilder{} }
 
 // NewRunBuilderCodec returns a builder that picks each list's codec
@@ -114,47 +102,56 @@ func NewRunBuilderCodec(sel encoding.Selector) *RunBuilder {
 
 // EnableBlocks turns on the blocked layout for long non-positional
 // lists (>= blockMinPostings postings): their blobs gain a per-block
-// skip table with maxTF impact bounds, and the file is written as
-// version 5. Sealed segments and merges enable this; the build
-// pipeline's intermediate runs do not, keeping their bytes stable.
-func (b *RunBuilder) EnableBlocks() { b.blockMin = blockMinPostings }
+// skip table with maxTF impact bounds. Sealed segments enable this,
+// as every merge does; the build pipeline's intermediate runs do not,
+// keeping their bytes stable.
+func (b *RunBuilder) EnableBlocks() { b.blocks = true }
 
-// addList is the shared append path: select a codec, encode, record
-// the codec ID in the entry flags.
-func (b *RunBuilder) addList(collection int, slot int32, docIDs, tfs []uint32, positions [][]uint32) error {
+// appendList encodes one non-empty list onto dst the way every writer
+// of the format does — sel picks the codec (nil means varbyte), and
+// with blocks set a long non-positional list takes the blocked layout
+// — and returns the grown blob with the entry's flags. Both choices
+// are pure functions of the list's shape, so output bytes never depend
+// on which writer or how many workers produced them.
+func appendList(dst []byte, sel encoding.Selector, blocks bool, docIDs, tfs []uint32, positions [][]uint32) ([]byte, uint32, error) {
 	n := len(docIDs)
-	if n == 0 {
-		return nil
-	}
 	codec := encoding.VarByteCodec
-	if b.sel != nil {
-		codec = b.sel(n, docIDs[0], docIDs[n-1], positions != nil)
+	if sel != nil {
+		codec = sel(n, docIDs[0], docIDs[n-1], positions != nil)
 	}
-	off := uint64(len(b.blob))
 	flags := codecFlags(codec.ID())
 	var err error
-	if blockable(b.blockMin, n, positions != nil) {
-		b.blob, err = appendBlockedList(b.blob, codec, docIDs, tfs)
+	switch {
+	case positions != nil:
+		flags |= FlagPositional
+		dst, err = codec.Encode(dst, docIDs, tfs, positions)
+	case blocks && n >= blockMinPostings:
 		flags |= FlagBlocks
-		b.hasBlocks = true
-	} else {
-		b.blob, err = codec.Encode(b.blob, docIDs, tfs, positions)
+		dst, err = appendBlockedList(dst, codec, docIDs, tfs)
+	default:
+		dst, err = codec.Encode(dst, docIDs, tfs, nil)
 	}
+	return dst, flags, err
+}
+
+// addList is the shared append path: encode, record the codec ID and
+// layout in the entry flags.
+func (b *RunBuilder) addList(collection int, slot int32, docIDs, tfs []uint32, positions [][]uint32) error {
+	if len(docIDs) == 0 {
+		return nil
+	}
+	off := uint64(len(b.blob))
+	blob, flags, err := appendList(b.blob, b.sel, b.blocks, docIDs, tfs, positions)
 	if err != nil {
 		return fmt.Errorf("store: list (%d,%d): %w", collection, slot, err)
 	}
-	if positions != nil {
-		flags |= FlagPositional
-	}
-	if codec.ID() != encoding.CodecVarByte {
-		b.hasCodec = true
-	}
+	b.blob = blob
 	b.entries = append(b.entries, RunEntry{
 		Collection: uint32(collection),
 		Slot:       uint32(slot),
 		Offset:     off,
 		Length:     uint32(uint64(len(b.blob)) - off),
-		Count:      uint32(n),
+		Count:      uint32(len(docIDs)),
 		Flags:      flags,
 	})
 	return nil
@@ -201,9 +198,6 @@ func (b *RunBuilder) AddEncodedList(collection int, slot int32, count uint32, fl
 		return fmt.Errorf("store: encoded list (%d,%d): %d bytes below %s floor for %d postings",
 			collection, slot, len(blob), codec.Name(), count)
 	}
-	if id != encoding.CodecVarByte {
-		b.hasCodec = true
-	}
 	off := uint64(len(b.blob))
 	b.blob = append(b.blob, blob...)
 	b.entries = append(b.entries, RunEntry{
@@ -229,15 +223,8 @@ func (b *RunBuilder) Finalize(firstDoc, lastDoc uint32) []byte {
 		binary.LittleEndian.PutUint32(u32[:], v)
 		out = append(out, u32[:]...)
 	}
-	ver := uint32(runVersion)
-	if b.hasCodec {
-		ver = runVersionCodec
-	}
-	if b.hasBlocks {
-		ver = runVersionBlocks
-	}
 	put32(runMagic)
-	put32(ver)
+	put32(runVersion)
 	put32(uint32(len(b.entries)))
 	put32(firstDoc)
 	put32(lastDoc)
@@ -262,24 +249,15 @@ func (b *RunBuilder) Finalize(firstDoc, lastDoc uint32) []byte {
 var ErrCorruptRun = fmt.Errorf("corrupt run file: %w", ErrCorruptIndex)
 
 // checkEntryCodec validates an untrusted entry's codec and layout
-// bits for the given run version: version-3 entries must carry none,
-// FlagBlocks is version-5-only (and never positional), the codec must
-// be registered, and Count must fit the codec's guaranteed minimum
-// bytes-per-posting before any decoder trusts it for allocation. The
-// minimum holds for blocked blobs too: every registered codec's
-// MinBytes is subadditive, so per-block bodies plus the skip header
-// can only cost more than one whole-list encoding.
-func checkEntryCodec(ver uint32, e RunEntry) error {
-	if ver == runVersion && e.Flags&codecMask != 0 {
-		return fmt.Errorf("%w: codec bits in version-3 entry", ErrCorruptRun)
-	}
-	if e.Flags&FlagBlocks != 0 {
-		if ver != runVersionBlocks {
-			return fmt.Errorf("%w: block flag in version-%d entry", ErrCorruptRun, ver)
-		}
-		if e.Flags&FlagPositional != 0 {
-			return fmt.Errorf("%w: blocked positional entry", ErrCorruptRun)
-		}
+// bits: FlagBlocks is never positional, the codec must be registered,
+// and Count must fit the codec's guaranteed minimum bytes-per-posting
+// before any decoder trusts it for allocation. The minimum holds for
+// blocked blobs too: every registered codec's MinBytes is subadditive,
+// so per-block bodies plus the skip header can only cost more than one
+// whole-list encoding.
+func checkEntryCodec(e RunEntry) error {
+	if e.Flags&FlagBlocks != 0 && e.Flags&FlagPositional != 0 {
+		return fmt.Errorf("%w: blocked positional entry", ErrCorruptRun)
 	}
 	codec, err := encoding.Lookup(e.Codec())
 	if err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
@@ -21,18 +22,14 @@ func putU32At(b []byte, off int, v uint32) {
 	b[off+3] = byte(v >> 24)
 }
 
-// memRun serves in-memory bytes to parseRunReader.
+// memRun serves in-memory bytes to parseRunFile.
 type memRun struct{ *bytes.Reader }
 
 func (memRun) Close() error { return nil }
 
 // openRunBytes parses data exactly as OpenRunFile parses a file.
 func openRunBytes(data []byte) (*RunFile, error) {
-	rr, err := parseRunReader("mem.post", memRun{bytes.NewReader(data)}, int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	return &RunFile{rr: rr}, nil
+	return parseRunFile("mem.post", memRun{bytes.NewReader(data)}, int64(len(data)), nil)
 }
 
 // readList decodes the list for (coll, slot); ok is false when the
@@ -42,7 +39,7 @@ func readList(rf *RunFile, coll int, slot int32) (l *postings.List, ok bool, err
 	if !ok {
 		return nil, false, nil
 	}
-	l, err = rf.ReadList(e)
+	l, err = rf.ReadListCtx(context.Background(), e)
 	return l, err == nil, err
 }
 

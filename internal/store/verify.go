@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 
 	"fastinvert/internal/encoding"
@@ -38,11 +39,13 @@ type VerifyReport struct {
 // sorted lists.
 func Verify(dir string) (*VerifyReport, error) {
 	rep := &VerifyReport{}
-	r, err := OpenIndex(dir)
+	// Every list is read exactly once, so nothing is worth caching.
+	r, err := OpenIndexWith(dir, ReaderOptions{CacheBytes: 1})
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+	ctx := context.Background()
 	rep.Terms = r.Terms()
 
 	// A sidecar that exists but whose merged file fails validation is
@@ -78,19 +81,15 @@ func Verify(dir string) (*VerifyReport, error) {
 			}
 			prevLast, claimed = rm.LastDoc, true
 		}
-		rr, err := r.runFile(rm)
+		rf, err := r.runFile(rm)
 		if err != nil {
 			return rep, err
 		}
 		rep.Runs++
-		for _, e := range rr.entries {
-			blob, err := rr.readBlob(e)
+		for _, e := range rf.entries {
+			l, err := rf.ReadListCtx(ctx, e)
 			if err != nil {
-				return rep, r.readErr(rm.File, err)
-			}
-			l, err := decodeEntry(blob, e)
-			if err != nil {
-				return rep, fmt.Errorf("store: %s list (%d,%d): %v", rm.File, e.Collection, e.Slot, err)
+				return rep, fmt.Errorf("store: %s list (%d,%d): %w", rm.File, e.Collection, e.Slot, err)
 			}
 			docIDs := l.DocIDs
 			for j, d := range docIDs {
@@ -122,28 +121,21 @@ func Verify(dir string) (*VerifyReport, error) {
 
 	// Merged file: already size/CRC/order-validated at open; check it
 	// agrees with the runs list for list.
-	if r.MergedActive() {
-		r.mu.Lock()
-		m := r.merged
-		r.mu.Unlock()
-		if len(m.rr.entries) != len(counts) {
+	if m := r.mergedFile(); m != nil {
+		if len(m.entries) != len(counts) {
 			return rep, fmt.Errorf("store: merged file has %d lists, runs have %d keys: %w",
-				len(m.rr.entries), len(counts), ErrCorruptIndex)
+				len(m.entries), len(counts), ErrCorruptIndex)
 		}
 		rep.MergedCodecs = make(map[string]int)
-		for _, e := range m.rr.entries {
+		for _, e := range m.entries {
 			key := uint64(e.Collection)<<32 | uint64(e.Slot)
 			if counts[key] != int64(e.Count) {
 				return rep, fmt.Errorf("store: merged list (%d,%d) has %d postings, runs have %d: %w",
 					e.Collection, e.Slot, e.Count, counts[key], ErrCorruptIndex)
 			}
-			blob, err := m.rr.readBlob(e)
+			l, err := m.ReadListCtx(ctx, e)
 			if err != nil {
-				return rep, r.readErr(m.rr.name, err)
-			}
-			l, err := decodeEntry(blob, e)
-			if err != nil {
-				return rep, fmt.Errorf("store: merged list (%d,%d): %v", e.Collection, e.Slot, err)
+				return rep, fmt.Errorf("store: merged list (%d,%d): %w", e.Collection, e.Slot, err)
 			}
 			if c, err := encoding.Lookup(e.Codec()); err == nil {
 				rep.MergedCodecs[c.Name()]++
@@ -156,7 +148,7 @@ func Verify(dir string) (*VerifyReport, error) {
 			}
 		}
 		rep.MergedPresent = true
-		rep.MergedLists = len(m.rr.entries)
+		rep.MergedLists = len(m.entries)
 	}
 
 	// Optional files.

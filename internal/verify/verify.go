@@ -190,7 +190,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Merged-path parity, run twice with different codec selections:
-	// first a forced-varbyte merge (the v1-compatible format), then a
+	// first a forced-varbyte merge (long lists blocked all the same), then a
 	// self-tuned merge where the selector picks a codec per list. Each
 	// merge re-verifies the structure (which now validates the merged
 	// file against the runs) and re-reads every term through the merged
