@@ -57,12 +57,13 @@ trace-serve:
 # CPU attribution of the headline build, the table under EXPERIMENTS.md
 # Table VI: the benchmark's build_web command and corpus shape under a
 # CPU profile, cut to the cumulative seconds of each stage's root
-# function (merge has two: the caller's, and the shard goroutines it
-# waits for). FILES and SCALE size the corpus; it asserts nothing about
-# time.
+# function (merge has three: the caller's, and the two sets of
+# goroutines it waits for — openCursors' to open and checksum the runs,
+# then the shard workers). FILES and SCALE size the corpus; it asserts
+# nothing about time.
 FILES ?= 12
 SCALE ?= 4
-PROFILE_ROOTS = core\.\(\*Engine\)\.parseOne|corpus\.Decompress|parser\.\(\*Parser\)\.ParseDoc|cpuindexer\.\(\*Indexer\)\.IndexRun|gpuindexer\.\(\*kernelCtx\)\.processGroup|core\.\(\*Engine\)\.postProcessBlock|store\.\(\*IndexReader\)\.Merge|store\.\(\*merger\)\.mergeShard
+PROFILE_ROOTS = core\.\(\*Engine\)\.parseOne|corpus\.Decompress|parser\.\(\*Parser\)\.ParseDoc|cpuindexer\.\(\*Indexer\)\.IndexRun|gpuindexer\.\(\*kernelCtx\)\.processGroup|core\.\(\*Engine\)\.postProcessBlock|store\.\(\*IndexReader\)\.Merge|store\.openCursors\.func1|store\.\(\*merger\)\.mergeShard
 profile:
 	@tmp=$$(mktemp -d); rc=0; \
 	{ $(GO) build -o $$tmp/hetindex ./cmd/hetindex \

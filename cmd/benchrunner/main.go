@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime/pprof"
@@ -25,148 +27,140 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchrunner: ")
-	var (
-		all        = flag.Bool("all", false, "run every table, figure and ablation")
-		table      = flag.Int("table", 0, "run one table (3, 4, 5 or 6)")
-		fig        = flag.Int("fig", 0, "run one figure (10, 11 or 12)")
-		ablations  = flag.Bool("ablations", false, "run the ablation suite")
-		extensions = flag.Bool("extensions", false, "run the extension experiments (GPU sweep, dictionary memory)")
-		files      = flag.Int("files", 16, "container files per collection")
-		scale      = flag.Float64("scale", 1.0, "collection size factor")
-		trials     = flag.Int("trials", 2, "trials per configuration (best kept)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	)
-	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		check(err)
-		check(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	s := experiments.Scale{Files: *files, Factor: *scale}
-	experiments.Trials = *trials
-	w := os.Stdout
-
-	ran := false
-	runTable := func(n int) {
-		ran = true
-		switch n {
-		case 3:
-			rows, err := experiments.TableIII(s)
-			check(err)
-			experiments.FprintTableIII(w, rows)
-		case 4:
-			rows, err := experiments.TableIV(s)
-			check(err)
-			experiments.FprintTableIV(w, rows)
-		case 5:
-			r, err := experiments.TableV(s)
-			check(err)
-			experiments.FprintTableV(w, r)
-		case 6:
-			rows, err := experiments.TableVI(s)
-			check(err)
-			experiments.FprintTableVI(w, rows)
-		default:
-			log.Fatalf("no table %d (want 3, 4, 5 or 6)", n)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		fmt.Fprintln(w)
-	}
-	runFig := func(n int) {
-		ran = true
-		switch n {
-		case 10:
-			pts, err := experiments.Fig10(s)
-			check(err)
-			experiments.FprintFig10(w, pts)
-		case 11:
-			series, shift, err := experiments.Fig11(s)
-			check(err)
-			experiments.FprintFig11(w, series, shift)
-		case 12:
-			rows, err := experiments.Fig12(s)
-			check(err)
-			experiments.FprintFig12(w, rows)
-		default:
-			log.Fatalf("no figure %d (want 10, 11 or 12)", n)
-		}
-		fmt.Fprintln(w)
-	}
-	runAblations := func() {
-		ran = true
-		a, err := experiments.AblationRegroup(s)
-		check(err)
-		experiments.FprintAblation(w, a)
-		a, err = experiments.AblationStringCache(s)
-		check(err)
-		experiments.FprintAblation(w, a)
-		a, err = experiments.AblationCoalescing()
-		check(err)
-		experiments.FprintAblation(w, a)
-		a, err = experiments.AblationSplit(s)
-		check(err)
-		experiments.FprintAblation(w, a)
-		rows, err := experiments.AblationTrieHeight(s)
-		check(err)
-		experiments.FprintTrieHeight(w, rows)
-		crows, err := experiments.CompressionComparison(s)
-		check(err)
-		experiments.FprintCompression(w, crows)
-		drows, err := experiments.AblationDecompress(s)
-		check(err)
-		experiments.FprintDecompress(w, drows)
-		fmt.Fprintln(w)
-	}
-	runExtensions := func() {
-		ran = true
-		pts, err := experiments.ExtGPUSweep(s)
-		check(err)
-		experiments.FprintGPUSweep(w, pts)
-		rows, err := experiments.ExtDictionaryMemory(s)
-		check(err)
-		experiments.FprintDictMemory(w, rows)
-		prows, err := experiments.ExtPositionalCost(s)
-		check(err)
-		experiments.FprintPositionalCost(w, prows)
-		trows, err := experiments.ExtTransferOverlap(s)
-		check(err)
-		experiments.FprintTransferOverlap(w, trows)
-		fmt.Fprintln(w)
-	}
-
-	if *all {
-		for _, n := range []int{3, 4, 5, 6} {
-			runTable(n)
-		}
-		for _, n := range []int{10, 11, 12} {
-			runFig(n)
-		}
-		runAblations()
-		runExtensions()
-	}
-	if *extensions && !*all {
-		runExtensions()
-	}
-	if *table != 0 {
-		runTable(*table)
-	}
-	if *fig != 0 {
-		runFig(*fig)
-	}
-	if *ablations && !*all {
-		runAblations()
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
-}
-
-func check(err error) {
-	if err != nil {
 		log.Fatal(err)
 	}
 }
+
+// errUsage reports a command line that asks for nothing; run has
+// already printed the usage.
+var errUsage = errors.New("nothing to run")
+
+// run is the command: it parses args and prints the tables and figures
+// they ask for to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("benchrunner", flag.ExitOnError)
+	var (
+		all        = fs.Bool("all", false, "run every table, figure and ablation")
+		table      = fs.Int("table", 0, "run one table (3, 4, 5 or 6)")
+		fig        = fs.Int("fig", 0, "run one figure (10, 11 or 12)")
+		ablations  = fs.Bool("ablations", false, "run the ablation suite")
+		extensions = fs.Bool("extensions", false, "run the extension experiments (GPU sweep, dictionary memory)")
+		files      = fs.Int("files", 16, "container files per collection")
+		scale      = fs.Float64("scale", 1.0, "collection size factor")
+		trials     = fs.Int("trials", 2, "trials per configuration (best kept)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	)
+	fs.Parse(args)
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	s := experiments.Scale{Files: *files, Factor: *scale}
+	experiments.Trials = *trials
+
+	// Each group is followed by one blank line.
+	var groups [][]section
+	if *all {
+		for _, n := range []int{3, 4, 5, 6} {
+			groups = append(groups, tables[n:n+1])
+		}
+		for _, n := range []int{10, 11, 12} {
+			groups = append(groups, figs[n:n+1])
+		}
+		groups = append(groups, ablationSuite, extensionSuite)
+	}
+	if *extensions && !*all {
+		groups = append(groups, extensionSuite)
+	}
+	if *table != 0 {
+		if *table < 0 || *table >= len(tables) || tables[*table] == nil {
+			return fmt.Errorf("no table %d (want 3, 4, 5 or 6)", *table)
+		}
+		groups = append(groups, tables[*table:*table+1])
+	}
+	if *fig != 0 {
+		if *fig < 0 || *fig >= len(figs) || figs[*fig] == nil {
+			return fmt.Errorf("no figure %d (want 10, 11 or 12)", *fig)
+		}
+		groups = append(groups, figs[*fig:*fig+1])
+	}
+	if *ablations && !*all {
+		groups = append(groups, ablationSuite)
+	}
+	if len(groups) == 0 {
+		fs.Usage()
+		return errUsage
+	}
+	for _, group := range groups {
+		for _, run := range group {
+			if err := run(w, s); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// section runs one experiment and prints its table.
+type section func(w io.Writer, s experiments.Scale) error
+
+// of pairs an experiment with its printer.
+func of[T any](get func(experiments.Scale) (T, error), print func(io.Writer, T)) section {
+	return func(w io.Writer, s experiments.Scale) error {
+		v, err := get(s)
+		if err != nil {
+			return err
+		}
+		print(w, v)
+		return nil
+	}
+}
+
+var (
+	tables = []section{
+		3: of(experiments.TableIII, experiments.FprintTableIII),
+		4: of(experiments.TableIV, experiments.FprintTableIV),
+		5: of(experiments.TableV, experiments.FprintTableV),
+		6: of(experiments.TableVI, experiments.FprintTableVI),
+	}
+	figs = []section{
+		10: of(experiments.Fig10, experiments.FprintFig10),
+		11: func(w io.Writer, s experiments.Scale) error {
+			series, shift, err := experiments.Fig11(s)
+			if err != nil {
+				return err
+			}
+			experiments.FprintFig11(w, series, shift)
+			return nil
+		},
+		12: of(experiments.Fig12, experiments.FprintFig12),
+	}
+	ablationSuite = []section{
+		of(experiments.AblationRegroup, experiments.FprintAblation),
+		of(experiments.AblationStringCache, experiments.FprintAblation),
+		of(func(experiments.Scale) (experiments.AblationResult, error) { return experiments.AblationCoalescing() },
+			experiments.FprintAblation),
+		of(experiments.AblationSplit, experiments.FprintAblation),
+		of(experiments.AblationTrieHeight, experiments.FprintTrieHeight),
+		of(experiments.CompressionComparison, experiments.FprintCompression),
+		of(experiments.AblationDecompress, experiments.FprintDecompress),
+	}
+	extensionSuite = []section{
+		of(experiments.ExtGPUSweep, experiments.FprintGPUSweep),
+		of(experiments.ExtDictionaryMemory, experiments.FprintDictMemory),
+		of(experiments.ExtPositionalCost, experiments.FprintPositionalCost),
+		of(experiments.ExtTransferOverlap, experiments.FprintTransferOverlap),
+	}
+)

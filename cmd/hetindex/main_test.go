@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -45,7 +47,7 @@ func TestRunBuildsMergesAndVerifies(t *testing.T) {
 
 	var stdout bytes.Buffer
 	err := run([]string{"-corpus", corpusDir, "-out", out,
-		"-concurrent", "-merge", "-codec", "auto", "-verify"}, &stdout)
+		"-concurrent", "-merge", "-codec", "auto", "-verify", "-metrics", "-"}, &stdout)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, stdout.String())
 	}
@@ -57,6 +59,33 @@ func TestRunBuildsMergesAndVerifies(t *testing.T) {
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, stdout.String())
+		}
+	}
+
+	// The merge says what it read, on its line and in the metrics
+	// snapshot, and that is at most one read per shard (four a worker),
+	// run and indexer — a run is one key-ordered region per indexer —
+	// however many lists the runs hold.
+	var lists, runs int
+	var reads int64
+	var took string
+	var mb float64
+	merged := stdout.String()[strings.Index(stdout.String(), "merged: "):]
+	if _, err := fmt.Sscanf(merged, "merged: %d lists from %d runs into %f MB (docs [0,2]) in %s %d reads of %f MB\n",
+		&lists, &runs, &mb, &took, &reads, &mb); err != nil {
+		t.Fatalf("merged line does not parse (%v):\n%s", err, merged)
+	}
+	const indexers = 2 + 2 // the -cpu and -gpu defaults
+	if bound := int64(4 * runtime.GOMAXPROCS(0) * runs * indexers); reads < 1 || reads > bound {
+		t.Errorf("merge of %d lists from %d runs took %d reads, want 1..%d", lists, runs, reads, bound)
+	}
+	for _, want := range []string{
+		"\nfastinvert_merge_seconds ",
+		fmt.Sprintf("\nfastinvert_merge_read_calls_total %d\n", reads),
+		"\nfastinvert_merge_read_bytes_total ",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("metrics snapshot lacks %q:\n%s", want, stdout.String())
 		}
 	}
 

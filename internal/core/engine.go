@@ -246,7 +246,10 @@ func (e *Engine) gpuShare(pre, kernel, post float64) float64 {
 }
 
 // flushRun drains every indexer's per-run postings into the builder in
-// deterministic (indexer, collection, slot) order.
+// deterministic (indexer, collection, slot) order. A run's table and
+// blob are therefore one (collection, slot)-ordered region per indexer,
+// not one ordered whole: the merge orders the table when it opens the
+// run and reads each region's share of a shard as one extent.
 func (e *Engine) flushRun(rb *store.RunBuilder) error {
 	addList := func(coll int, slot int32, l *postings.List) error {
 		if l.Positional() {

@@ -9,7 +9,6 @@ package cpuindexer
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 
 	"fastinvert/internal/btree"
@@ -41,151 +40,112 @@ type Indexer struct {
 	stores map[int]*postings.Store
 	stats  Stats
 
-	// Batch-insert scratch, reused across groups and runs: the decoded
-	// occurrence records, the boundaries of equal-term runs after
-	// sorting, each run's resolved postings slot, the runs holding
-	// terms not yet in the dictionary, and the radix sort's swap buffer.
-	recs      []occRec
-	runStarts []int32
-	runSlots  []int32
-	newRuns   []int32
-	radixBuf  []occRec
-	seen      map[int]bool
+	// The term memo of the group being indexed, reused across groups
+	// and runs: an open-addressed table over the stripped term bytes
+	// whose entries number the group's distinct terms in order of first
+	// appearance, and per term number the bytes (aliasing the group
+	// stream) and the resolved postings slot.
+	memo     []uint64 // hash<<32 | term number + 1; 0 is empty
+	spare    []uint64 // the table growMemo moves into
+	terms    [][]byte
+	slots    []int32
+	hashMask uint32 // all ones outside tests
+	seen     map[int]bool
 
 	// NoCache builds dictionaries without the 4-byte string caches,
 	// for the string-cache ablation.
 	NoCache bool
 }
 
-// occRec is one decoded term occurrence. The term slice aliases the
-// group stream, so records are valid only while the block is.
-type occRec struct {
-	term   []byte
-	prefix uint32 // big-endian image of the first 4 term bytes, zero-padded
-	seq    int32  // occurrence index in stream order (slot tiebreak)
-	doc    uint32
-	pos    uint32
+// memoMaxStart bounds the table a group starts with. A group's table
+// is sized by the group — twice its tokens, so the three tokens of a
+// one-document run clear eight entries however large the last group
+// was — but only up to here: a large group holds far fewer distinct
+// terms than tokens, and its table grows by what it actually holds.
+const memoMaxStart = 1 << 10
+
+// hashTerm is 32-bit FNV-1a.
+func hashTerm(term []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range term {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
 }
 
-// termPrefix builds the big-endian zero-padded 4-byte prefix used as
-// the primary sort key. Terms are NUL-free, so ordering by this prefix
-// agrees with lexicographic order of the terms themselves — the same
-// property the B-tree's 4-byte string cache (Table II) exploits: most
-// comparisons resolve on one word without touching the full bytes.
-func termPrefix(term []byte) uint32 {
-	var p uint32
-	for i := 0; i < btree.CacheBytes && i < len(term); i++ {
-		p |= uint32(term[i]) << (24 - 8*i)
+// resetMemo empties the memo for a group of the given token count.
+func (ix *Indexer) resetMemo(tokens int) {
+	size := 8
+	for size < 2*tokens && size < memoMaxStart {
+		size <<= 1
 	}
-	return p
+	if cap(ix.memo) < size {
+		ix.memo = make([]uint64, size)
+	}
+	ix.memo = ix.memo[:size]
+	clear(ix.memo)
+	ix.terms = ix.terms[:0]
+	ix.slots = ix.slots[:0]
 }
 
-// compareOcc orders records by (prefix, term, seq): equal terms become
-// adjacent runs whose records stay in stream order. The prefix word
-// resolves almost every comparison without touching term bytes.
-func compareOcc(a, b occRec) int {
-	if a.prefix != b.prefix {
-		if a.prefix < b.prefix {
-			return -1
-		}
-		return 1
+// growMemo doubles the table, re-seating every entry by the hash it
+// carries. The two tables trade places, so an indexer stops allocating
+// once it has seen its largest group.
+func (ix *Indexer) growMemo() {
+	old, size := ix.memo, 2*len(ix.memo)
+	if cap(ix.spare) < size {
+		ix.spare = make([]uint64, size)
 	}
-	if c := bytes.Compare(a.term, b.term); c != 0 {
-		return c
-	}
-	return int(a.seq) - int(b.seq)
-}
-
-// radixMinRecs is the batch size below which the plain comparison sort
-// wins: the radix passes have a fixed per-call cost (four 256-counter
-// histograms) that small batches never amortize.
-const radixMinRecs = 128
-
-// sortOccs orders the occurrence records by (prefix, term, seq) — the
-// exact total order compareOcc defines, so the batched insert's output
-// stays bit-identical — while paying comparison cost only where the
-// 4-byte prefix cannot decide. Profile background: with a warm
-// dictionary the per-group comparison sort IS the indexing hot path
-// (no tree inserts remain to hide it), and its per-comparison function
-// calls dominate. The replacement is a stable LSD radix sort on the
-// prefix word, O(4n) moves with no comparator, followed by comparison
-// sorts only inside equal-prefix ranges that contain a term longer
-// than the prefix: prefixes are the zero-padded first 4 bytes of
-// NUL-free terms, so two terms of at most 4 bytes with equal prefixes
-// are the same term — and within one term the radix sort's stability
-// has already preserved seq order (records enter in seq order).
-func (ix *Indexer) sortOccs(recs []occRec) {
-	if len(recs) < radixMinRecs {
-		slices.SortFunc(recs, compareOcc)
-		return
-	}
-	ix.radixByPrefix(recs)
-	for i := 0; i < len(recs); {
-		j := i + 1
-		long := len(recs[i].term) > btree.CacheBytes
-		for j < len(recs) && recs[j].prefix == recs[i].prefix {
-			long = long || len(recs[j].term) > btree.CacheBytes
-			j++
-		}
-		if long && j-i > 1 {
-			slices.SortFunc(recs[i:j], compareOcc)
-		}
-		i = j
-	}
-}
-
-// radixByPrefix stable-sorts the records by their prefix word: LSD
-// counting passes over 8-bit digits, ping-ponging between recs and the
-// reused scratch buffer. All four histograms are built in one scan up
-// front, so a digit position that is uniform across the batch (common:
-// groups are prefix-partitioned, and one group's terms often share
-// their leading bytes) costs nothing beyond that single scan — only
-// positions that actually discriminate pay a copy pass.
-func (ix *Indexer) radixByPrefix(recs []occRec) {
-	n := len(recs)
-	if cap(ix.radixBuf) < n {
-		ix.radixBuf = make([]occRec, n)
-	}
-	var counts [4][256]int
-	for i := range recs {
-		p := recs[i].prefix
-		counts[0][p&0xff]++
-		counts[1][(p>>8)&0xff]++
-		counts[2][(p>>16)&0xff]++
-		counts[3][p>>24]++
-	}
-	src, dst := recs, ix.radixBuf[:n]
-	swapped := false
-	for pass := 0; pass < 4; pass++ {
-		count := &counts[pass]
-		shift := uint(8 * pass)
-		if count[(src[0].prefix>>shift)&0xff] == n {
+	ix.memo, ix.spare = ix.spare[:size], old
+	clear(ix.memo)
+	mask := size - 1
+	for _, e := range old {
+		if e == 0 {
 			continue
 		}
-		sum := 0
-		for d := 0; d < 256; d++ {
-			c := count[d]
-			count[d] = sum
-			sum += c
+		i := int(e>>32) & mask
+		for ix.memo[i] != 0 {
+			i = (i + 1) & mask
 		}
-		for i := range src {
-			d := (src[i].prefix >> shift) & 0xff
-			dst[count[d]] = src[i]
-			count[d]++
+		ix.memo[i] = e
+	}
+}
+
+// resolve returns the postings slot of a term of the current group.
+// The first appearance costs the group's one tree descent for the term
+// — a Lookup, and an Insert when the dictionary does not hold it yet —
+// and every later one a probe of the memo.
+func (ix *Indexer) resolve(tree *btree.Tree, term []byte) int32 {
+	h := hashTerm(term) & ix.hashMask
+	mask := len(ix.memo) - 1
+	i := int(h) & mask
+	for ; ix.memo[i] != 0; i = (i + 1) & mask {
+		e := ix.memo[i]
+		if uint32(e>>32) == h {
+			if n := uint32(e) - 1; bytes.Equal(ix.terms[n], term) {
+				return ix.slots[n]
+			}
 		}
-		src, dst = dst, src
-		swapped = !swapped
 	}
-	if swapped {
-		copy(recs, src)
+	slot := tree.Lookup(term)
+	if slot < 0 {
+		slot, _ = tree.Insert(term)
 	}
+	ix.terms = append(ix.terms, term)
+	ix.slots = append(ix.slots, slot)
+	ix.memo[i] = uint64(h)<<32 | uint64(len(ix.terms))
+	if 2*len(ix.terms) > len(ix.memo) {
+		ix.growMemo()
+	}
+	return slot
 }
 
 // New returns an empty CPU indexer.
 func New() *Indexer {
 	return &Indexer{
-		trees:  make(map[int]*btree.Tree),
-		stores: make(map[int]*postings.Store),
+		trees:    make(map[int]*btree.Tree),
+		stores:   make(map[int]*postings.Store),
+		hashMask: ^uint32(0),
 	}
 }
 
@@ -193,14 +153,15 @@ func New() *Indexer {
 // is inserted into its collection's B-tree and appended to the
 // postings store, with document IDs rebased by docBase.
 //
-// Occurrences are indexed in batches: the group stream is decoded into
-// records, sorted so equal terms become adjacent (cheap 4-byte prefix
-// comparisons first), and each distinct term then costs one tree
-// descent instead of one per occurrence — a large saving on the Zipf
-// head collections routed to the CPU. Terms absent from the dictionary
-// are inserted in stream order of first appearance, so postings-slot
-// assignment (and with it every run file) is bit-identical to
-// occurrence-at-a-time insertion.
+// Each group is indexed in one pass over its stream behind a term
+// memo: an occurrence's stripped bytes are hashed into a per-group
+// table, and only a term's first appearance in the group descends the
+// tree — a large saving on the Zipf head collections routed to the
+// CPU, where a few hundred distinct terms make up a hundred thousand
+// occurrences. Terms reach the dictionary in stream order of first
+// appearance and postings reach each list in stream order, exactly as
+// in occurrence-at-a-time insertion, so postings-slot assignment (and
+// with it every run file) is bit-identical to it.
 func (ix *Indexer) IndexRun(groups []*parser.Group, docBase uint32) (RunStats, error) {
 	var rs RunStats
 	if ix.seen == nil {
@@ -240,75 +201,17 @@ func (ix *Indexer) IndexRun(groups []*parser.Group, docBase uint32) (RunStats, e
 	return rs, nil
 }
 
-// indexGroup runs the batched insert for one group.
+// indexGroup indexes one group behind a fresh term memo.
 func (ix *Indexer) indexGroup(tree *btree.Tree, store *postings.Store, g *parser.Group, docBase uint32) error {
-	ix.recs = ix.recs[:0]
-	seq := int32(0)
-	err := g.ForEachPos(func(doc, pos uint32, stripped []byte) error {
-		ix.recs = append(ix.recs, occRec{
-			term:   stripped,
-			prefix: termPrefix(stripped),
-			seq:    seq,
-			doc:    doc,
-			pos:    pos,
-		})
-		seq++
-		return nil
+	ix.resetMemo(g.Tokens)
+	positional := g.Positional
+	return g.ForEachPos(func(doc, pos uint32, stripped []byte) error {
+		slot := ix.resolve(tree, stripped)
+		if positional {
+			return store.AddPos(slot, doc+docBase, pos)
+		}
+		return store.Add(slot, doc+docBase)
 	})
-	if err != nil {
-		return err
-	}
-	recs := ix.recs
-	ix.sortOccs(recs)
-
-	// One Lookup per distinct term; remember the runs whose term is new.
-	ix.runStarts = ix.runStarts[:0]
-	ix.runSlots = ix.runSlots[:0]
-	ix.newRuns = ix.newRuns[:0]
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && bytes.Equal(recs[j].term, recs[i].term) {
-			j++
-		}
-		slot := tree.Lookup(recs[i].term)
-		ix.runStarts = append(ix.runStarts, int32(i))
-		ix.runSlots = append(ix.runSlots, slot)
-		if slot < 0 {
-			ix.newRuns = append(ix.newRuns, int32(len(ix.runSlots)-1))
-		}
-		i = j
-	}
-	ix.runStarts = append(ix.runStarts, int32(len(recs)))
-
-	// Insert new terms in first-appearance stream order: the tree
-	// assigns postings slots sequentially, so this order is what keeps
-	// batched output identical to per-occurrence insertion.
-	newRuns := ix.newRuns
-	slices.SortFunc(newRuns, func(a, b int32) int {
-		return int(recs[ix.runStarts[a]].seq) - int(recs[ix.runStarts[b]].seq)
-	})
-	for _, r := range newRuns {
-		slot, _ := tree.Insert(recs[ix.runStarts[r]].term)
-		ix.runSlots[r] = slot
-	}
-
-	// Append postings per term; records within a run are already in
-	// stream (= ascending document) order.
-	for r := 0; r < len(ix.runSlots); r++ {
-		slot := ix.runSlots[r]
-		for i := ix.runStarts[r]; i < ix.runStarts[r+1]; i++ {
-			rec := &recs[i]
-			if g.Positional {
-				err = store.AddPos(slot, rec.doc+docBase, rec.pos)
-			} else {
-				err = store.Add(slot, rec.doc+docBase)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Stats returns lifetime statistics.

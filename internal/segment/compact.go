@@ -71,6 +71,8 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		return err
 	}
 	msp.AddBytes(stats.Bytes)
+	tr.SetAttr("read_calls", stats.ReadCalls)
+	tr.SetAttr("read_bytes", stats.ReadBytes)
 
 	// Keep only dictionary terms whose remapped list survived the
 	// purge — fully-deleted terms vanish from both table and dict.

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"fastinvert/internal/corpus"
 	"fastinvert/internal/store"
+	"fastinvert/internal/telemetry"
 )
 
 // docText builds a document from the given terms (already normalized:
@@ -236,6 +238,75 @@ func TestCompactionMergesSegmentsAndPurgesTombstones(t *testing.T) {
 	}
 	if m.Stats().Docs != 5 {
 		t.Fatalf("Docs = %d, want 5", m.Stats().Docs)
+	}
+}
+
+// TestCompactionReadsExtents: a compaction's reads follow the layout
+// of its inputs, not their list count. A sealed segment is one region
+// in (collection, local slot) order; through the remap a shard's share
+// of it is the whole collections inside the shard's key range — one
+// extent — and a subset of each of the two collections its boundaries
+// cut. Tombstones change what is written, never what is read. The
+// counts arrive on the compact operation's trace.
+func TestCompactionReadsExtents(t *testing.T) {
+	const segments, perSegment, workers = 3, 120, 2
+	m, err := Open(t.TempDir(), Options{CompactWorkers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var compact *telemetry.ReqTraceRecord
+	m.SetTraceSink(func(tr *telemetry.RequestTrace) {
+		if rec := tr.Snapshot(); rec.Endpoint == "compact" {
+			compact = &rec
+		}
+	})
+	gen := corpus.NewGenerator(corpus.Wikipedia0107(0.25))
+	var docs [][]byte
+	for f := 0; len(docs) < segments*perSegment; f++ {
+		docs = append(docs, corpus.SplitDocs(gen.GeneratePlain(f))...)
+	}
+	for i, d := range docs[:segments*perSegment] {
+		if _, err := m.AddDocument(d); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%perSegment == 0 {
+			if err := m.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for doc := uint32(3); doc < segments*perSegment; doc += 10 {
+		if err := m.Delete(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lists := 0
+	for _, s := range m.cur.segs {
+		lists += s.run.NumLists()
+	}
+	before := readBackLive(t, m)
+	if err := m.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBackLive(t, m); !reflect.DeepEqual(got, before) {
+		t.Fatal("compaction changed what the index answers")
+	}
+	if compact == nil {
+		t.Fatal("no compact operation trace reached the sink")
+	}
+	reads, _ := compact.Attrs["read_calls"].(int64)
+	readBytes, _ := compact.Attrs["read_bytes"].(int64)
+	if compact.Attrs["segments"] != segments || reads < 1 || readBytes < 1 {
+		t.Fatalf("compact trace attributes = %v", compact.Attrs)
+	}
+	const shards, regions = 4 * workers, 3
+	if bound := int64(shards * segments * regions); reads > bound {
+		t.Errorf("compaction of %d lists took %d reads, bound %d shards x %d segments x %d regions = %d",
+			lists, reads, shards, segments, regions, bound)
+	}
+	if lists < 50*int(reads) {
+		t.Errorf("%d input lists for %d reads: too few lists for the bound to mean anything", lists, reads)
 	}
 }
 

@@ -199,3 +199,35 @@ func BenchmarkPostingsMerged(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMerge merges twelve runs laid out as a build writes them —
+// four key-ordered regions each — from a fresh reader every time, so
+// an operation pays what hetindex -merge pays: opening and checksumming
+// the runs, ordering their tables, the sharded merge, the write and
+// the reload. ns/list is over output lists; reads/op are the merge's
+// positioned reads (MergeStats.ReadCalls).
+func BenchmarkMerge(b *testing.B) {
+	dir := writeLayoutIndex(b, layoutRuns(12, 600), 0, fourRegions)
+	var lists, reads int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx, err := OpenIndex(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		stats, err := idx.Merge()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx.Close()
+		lists += int64(stats.Lists)
+		reads += stats.ReadCalls
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lists), "ns/list")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}

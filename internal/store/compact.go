@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -9,7 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fastinvert/internal/encoding"
@@ -28,39 +30,49 @@ import (
 
 // merger is one merge invocation's configuration: read-only cursors
 // over the input files, the output codec selector, and the optional
-// tombstone filter. Its reads are bulk I/O, not queries, and are not
-// counted on the files' ReadCounters.
+// tombstone filter. Its reads are bulk I/O, not queries: they are
+// counted in MergeStats, not on the files' ReadCounters.
 type merger struct {
 	cursors []*mergeCursor
 	sel     encoding.Selector
 	drop    func(doc uint32) bool // nil keeps every posting
 }
 
-// mergeCursor is one run's entries in merge-key order. It is read-only
-// during the merge: each shard worker keeps its own position per run,
-// so the same cursors serve every shard concurrently. keys carries the
+// mergeCursor is one input's table in merge-key order: keys holds the
 // merge key of every entry — (collection<<32 | slot) after any slot
-// remap — and ordered sorts entry indexes by it. Remapped keys need
-// their own sort because union slots are assigned in term order while
-// segment-local slots follow first-appearance order.
+// remap — strictly ascending, and order the table index each key came
+// from. A table already in key order (a merged file, a compacted
+// segment, a key-ordered run) has a nil order: position i is entry i.
+// Read-only during the merge, so the same cursors serve every shard
+// concurrently.
 type mergeCursor struct {
-	rf      *RunFile
-	keys    []uint64
-	ordered []int
+	rf    *RunFile
+	keys  []uint64
+	order []uint32
 }
 
-// keyAt returns the merge key of the i-th entry in key order.
-func (c *mergeCursor) keyAt(i int) uint64 { return c.keys[c.ordered[i]] }
+// entry returns the i-th entry in key order.
+func (c *mergeCursor) entry(i int) RunEntry {
+	if c.order != nil {
+		i = int(c.order[i])
+	}
+	return c.rf.entries[i]
+}
 
 // newMergeCursor builds a cursor over rf; a nil remap is the identity.
 // Every entry must resolve through the remap — a list the remap does
-// not know indicates a dictionary/run mismatch, reported as corruption.
+// not know indicates a dictionary/run mismatch, reported as corruption
+// — and no two entries may land on one key: the merge takes one list
+// per key from each input, so the second would be lost without a word.
+//
+// A build's run is one key-ordered region per indexer and a remapped
+// segment is ordered by collection only (union slots follow term
+// order, segment-local slots first appearance), so neither table is
+// ascending as a whole; the table indexes are ordered by merging the
+// stretches.
 func newMergeCursor(rf *RunFile, remap func(coll, slot uint32) (uint32, bool)) (*mergeCursor, error) {
-	c := &mergeCursor{
-		rf:      rf,
-		keys:    make([]uint64, len(rf.entries)),
-		ordered: make([]int, len(rf.entries)),
-	}
+	keys := make([]uint64, len(rf.entries))
+	ascending := true
 	for i, e := range rf.entries {
 		slot := e.Slot
 		if remap != nil {
@@ -71,113 +83,226 @@ func newMergeCursor(rf *RunFile, remap func(coll, slot uint32) (uint32, bool)) (
 			}
 			slot = ns
 		}
-		c.keys[i] = uint64(e.Collection)<<32 | uint64(slot)
-		c.ordered[i] = i
+		keys[i] = uint64(e.Collection)<<32 | uint64(slot)
+		if i > 0 && keys[i] <= keys[i-1] {
+			ascending = false
+		}
 	}
-	sort.Slice(c.ordered, func(a, b int) bool { return c.keys[c.ordered[a]] < c.keys[c.ordered[b]] })
-	return c, nil
+	if ascending {
+		return &mergeCursor{rf: rf, keys: keys}, nil
+	}
+	order := make([]uint32, len(keys))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	order = mergeStretches(order, func(i uint32) uint64 { return keys[i] })
+	sorted := make([]uint64, len(keys))
+	for i, idx := range order {
+		sorted[i] = keys[idx]
+		if i > 0 && sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("store: %s: two lists share merge key (%d,%d): %w",
+				rf.name, uint32(sorted[i]>>32), uint32(sorted[i]), ErrCorruptIndex)
+		}
+	}
+	return &mergeCursor{rf: rf, keys: sorted, order: order}, nil
 }
 
-// runSpan is one run's contiguous blob range covering a shard's keys,
-// read with a single positioned read. base is the blob offset of
-// buf[0]; entries slice into it by (Offset - base).
-type runSpan struct {
-	buf  []byte
-	base uint64
+// mergeStretches sorts s, a concatenation of ascending stretches, by
+// merging neighbouring stretches pairwise until one is left: one pass
+// over s per halving of the stretch count. What a merge orders comes
+// sorted in pieces — a build's table in four, the cursors' key streams
+// in one piece per run — and costs two to four passes here where a
+// comparison sort pays log2(len(s)) whatever the input; a shuffled
+// table is stretches of one and two, and this is then a plain merge
+// sort. Stable. The result is s or a new slice of the same length.
+func mergeStretches[T any](s []T, key func(T) uint64) []T {
+	bounds := []int{0}
+	for i := 1; i < len(s); i++ {
+		if key(s[i]) < key(s[i-1]) {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(s))
+	src, dst := s, []T(nil)
+	for len(bounds) > 2 {
+		if dst == nil {
+			dst = make([]T, len(s))
+		}
+		// merged overwrites bounds from the front, always behind the
+		// pair being read.
+		merged := bounds[:1]
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[min(i+2, len(bounds)-1)]
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
+			for len(a) > 0 && len(b) > 0 {
+				if key(b[0]) < key(a[0]) {
+					out = append(out, b[0])
+					b = b[1:]
+				} else {
+					out = append(out, a[0])
+					a = a[1:]
+				}
+			}
+			out = append(out, a...)
+			out = append(out, b...)
+			merged = append(merged, hi)
+		}
+		bounds = merged
+		src, dst = dst, src
+	}
+	return src
+}
+
+// extentGap is how many unreferenced bytes one read may span to join
+// two of a shard's lists into one extent: about the bytes a positioned
+// read moves in the time a second call would cost. Lists a writer laid
+// down back to back join with no gap at all; the tolerance is for the
+// lists of a remapped collection cut by a shard boundary.
+const extentGap = 4 << 10
+
+// shardInput is one run's share of one shard: the cursor positions
+// [lo, lo+len(keys)) whose keys fall in the shard's range, and their
+// compressed bytes as the extents they were read in; next is the first
+// position the merge has not consumed.
+type shardInput struct {
+	lo   int
+	keys []uint64
+	exts []extent
+	next int
+}
+
+// extent is one positioned read: the blob bytes from off on.
+type extent struct {
+	off uint64
+	buf []byte
+}
+
+// bytes returns the entry's compressed bytes out of the extent that
+// holds them: the last one starting at or before the entry.
+func (in *shardInput) bytes(e RunEntry) []byte {
+	if e.Length == 0 {
+		return nil
+	}
+	i, found := slices.BinarySearchFunc(in.exts, e.Offset, func(x extent, off uint64) int { return cmp.Compare(x.off, off) })
+	if !found {
+		i--
+	}
+	x := in.exts[i]
+	return x.buf[e.Offset-x.off:][:e.Length]
+}
+
+// span is one list's place in the blob.
+type span struct{ off, end uint64 }
+
+// extentReader fetches shard inputs and counts what it read; its
+// scratch is reused from one run to the next within a shard.
+type extentReader struct {
+	spans []span
+	calls int64
+	bytes int64
+}
+
+// load reads the lists of c's entries [lo, hi) in as few positioned
+// reads as the run's layout allows: the lists are ordered by blob
+// offset, neighbours closer than extentGap coalesce into one extent,
+// and each extent is one readAt into its share of a buffer sized by the
+// extents alone. The read count therefore follows the number of
+// regions the writer laid the shard's lists down in — four for a
+// build's run, one for a key-ordered file — and never the number of
+// lists, whatever order the run was written in.
+func (r *extentReader) load(c *mergeCursor, lo, hi int) (shardInput, error) {
+	in := shardInput{lo: lo, keys: c.keys[lo:hi]}
+	if cap(r.spans) < hi-lo {
+		r.spans = make([]span, 0, hi-lo)
+	}
+	r.spans = r.spans[:0]
+	for i := lo; i < hi; i++ {
+		if e := c.entry(i); e.Length > 0 {
+			r.spans = append(r.spans, span{e.Offset, e.Offset + uint64(e.Length)})
+		}
+	}
+	// Coalesce in place: extents overwrite the spans they came from.
+	ordered := mergeStretches(r.spans, func(s span) uint64 { return s.off })
+	n, size := 0, uint64(0)
+	for _, s := range ordered {
+		if n > 0 && s.off <= ordered[n-1].end+extentGap {
+			if x := &ordered[n-1]; s.end > x.end {
+				size += s.end - x.end
+				x.end = s.end
+			}
+			continue
+		}
+		ordered[n] = s
+		size += s.end - s.off
+		n++
+	}
+	buf := make([]byte, size)
+	in.exts = make([]extent, n)
+	for i, s := range ordered[:n] {
+		in.exts[i] = extent{off: s.off, buf: buf[: s.end-s.off : s.end-s.off]}
+		buf = buf[s.end-s.off:]
+		if err := c.rf.readAt(s.off, in.exts[i].buf); err != nil {
+			return in, err
+		}
+		r.calls++
+		r.bytes += int64(s.end - s.off)
+	}
+	return in, nil
 }
 
 // shardResult is one shard's merged output: the encoded blob for the
 // shard's contiguous key range, table entries with offsets relative to
-// the shard blob (the writer rebases them), and the shard's doc range.
+// the shard blob (the writer rebases them), the shard's doc range, and
+// the positioned reads it took.
 type shardResult struct {
-	entries []RunEntry
-	blob    []byte
-	first   uint32
-	last    uint32
-	hasDocs bool
-	err     error
+	entries   []RunEntry
+	blob      []byte
+	first     uint32
+	last      uint32
+	hasDocs   bool
+	readCalls int64
+	readBytes int64
+	err       error
 }
 
 // mergeShard performs the k-way merge for one contiguous slice of the
-// global key list: for each key it reads the partial lists from every
-// run holding it (positioned reads are concurrency-safe), concatenates,
-// drops tombstoned documents, re-encodes and appends to the shard
-// blob. keys must be non-empty.
+// global key list: it fetches each run's share of the key range
+// (positioned reads are concurrency-safe), then for each key
+// concatenates the partial lists of every run holding it, drops
+// tombstoned documents, re-encodes and appends to the shard blob. keys
+// must be non-empty.
 func (m *merger) mergeShard(keys []uint64) shardResult {
-	res := shardResult{first: ^uint32(0)}
+	res := shardResult{first: ^uint32(0), entries: make([]RunEntry, 0, len(keys))}
 	cursors := m.cursors
-	// Per-run position of the first entry at or past the shard's key
-	// range; from there each run is walked sequentially, exactly as the
-	// serial merge walked it across the whole key space.
-	pos := make([]int, len(cursors))
-	end := make([]int, len(cursors))
-	spans := make([]runSpan, len(cursors))
-	lastKey := keys[len(keys)-1]
+	inputs := make([]shardInput, len(cursors))
+	var reader extentReader
 	for ci, c := range cursors {
-		pos[ci] = sort.Search(len(c.ordered), func(i int) bool {
-			return c.keyAt(i) >= keys[0]
-		})
-		end[ci] = pos[ci] + sort.Search(len(c.ordered)-pos[ci], func(i int) bool {
-			return c.keyAt(pos[ci]+i) > lastKey
-		})
-		// Indexers emit lists in key order, so the shard's entries in
-		// this run are (near-)contiguous in the blob: read the whole
-		// span with one positioned read instead of one read per list.
-		// A sparse span (hand-built or reordered run) falls back to
-		// per-list reads rather than dragging in unrelated bytes.
-		var minOff, maxEnd, sum uint64
-		for _, idx := range c.ordered[pos[ci]:end[ci]] {
-			e := c.rf.entries[idx]
-			if e.Length == 0 {
-				continue
-			}
-			if sum == 0 || e.Offset < minOff {
-				minOff = e.Offset
-			}
-			if e.Offset+uint64(e.Length) > maxEnd {
-				maxEnd = e.Offset + uint64(e.Length)
-			}
-			sum += uint64(e.Length)
+		lo, _ := slices.BinarySearch(c.keys, keys[0])
+		hi, found := slices.BinarySearch(c.keys, keys[len(keys)-1])
+		if found {
+			hi++
 		}
-		if sum > 0 && maxEnd-minOff <= sum+sum/2+(64<<10) {
-			buf := make([]byte, maxEnd-minOff)
-			if err := c.rf.readAt(minOff, buf); err != nil {
-				res.err = err
-				return res
-			}
-			spans[ci] = runSpan{buf: buf, base: minOff}
+		var err error
+		if inputs[ci], err = reader.load(c, lo, hi); err != nil {
+			res.err = err
+			return res
 		}
 	}
-	var (
-		acc     postings.List
-		partBuf []byte // reused compressed-bytes buffer (decode copies out)
-	)
+	res.readCalls, res.readBytes = reader.calls, reader.bytes
+	var acc postings.List
 	for _, key := range keys {
 		coll, slot := uint32(key>>32), uint32(key)
 		// Reuse docID/tf capacity across keys; Positions stays nil so
 		// the plain-vs-positional bookkeeping in Concat is untouched.
 		acc = postings.List{DocIDs: acc.DocIDs[:0], TFs: acc.TFs[:0]}
 		for ci, c := range cursors {
-			if pos[ci] >= len(c.ordered) || c.keyAt(pos[ci]) != key {
+			in := &inputs[ci]
+			if in.next >= len(in.keys) || in.keys[in.next] != key {
 				continue
 			}
-			e := c.rf.entries[c.ordered[pos[ci]]]
-			pos[ci]++
-			var partBlob []byte
-			if s := spans[ci]; s.buf != nil && e.Length > 0 {
-				partBlob = s.buf[e.Offset-s.base : e.Offset-s.base+uint64(e.Length)]
-			} else {
-				// Keep the grown buffer for the next read.
-				if cap(partBuf) < int(e.Length) {
-					partBuf = make([]byte, e.Length)
-				}
-				partBlob = partBuf[:e.Length]
-				if err := c.rf.readAt(e.Offset, partBlob); err != nil {
-					res.err = err
-					return res
-				}
-			}
-			part, err := decodeEntry(partBlob, e)
+			e := c.entry(in.lo + in.next)
+			in.next++
+			part, err := decodeEntry(in.bytes(e), e)
 			if err != nil {
 				res.err = fmt.Errorf("store: %s: %w", c.rf.name, err)
 				return res
@@ -228,17 +353,17 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 // CRC (table + blob) for sidecar use.
 func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) (*MergeStats, uint32, error) {
 	// Distinct merged keys, known before any blob is read: the table
-	// region can be sized and reserved up front.
+	// region can be sized and reserved up front. Every cursor's keys are
+	// one ascending stretch, so their union is a merge, not a sort.
 	nLists := 0
 	for _, c := range m.cursors {
-		nLists += len(c.rf.entries)
+		nLists += len(c.keys)
 	}
 	keys := make([]uint64, 0, nLists)
 	for _, c := range m.cursors {
 		keys = append(keys, c.keys...)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	keys = dedupeSorted(keys)
+	keys = slices.Compact(mergeStretches(keys, func(k uint64) uint64 { return k }))
 
 	tmpPath := path + ".tmp"
 	f, err := os.Create(tmpPath)
@@ -268,12 +393,12 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 		// blobCRC accumulates while the blob streams out; combined with
 		// the table CRC below, it avoids a second full read of the
 		// output just to checksum it.
-		blobCRC = crc32.NewIEEE()
+		blobCRC   = crc32.NewIEEE()
+		readCalls int64
+		readBytes int64
 	)
 	if len(keys) > 0 {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
+		workers = mergeWorkerCount(workers)
 		if workers > len(keys) {
 			workers = len(keys)
 		}
@@ -336,6 +461,8 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 				entries = append(entries, e)
 			}
 			blobOff += uint64(len(res.blob))
+			readCalls += res.readCalls
+			readBytes += res.readBytes
 			if res.hasDocs {
 				if res.first < first {
 					first = res.first
@@ -429,13 +556,15 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 	}
 	syncDir(filepath.Dir(path))
 	return &MergeStats{
-		Lists:    len(entries),
-		Blocked:  blocked,
-		Bytes:    size,
-		FirstDoc: first,
-		LastDoc:  last,
-		Runs:     len(m.cursors),
-		Codecs:   codecCounts,
+		Lists:     len(entries),
+		Blocked:   blocked,
+		Bytes:     size,
+		FirstDoc:  first,
+		LastDoc:   last,
+		Runs:      len(m.cursors),
+		Codecs:    codecCounts,
+		ReadCalls: readCalls,
+		ReadBytes: readBytes,
 	}, fileCRC, nil
 }
 
@@ -463,21 +592,49 @@ func slideDown(f *os.File, src, dst, length int64) error {
 	return nil
 }
 
-// dedupeSorted removes adjacent duplicates in place.
-func dedupeSorted(keys []uint64) []uint64 {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			out = append(out, k)
+// mergeWorkerCount resolves a merge's worker bound (0 = GOMAXPROCS).
+func mergeWorkerCount(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// openCursors builds a merge's n cursors on up to workers goroutines
+// (0 = GOMAXPROCS, as for the shards).
+// Opening an input CRC-verifies the whole file and building its cursor
+// orders the whole table; the inputs are independent, so this is the
+// part of a merge's set-up that scales with cores. Cursors come back in
+// input order. On failure the first error in input order is returned
+// beside whatever did open, which the caller still owns.
+func openCursors(n, workers int, open func(i int) (*mergeCursor, error)) ([]*mergeCursor, error) {
+	cursors := make([]*mergeCursor, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(mergeWorkerCount(workers), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				cursors[i], errs[i] = open(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return cursors, err
 		}
 	}
-	return out
+	return cursors, nil
 }
 
 // CompactSource is one input file for CompactRuns: a run-format file
 // plus the remap translating its segment-local dictionary slots into
 // the output (union) slot space. A nil Remap is the identity, for
-// inputs already in the output slot space.
+// inputs already in the output slot space. The remaps of different
+// sources may be called at the same time.
 type CompactSource struct {
 	Path  string
 	Remap func(coll, slot uint32) (newSlot uint32, ok bool)
@@ -512,13 +669,11 @@ func CompactRuns(ctx context.Context, sources []CompactSource, outPath string, o
 	if err != nil {
 		return nil, fmt.Errorf("store: compact codec: %w", err)
 	}
-	cursors := make([]*mergeCursor, 0, len(sources))
-	defer func() {
-		for _, c := range cursors {
-			c.rf.Close()
+	cursors, err := openCursors(len(sources), opts.Workers, func(i int) (*mergeCursor, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}()
-	for _, src := range sources {
+		src := sources[i]
 		rf, err := OpenRunFile(src.Path, nil)
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: %w", filepath.Base(src.Path), err)
@@ -528,11 +683,21 @@ func CompactRuns(ctx context.Context, sources []CompactSource, outPath string, o
 			rf.Close()
 			return nil, err
 		}
-		cursors = append(cursors, c)
+		return c, nil
+	})
+	defer func() {
+		for _, c := range cursors {
+			if c != nil {
+				c.rf.Close()
+			}
+		}
+	}()
+	if err != nil {
+		return nil, err
 	}
 	// Ascending doc order makes same-key partial lists concatenate into
 	// globally sorted postings.
-	sort.SliceStable(cursors, func(i, j int) bool { return cursors[i].rf.firstDoc < cursors[j].rf.firstDoc })
+	slices.SortStableFunc(cursors, func(a, b *mergeCursor) int { return cmp.Compare(a.rf.firstDoc, b.rf.firstDoc) })
 	m := &merger{cursors: cursors, sel: sel, drop: opts.Drop}
 	stats, _, err := m.writeMergedFile(ctx, outPath, opts.Workers)
 	if err != nil {

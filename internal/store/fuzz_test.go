@@ -39,7 +39,8 @@ func blockedRunSeed(f *testing.F) []byte {
 // ReadListCtx; skip table plus every block via BlocksCtx) without a
 // panic or more postings than its table entry declares. Only the
 // current format version parses: a header stamped with any other is
-// rejected as ErrCorruptRun whatever follows it.
+// rejected as ErrCorruptRun whatever follows it. And a run that opens
+// holds at most one list per (collection, slot).
 func FuzzParseRun(f *testing.F) {
 	b := NewRunBuilder()
 	b.AddList(5, 0, []uint32{1, 7}, []uint32{2, 1})
@@ -53,6 +54,8 @@ func FuzzParseRun(f *testing.F) {
 		putU32At(other, 4, ver)
 		f.Add(other)
 	}
+	b.AddList(5, 0, []uint32{11}, []uint32{1}) // a second list on (5, 0)
+	f.Add(b.Finalize(1, 11))
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Mutated bytes almost never carry a matching checksum, which
@@ -72,7 +75,13 @@ func FuzzParseRun(f *testing.F) {
 			}
 			return
 		}
+		keys := make(map[[2]uint32]bool, run.NumLists())
 		for _, e := range run.Entries() {
+			if k := [2]uint32{e.Collection, e.Slot}; keys[k] {
+				t.Fatalf("opened a run holding two lists for (%d,%d)", e.Collection, e.Slot)
+			} else {
+				keys[k] = true
+			}
 			if l, err := run.ReadListCtx(ctx, e); err == nil && l.Len() > int(e.Count) {
 				t.Fatalf("decoded %d postings from an entry claiming %d", l.Len(), e.Count)
 			}

@@ -162,6 +162,11 @@ func parseRunFile(name string, f runSource, size int64, rc *ReadCounters) (*RunF
 		r.entries[i] = e
 		r.lookup[uint64(e.Collection)<<32|uint64(e.Slot)] = i
 	}
+	// One list per (collection, slot): Find could only ever reach one of
+	// two, and a merge would lose the other.
+	if len(r.lookup) != n {
+		return nil, fmt.Errorf("%w: a (collection, slot) appears twice", ErrCorruptRun)
+	}
 	return r, nil
 }
 

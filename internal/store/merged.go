@@ -106,21 +106,28 @@ type MergeStats struct {
 	LastDoc  uint32
 	Runs     int            // source run files combined
 	Codecs   map[string]int // lists per codec the selector chose
+	// ReadCalls and ReadBytes are the positioned reads the merge issued
+	// against its inputs' blobs and the bytes they moved (the opening
+	// CRC pass is not in them). For one set of inputs they depend only
+	// on the worker count, which fixes the shards.
+	ReadCalls int64
+	ReadBytes int64
 }
 
 // Merge combines all partial postings lists into the single monolithic
 // merged.post file — the paper's optional post-processing step, priced
 // at <10% of build time (§III.F). The sorted key space is partitioned
 // into contiguous shards and merged by up to GOMAXPROCS workers
-// (ReaderOptions.MergeWorkers overrides the bound): each worker runs
-// the k-way merge for its shard — one positioned read per run per
-// term, concatenate, re-encode — and a single writer drains shards in
-// key order, so the output bytes are identical for any worker count.
-// A semaphore keeps at most workers+1 shard blobs in memory, so peak
-// memory stays O(workers × shard blob) plus the O(terms) tables —
-// never the whole index. The file and its versioned sidecar are
-// written atomically; on success this reader switches to serving
-// lookups from the merged file.
+// (ReaderOptions.MergeWorkers overrides the bound): the workers first
+// open and checksum the runs, then each runs the k-way merge for its
+// shards — one positioned read per region a run laid the shard's lists
+// down in, concatenate, re-encode — and a single writer drains shards
+// in key order, so the output bytes are identical for any worker
+// count. A semaphore keeps at most workers+1 shards in memory, so peak
+// memory stays O(workers × shard bytes, input and output) plus the
+// O(terms) tables — never the whole index. The file and its versioned
+// sidecar are written atomically; on success this reader switches to
+// serving lookups from the merged file.
 func (r *IndexReader) Merge() (*MergeStats, error) {
 	r.mergeMu.Lock()
 	defer r.mergeMu.Unlock()
@@ -132,17 +139,15 @@ func (r *IndexReader) Merge() (*MergeStats, error) {
 	// concatenate into globally sorted postings.
 	metas := append([]RunMeta(nil), r.runs...)
 	sort.SliceStable(metas, func(i, j int) bool { return metas[i].FirstDoc < metas[j].FirstDoc })
-	cursors := make([]*mergeCursor, 0, len(metas))
-	for _, rm := range metas {
-		rf, err := r.runFile(rm)
+	cursors, err := openCursors(len(metas), r.mergeWorkers, func(i int) (*mergeCursor, error) {
+		rf, err := r.runFile(metas[i])
 		if err != nil {
 			return nil, err
 		}
-		c, err := newMergeCursor(rf, nil)
-		if err != nil {
-			return nil, err
-		}
-		cursors = append(cursors, c)
+		return newMergeCursor(rf, nil)
+	})
+	if err != nil {
+		return nil, err
 	}
 	m := &merger{cursors: cursors, sel: r.mergeSelect}
 	stats, fileCRC, err := m.writeMergedFile(context.Background(),
