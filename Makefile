@@ -77,14 +77,17 @@ profile:
 # Everything CI runs (.github/workflows/ci.yml): lint, build, the full
 # race-enabled test suite, the benchmark's own module (bench/ is not
 # part of ./...; its TestQuick runs all four workloads at -quick sizes
-# and asserts no timing), the telemetry smoke gate, and the profile
-# target on a tiny corpus so it cannot rot.
+# and asserts no timing), the telemetry smoke gate, and — so they
+# cannot rot — the profile target on a tiny corpus and one iteration
+# of the ranked-retrieval microbenchmark (it builds a bench-shaped
+# index and a live one, then asserts nothing about time).
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) smoke
 	$(MAKE) profile FILES=2 SCALE=0.25
+	$(GO) test ./internal/search/ -run '^$$' -bench BenchmarkTopK -benchtime 1x
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md):
 # four workloads over the shipped hetindex/hetserve binaries, seven
@@ -93,7 +96,8 @@ bench:
 	bash bench/run.sh
 
 # One pass over every go-test microbenchmark with allocation metrics
-# (BenchmarkParseDoc's ns/token and BenchmarkGPUIndexRun among them).
+# (BenchmarkParseDoc's ns/token, BenchmarkGPUIndexRun and BenchmarkTopK's
+# ns, allocations and blocks decoded per ranked query among them).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

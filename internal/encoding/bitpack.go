@@ -85,67 +85,70 @@ func (bitPackCodec) Encode(dst []byte, docIDs, tfs []uint32, positions [][]uint3
 
 func (c bitPackCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
 	if count < 0 || c.MinBytes(count) > len(src) {
-		return nil, nil, nil, errors.New("encoding: bitpack: count exceeds input")
+		return nil, nil, nil, errBitPackCount
 	}
 	if count == 0 {
 		return nil, nil, nil, nil
 	}
+	docIDs, tfs, positions = allocPostings(count, positional)
+	if err := c.decode(src, docIDs, tfs, positions); err != nil {
+		return nil, nil, nil, err
+	}
+	return docIDs, tfs, positions, nil
+}
+
+// DecodeInto repeats Decode's size check: a gap block may claim width
+// 0, so the loop alone would accept bodies shorter than MinBytes.
+func (c bitPackCodec) DecodeInto(src []byte, docIDs, tfs []uint32) error {
+	if c.MinBytes(len(docIDs)) > len(src) {
+		return errBitPackCount
+	}
+	return c.decode(src, docIDs, tfs, nil)
+}
+
+var errBitPackCount = errors.New("encoding: bitpack: count exceeds input")
+
+// decode is the bitpack decode loop: gap blocks unpacked straight into
+// docIDs and prefix-summed in place, then the tf blocks; non-nil
+// positions marks the positional layout.
+func (bitPackCodec) decode(src []byte, docIDs, tfs []uint32, positions [][]uint32) error {
+	count := len(docIDs)
+	if count == 0 {
+		return nil
+	}
 	first, m := UvarByte(src)
 	if m <= 0 {
-		return nil, nil, nil, errors.New("encoding: bitpack: truncated first docID")
+		return errors.New("encoding: bitpack: truncated first docID")
 	}
 	pos := m
-	docIDs = make([]uint32, count)
 	docIDs[0] = uint32(first)
 	for lo := 1; lo < count; lo += bitPackBlockLen {
-		hi := lo + bitPackBlockLen
-		if hi > count {
-			hi = count
-		}
-		m, err := unpackBlock(src[pos:], docIDs[lo:hi])
+		m, err := unpackBlock(src[pos:], docIDs[lo:min(lo+bitPackBlockLen, count)])
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		pos += m
 	}
 	for i := 1; i < count; i++ {
 		docIDs[i] += docIDs[i-1]
 	}
-	tfs = make([]uint32, count)
 	for lo := 0; lo < count; lo += bitPackBlockLen {
-		hi := lo + bitPackBlockLen
-		if hi > count {
-			hi = count
-		}
-		m, err := unpackBlock(src[pos:], tfs[lo:hi])
+		m, err := unpackBlock(src[pos:], tfs[lo:min(lo+bitPackBlockLen, count)])
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		pos += m
 	}
-	if positional {
-		positions = make([][]uint32, count)
-		for i := 0; i < count; i++ {
-			tf := tfs[i]
-			if uint64(tf) > uint64(len(src)-pos) {
-				// Positions take at least one byte each.
-				return nil, nil, nil, errors.New("encoding: bitpack: tf exceeds remaining input")
-			}
-			ps := make([]uint32, tf)
-			var cur uint32
-			for j := range ps {
-				pg, m := UvarByte(src[pos:])
-				if m <= 0 {
-					return nil, nil, nil, errors.New("encoding: bitpack: truncated position")
-				}
-				pos += m
-				cur += uint32(pg)
-				ps[j] = cur
-			}
-			positions[i] = ps
+	// Positions are the varbyte codec's: per posting, tf gaps.
+	for i := range positions {
+		ps, m, err := decodeVarBytePositions(src[pos:], uint64(tfs[i]))
+		if err != nil {
+			return err
 		}
+		positions[i] = ps
+		pos += m
 	}
-	return docIDs, tfs, positions, nil
+	return nil
 }
 
 // packBlock appends one block: the max bit width of vals as a single

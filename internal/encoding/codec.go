@@ -33,11 +33,21 @@ var ErrUnknownCodec = errors.New("encoding: unknown codec")
 // positional == false. Every codec is self-contained: any parameters
 // it needs (Golomb b, Elias-Fano universe) travel in its own header
 // bytes, so a list decodes from (bytes, count, positional) alone.
+//
+// DecodeInto is Decode of a non-positional body into slices the caller
+// owns: docIDs and tfs must have equal lengths, and that length is the
+// posting count. It allocates nothing, writes nothing outside the two
+// slices, and fails on exactly the inputs Decode(src, len(docIDs),
+// false) fails on, leaving the slices' contents unspecified; on
+// success they hold what Decode would have returned. Each codec keeps
+// one decode loop, which DecodeInto runs directly and Decode runs
+// after bounding count by the input and allocating.
 type Codec interface {
 	ID() CodecID
 	Name() string
 	Encode(dst []byte, docIDs, tfs []uint32, positions [][]uint32) ([]byte, error)
 	Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error)
+	DecodeInto(src []byte, docIDs, tfs []uint32) error
 
 	// MinBytes is a lower bound on the encoded size of any valid
 	// count-posting list. Readers check untrusted entry tables against

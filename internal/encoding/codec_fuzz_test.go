@@ -6,6 +6,8 @@ import "testing"
 // adversarial bytes: it must never panic or allocate unboundedly, and
 // whatever it accepts must survive a re-encode/re-decode cycle with
 // identical values (decoders and encoders agree on the wire format).
+// On the same bytes DecodeInto must be Decode (checkDecodeInto): same
+// verdict, same postings, nothing written outside its slices.
 func FuzzCodecRoundTrip(f *testing.F) {
 	docs := []uint32{1, 5, 130, 1 << 20}
 	tfs := []uint32{2, 1, 7, 3}
@@ -38,6 +40,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkDecodeInto(t, c, data, int(count))
 		gotDocs, gotTFs, gotPos, err := c.Decode(data, int(count), positional)
 		if err != nil {
 			return // malformed input rejected: exactly the contract

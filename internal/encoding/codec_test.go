@@ -244,3 +244,81 @@ func TestCodecSizesOnClasses(t *testing.T) {
 		t.Errorf("sparse list: eliasfano %d bytes not below varbyte %d", ef, vb)
 	}
 }
+
+// checkDecodeInto holds DecodeInto to its contract on one input, valid
+// or not: into exact-length slices it fails if and only if
+// Decode(data, count, false) does, otherwise leaves the same postings,
+// and never touches the words either side of the slices it was given.
+func checkDecodeInto(t *testing.T, c Codec, data []byte, count int) {
+	t.Helper()
+	wantDocs, wantTFs, _, wantErr := c.Decode(data, count, false)
+	const guard = 0xA5A5A5A5
+	buf := make([]uint32, 2*count+3)
+	for i := range buf {
+		buf[i] = guard
+	}
+	docs := buf[1 : 1+count : 1+count]
+	tfs := buf[2+count : 2+2*count : 2+2*count]
+	err := c.DecodeInto(data, docs, tfs)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s count %d: DecodeInto = %v, Decode = %v", c.Name(), count, err, wantErr)
+	}
+	if buf[0] != guard || buf[1+count] != guard || buf[2+2*count] != guard {
+		t.Fatalf("%s count %d: DecodeInto wrote outside its slices", c.Name(), count)
+	}
+	if err != nil {
+		return
+	}
+	for i := range docs {
+		if docs[i] != wantDocs[i] || tfs[i] != wantTFs[i] {
+			t.Fatalf("%s count %d: posting %d = (%d, %d), Decode gave (%d, %d)",
+				c.Name(), count, i, docs[i], tfs[i], wantDocs[i], wantTFs[i])
+		}
+	}
+}
+
+// TestDecodeIntoIsDecode runs that check for every codec at the counts
+// either side of a 128-posting block, dense and sparse, on the valid
+// encoding, on every truncation of it, with the count off by one in
+// both directions, and on a body whose every byte claims the most.
+func TestDecodeIntoIsDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for _, c := range Codecs() {
+		for _, count := range []int{1, 2, 127, 128, 129} {
+			for _, maxGap := range []int{3, 100000} {
+				docs := make([]uint32, count)
+				tfs := make([]uint32, count)
+				d := uint32(r.Intn(maxGap))
+				for i := range docs {
+					docs[i] = d
+					tfs[i] = 1 + uint32(r.Intn(6))
+					d += 1 + uint32(r.Intn(maxGap))
+				}
+				enc, err := c.Encode(nil, docs, tfs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				intoDocs, intoTFs := make([]uint32, count), make([]uint32, count)
+				if allocs := testing.AllocsPerRun(5, func() {
+					if err := c.DecodeInto(enc, intoDocs, intoTFs); err != nil {
+						t.Fatalf("%s count %d: DecodeInto of a valid body: %v", c.Name(), count, err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s count %d: DecodeInto allocated %.0f times", c.Name(), count, allocs)
+				}
+				for cut := 0; cut <= len(enc); cut++ {
+					checkDecodeInto(t, c, enc[:cut], count)
+				}
+				checkDecodeInto(t, c, enc, count-1)
+				checkDecodeInto(t, c, enc, count+1)
+				checkDecodeInto(t, c, enc, 0)
+				ones := make([]byte, len(enc))
+				for i := range ones {
+					ones[i] = 0xff
+				}
+				checkDecodeInto(t, c, ones, count)
+				checkDecodeInto(t, c, make([]byte, len(enc)), count)
+			}
+		}
+	}
+}

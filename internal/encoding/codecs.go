@@ -41,6 +41,11 @@ func (varByteCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs 
 	return docIDs, tfs, nil, err
 }
 
+func (varByteCodec) DecodeInto(src []byte, docIDs, tfs []uint32) error {
+	_, err := decodeVarByte(src, docIDs, tfs, nil)
+	return err
+}
+
 // ---------------------------------------------------------------- gamma
 
 // gammaCodec is a pure Elias-gamma bitstream: per posting
@@ -73,38 +78,60 @@ func (gammaCodec) Encode(dst []byte, docIDs, tfs []uint32, positions [][]uint32)
 	return w.Bytes(), nil
 }
 
-func (gammaCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
+func (c gammaCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
 	if err := checkBitCount(src, count); err != nil {
 		return nil, nil, nil, err
 	}
+	docIDs, tfs, positions = allocPostings(count, positional)
+	if err := c.decode(src, docIDs, tfs, positions); err != nil {
+		return nil, nil, nil, err
+	}
+	return docIDs, tfs, positions, nil
+}
+
+func (c gammaCodec) DecodeInto(src []byte, docIDs, tfs []uint32) error {
+	return c.decode(src, docIDs, tfs, nil)
+}
+
+// decode is the gamma decode loop; non-nil positions marks the
+// positional layout. Every posting costs at least two bits, so a count
+// past checkBitCount's bound always ends in a truncation error here.
+func (gammaCodec) decode(src []byte, docIDs, tfs []uint32, positions [][]uint32) error {
+	tfs = tfs[:len(docIDs)] // one length for the compiler, too
 	r := NewBitReader(src)
+	var prev uint32
+	for i := range docIDs {
+		gap, ok := Gamma(r)
+		if !ok || gap == 0 {
+			return errors.New("encoding: gamma: truncated gap")
+		}
+		tf, ok := Gamma(r)
+		if !ok || tf == 0 {
+			return errors.New("encoding: gamma: truncated tf")
+		}
+		prev += uint32(gap - 1)
+		docIDs[i] = prev
+		tfs[i] = uint32(tf - 1)
+		if positions != nil {
+			ps, err := readGammaPositions(r, tf-1, len(src))
+			if err != nil {
+				return err
+			}
+			positions[i] = ps
+		}
+	}
+	return nil
+}
+
+// allocPostings allocates Decode's result slices once count has been
+// bounded by the input.
+func allocPostings(count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32) {
 	docIDs = make([]uint32, count)
 	tfs = make([]uint32, count)
 	if positional {
 		positions = make([][]uint32, count)
 	}
-	var prev uint32
-	for i := 0; i < count; i++ {
-		gap, ok := Gamma(r)
-		if !ok || gap == 0 {
-			return nil, nil, nil, errors.New("encoding: gamma: truncated gap")
-		}
-		tf, ok := Gamma(r)
-		if !ok || tf == 0 {
-			return nil, nil, nil, errors.New("encoding: gamma: truncated tf")
-		}
-		prev += uint32(gap - 1)
-		docIDs[i] = prev
-		tfs[i] = uint32(tf - 1)
-		if positional {
-			ps, err := readGammaPositions(r, tf-1, len(src))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			positions[i] = ps
-		}
-	}
-	return docIDs, tfs, positions, nil
+	return docIDs, tfs, positions
 }
 
 // writeGammaPositions emits one document's position gaps (first
@@ -184,41 +211,56 @@ func (golombCodec) Encode(dst []byte, docIDs, tfs []uint32, positions [][]uint32
 	return w.Bytes(), nil
 }
 
-func (golombCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
-	b, m := UvarByte(src)
-	if m <= 0 || b == 0 {
-		return nil, nil, nil, errors.New("encoding: golomb: bad parameter header")
-	}
-	src = src[m:]
+func (c golombCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
+	// Bounds the allocation only (the header's bytes count as body):
+	// decode checks the header and runs out of bits on any count the
+	// body cannot hold.
 	if err := checkBitCount(src, count); err != nil {
 		return nil, nil, nil, err
 	}
-	r := NewBitReader(src)
-	docIDs = make([]uint32, count)
-	tfs = make([]uint32, count)
-	if positional {
-		positions = make([][]uint32, count)
+	docIDs, tfs, positions = allocPostings(count, positional)
+	if err := c.decode(src, docIDs, tfs, positions); err != nil {
+		return nil, nil, nil, err
 	}
+	return docIDs, tfs, positions, nil
+}
+
+func (c golombCodec) DecodeInto(src []byte, docIDs, tfs []uint32) error {
+	return c.decode(src, docIDs, tfs, nil)
+}
+
+// decode is the Golomb decode loop; non-nil positions marks the
+// positional layout. Every posting costs at least two bits after the
+// header, so a count past checkBitCount's bound ends in a truncation
+// error here.
+func (golombCodec) decode(src []byte, docIDs, tfs []uint32, positions [][]uint32) error {
+	b, m := UvarByte(src)
+	if m <= 0 || b == 0 {
+		return errors.New("encoding: golomb: bad parameter header")
+	}
+	src = src[m:]
+	tfs = tfs[:len(docIDs)] // one length for the compiler, too
+	r := NewBitReader(src)
 	var prev uint32
-	for i := 0; i < count; i++ {
+	for i := range docIDs {
 		gap, ok := Golomb(r, b)
 		if !ok {
-			return nil, nil, nil, errors.New("encoding: golomb: truncated gap")
+			return errors.New("encoding: golomb: truncated gap")
 		}
 		tf, ok := Gamma(r)
 		if !ok || tf == 0 {
-			return nil, nil, nil, errors.New("encoding: golomb: truncated tf")
+			return errors.New("encoding: golomb: truncated tf")
 		}
 		prev += uint32(gap)
 		docIDs[i] = prev
 		tfs[i] = uint32(tf - 1)
-		if positional {
+		if positions != nil {
 			ps, err := readGammaPositions(r, tf-1, len(src))
 			if err != nil {
-				return nil, nil, nil, err
+				return err
 			}
 			positions[i] = ps
 		}
 	}
-	return docIDs, tfs, positions, nil
+	return nil
 }

@@ -77,49 +77,66 @@ func (eliasFanoCodec) Encode(dst []byte, docIDs, tfs []uint32, positions [][]uin
 	return w.Bytes(), nil
 }
 
-func (eliasFanoCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
+func (c eliasFanoCodec) Decode(src []byte, count int, positional bool) (docIDs, tfs []uint32, positions [][]uint32, err error) {
 	if count == 0 {
 		return nil, nil, nil, nil
 	}
-	u, m := UvarByte(src)
-	if m <= 0 {
-		return nil, nil, nil, errors.New("encoding: eliasfano: truncated universe")
-	}
-	src = src[m:]
+	// Bounds the allocation only (the header's bytes count as body):
+	// decode runs out of bits on any count the body cannot hold.
 	if err := checkBitCount(src, count); err != nil {
 		return nil, nil, nil, err
 	}
-	l := efLowBits(u, count)
-	r := NewBitReader(src)
-	docIDs = make([]uint32, count)
-	tfs = make([]uint32, count)
-	if positional {
-		positions = make([][]uint32, count)
+	docIDs, tfs, positions = allocPostings(count, positional)
+	if err := c.decode(src, docIDs, tfs, positions); err != nil {
+		return nil, nil, nil, err
 	}
+	return docIDs, tfs, positions, nil
+}
+
+func (c eliasFanoCodec) DecodeInto(src []byte, docIDs, tfs []uint32) error {
+	return c.decode(src, docIDs, tfs, nil)
+}
+
+// decode is the Elias-Fano decode loop; non-nil positions marks the
+// positional layout. Every posting costs at least two bits after the
+// header, so a count the body cannot hold ends in a truncation error.
+func (eliasFanoCodec) decode(src []byte, docIDs, tfs []uint32, positions [][]uint32) error {
+	count := len(docIDs)
+	if count == 0 {
+		return nil
+	}
+	u, m := UvarByte(src)
+	if m <= 0 {
+		return errors.New("encoding: eliasfano: truncated universe")
+	}
+	src = src[m:]
+	l := efLowBits(u, count)
+	tfs = tfs[:len(docIDs)] // one length for the compiler, too
+	r := NewBitReader(src)
 	var high uint64
-	for i := 0; i < count; i++ {
+	for i := range docIDs {
 		delta, ok := r.ReadUnary()
 		if !ok {
-			return nil, nil, nil, errors.New("encoding: eliasfano: truncated high bits")
+			return errors.New("encoding: eliasfano: truncated high bits")
 		}
 		high += delta
 		low, ok := r.ReadBits(l)
 		if !ok {
-			return nil, nil, nil, errors.New("encoding: eliasfano: truncated low bits")
+			return errors.New("encoding: eliasfano: truncated low bits")
 		}
 		docIDs[i] = uint32(high<<l | low)
 		tf, ok := Gamma(r)
 		if !ok || tf == 0 {
-			return nil, nil, nil, errors.New("encoding: eliasfano: truncated tf")
+			return errors.New("encoding: eliasfano: truncated tf")
 		}
 		tfs[i] = uint32(tf - 1)
-		if positional {
+		if positions != nil {
 			ps, err := readGammaPositions(r, tf-1, len(src))
 			if err != nil {
-				return nil, nil, nil, err
+				return err
 			}
 			positions[i] = ps
 		}
 	}
-	return docIDs, tfs, positions, nil
+	return nil
 }

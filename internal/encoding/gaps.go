@@ -91,40 +91,9 @@ func DecodePositionalPostings(src []byte, count int) (docIDs, tfs []uint32, posi
 		// counts the input cannot possibly hold before allocating.
 		return nil, nil, nil, 0, errors.New("encoding: positional count exceeds input")
 	}
-	docIDs = make([]uint32, count)
-	tfs = make([]uint32, count)
-	positions = make([][]uint32, count)
-	var prev uint32
-	for i := 0; i < count; i++ {
-		gap, m := UvarByte(src[n:])
-		if m <= 0 {
-			return nil, nil, nil, 0, errors.New("encoding: truncated positional gap")
-		}
-		n += m
-		tf, m := UvarByte(src[n:])
-		if m <= 0 {
-			return nil, nil, nil, 0, errors.New("encoding: truncated positional tf")
-		}
-		n += m
-		prev += uint32(gap)
-		docIDs[i] = prev
-		tfs[i] = uint32(tf)
-		if tf > uint64(len(src)-n) {
-			// Positions take at least one byte each.
-			return nil, nil, nil, 0, errors.New("encoding: tf exceeds remaining input")
-		}
-		ps := make([]uint32, tf)
-		var cur uint32
-		for j := range ps {
-			pg, m := UvarByte(src[n:])
-			if m <= 0 {
-				return nil, nil, nil, 0, errors.New("encoding: truncated position")
-			}
-			n += m
-			cur += uint32(pg)
-			ps[j] = cur
-		}
-		positions[i] = ps
+	docIDs, tfs, positions = allocPostings(count, true)
+	if n, err = decodeVarByte(src, docIDs, tfs, positions); err != nil {
+		return nil, nil, nil, 0, err
 	}
 	return docIDs, tfs, positions, n, nil
 }
@@ -135,23 +104,76 @@ func DecodePostings(src []byte, count int) (docIDs, tfs []uint32, n int, err err
 	if count < 0 || count > len(src)/2 {
 		return nil, nil, 0, errors.New("encoding: postings count exceeds input")
 	}
-	docIDs = make([]uint32, count)
-	tfs = make([]uint32, count)
+	docIDs, tfs, _ = allocPostings(count, false)
+	if n, err = decodeVarByte(src, docIDs, tfs, nil); err != nil {
+		return nil, nil, 0, err
+	}
+	return docIDs, tfs, n, nil
+}
+
+// decodeVarByte is the varbyte format's one decode loop. It fills
+// docIDs and tfs — equal lengths, the posting count — from src and
+// returns the bytes consumed; a non-nil positions (same length) marks
+// the positional layout and receives one allocated slice per posting.
+// Every posting costs at least two bytes, so a count the input cannot
+// hold ends in a truncation error without a guard of its own.
+func decodeVarByte(src []byte, docIDs, tfs []uint32, positions [][]uint32) (n int, err error) {
+	tfs = tfs[:len(docIDs)] // one length for the compiler, too
 	var prev uint32
-	for i := 0; i < count; i++ {
-		gap, m := UvarByte(src[n:])
+	for i := range docIDs {
+		gap, m := uvarByteAt(src, n)
 		if m <= 0 {
-			return nil, nil, 0, errors.New("encoding: truncated postings gap")
+			return 0, errors.New("encoding: truncated postings gap")
 		}
 		n += m
-		tf, m := UvarByte(src[n:])
+		tf, m := uvarByteAt(src, n)
 		if m <= 0 {
-			return nil, nil, 0, errors.New("encoding: truncated postings tf")
+			return 0, errors.New("encoding: truncated postings tf")
 		}
 		n += m
 		prev += uint32(gap)
 		docIDs[i] = prev
 		tfs[i] = uint32(tf)
+		if positions != nil {
+			if positions[i], m, err = decodeVarBytePositions(src[n:], tf); err != nil {
+				return 0, err
+			}
+			n += m
+		}
 	}
-	return docIDs, tfs, n, nil
+	return n, nil
+}
+
+// uvarByteAt is UvarByte(src[n:]) with the one-byte value — most gaps
+// and nearly all term frequencies — taken on a straight path ahead of
+// UvarByte's loop; without it the shared loop decodes dense lists a
+// tenth slower than the non-positional loop it replaced
+// (BenchmarkCodecDecode).
+func uvarByteAt(src []byte, n int) (v uint64, m int) {
+	if n < len(src) && src[n] < 0x80 {
+		return uint64(src[n]), 1
+	}
+	return UvarByte(src[n:])
+}
+
+// decodeVarBytePositions reads one posting's tf position gaps (first
+// absolute) from the head of src and returns the bytes consumed. tf is
+// untrusted: positions take at least one byte each, which bounds it by
+// the input before anything is allocated.
+func decodeVarBytePositions(src []byte, tf uint64) (ps []uint32, n int, err error) {
+	if tf > uint64(len(src)) {
+		return nil, 0, errors.New("encoding: tf exceeds remaining input")
+	}
+	ps = make([]uint32, tf)
+	var cur uint32
+	for j := range ps {
+		pg, m := UvarByte(src[n:])
+		if m <= 0 {
+			return nil, 0, errors.New("encoding: truncated position")
+		}
+		n += m
+		cur += uint32(pg)
+		ps[j] = cur
+	}
+	return ps, n, nil
 }

@@ -1,17 +1,22 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"fastinvert/internal/core"
 	"fastinvert/internal/corpus"
+	"fastinvert/internal/encoding"
 	"fastinvert/internal/gpu"
+	"fastinvert/internal/postings"
 	"fastinvert/internal/reference"
 	"fastinvert/internal/segment"
 	"fastinvert/internal/store"
@@ -125,10 +130,10 @@ func assertSameResults(t *testing.T, label string, got, want []ScoredDoc) {
 	}
 }
 
-// TestBlockTopKMatchesExhaustiveStatic checks that MaxScore and
-// Block-Max-WAND return exactly the exhaustive scorer's results —
-// same docs, same order, bitwise-equal scores — over a merged static
-// index with genuinely blocked Zipf-head lists, across a spread of k.
+// TestBlockTopKMatchesExhaustiveStatic checks that the pruned
+// evaluator returns exactly the exhaustive scorer's results — same
+// docs, same order, bitwise-equal scores — over a merged static index
+// with genuinely blocked Zipf-head lists, across a spread of k.
 func TestBlockTopKMatchesExhaustiveStatic(t *testing.T) {
 	idx, ref := buildBlockedIndex(t)
 	s := New(idx)
@@ -142,15 +147,12 @@ func TestBlockTopKMatchesExhaustiveStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []RankMode{RankAuto, RankBlockMax, RankMaxScore} {
-				s.SetRankMode(mode)
-				got, err := s.TopK(k, q...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResults(t,
-					fmt.Sprintf("query %d %v k=%d mode=%s", qi, q, k, mode), got, want)
+			s.SetRankMode(RankAuto)
+			got, err := s.TopK(k, q...)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertSameResults(t, fmt.Sprintf("query %d %v k=%d", qi, q, k), got, want)
 		}
 	}
 	st := s.RankStats()
@@ -240,16 +242,12 @@ func TestBlockTopKMatchesExhaustiveLive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, mode := range []RankMode{RankAuto, RankMaxScore} {
-					s.SetRankMode(mode)
-					got, err := s.TopK(k, q...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResults(t,
-						fmt.Sprintf("%s query %d %v k=%d mode=%s", label, qi, q, k, mode),
-						got, want)
+				s.SetRankMode(RankAuto)
+				got, err := s.TopK(k, q...)
+				if err != nil {
+					t.Fatal(err)
 				}
+				assertSameResults(t, fmt.Sprintf("%s query %d %v k=%d", label, qi, q, k), got, want)
 			}
 		}
 	}
@@ -324,5 +322,226 @@ func TestBlockBoundsProperty(t *testing.T) {
 	}
 	if blocked == 0 {
 		t.Fatal("property test never saw a multi-block list")
+	}
+}
+
+// stubSource is a Source over hand-made lists: every fetch hands back
+// the same prebuilt values, so what a query allocates above it is the
+// search package's own.
+type stubSource struct {
+	blocks  map[string]*store.TermBlocks
+	lists   map[string]*postings.List
+	numDocs int64
+	docLens []uint32
+}
+
+func (s *stubSource) PostingsCtx(_ context.Context, term string) (*postings.List, error) {
+	if l := s.lists[term]; l != nil {
+		return l, nil
+	}
+	return &postings.List{}, nil
+}
+
+func (s *stubSource) BlockPostingsCtx(_ context.Context, term string) (*store.TermBlocks, error) {
+	if tb := s.blocks[term]; tb != nil {
+		return tb, nil
+	}
+	return &store.TermBlocks{}, nil
+}
+
+func (s *stubSource) NumDocs() int64                { return s.numDocs }
+func (s *stubSource) DocLens() []uint32             { return s.docLens }
+func (s *stubSource) Dictionary() []store.DictEntry { return nil }
+
+// newStubSource stores each term's list the way a merge does — a run
+// file with blocks enabled, codec self-selected — and reads it back as
+// the stored skip table plus undecoded bodies, so a cursor over the
+// stub decodes real blocks. docLens may be nil (TF-IDF).
+func newStubSource(t testing.TB, numDocs int64, docLens []uint32, lists map[string]*postings.List) *stubSource {
+	t.Helper()
+	terms := make([]string, 0, len(lists))
+	for term := range lists {
+		terms = append(terms, term)
+	}
+	sort.Strings(terms)
+	sel, err := encoding.SelectorFor("auto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := store.NewRunBuilderCodec(sel)
+	b.EnableBlocks()
+	for slot, term := range terms {
+		if err := b.AddList(0, int32(slot), lists[term].DocIDs, lists[term].TFs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "stub.post")
+	if err := os.WriteFile(path, b.Finalize(0, uint32(numDocs-1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := store.OpenRunFile(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	src := &stubSource{
+		blocks:  map[string]*store.TermBlocks{},
+		lists:   lists,
+		numDocs: numDocs,
+		docLens: docLens,
+	}
+	for slot, term := range terms {
+		e, ok := rf.Find(0, uint32(slot))
+		if !ok {
+			t.Fatalf("stub run lost %q", term)
+		}
+		bl, err := rf.BlocksCtx(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.blocks[term] = &store.TermBlocks{Lists: []*store.BlockList{bl}}
+	}
+	return src
+}
+
+// TestTieKeepsSmallerDocAcrossBlockBoundary pins the tie-break where
+// it is easiest to lose: documents 127 and 128 are the last posting of
+// one block and the first of the next, with equal term frequencies and
+// equal lengths, so their scores are equal to the bit. The smaller
+// docID must win in both modes, under BM25 and TF-IDF, whether the
+// pair competes for the last place (k = 1), fills the result (k = 2)
+// or ties with the whole list (every document of the second term).
+func TestTieKeepsSmallerDocAcrossBlockBoundary(t *testing.T) {
+	const n = 2 * store.BlockLen
+	head := &postings.List{DocIDs: make([]uint32, n), TFs: make([]uint32, n)}
+	flat := &postings.List{DocIDs: make([]uint32, n), TFs: make([]uint32, n)}
+	lens := make([]uint32, n)
+	for i := range head.DocIDs {
+		head.DocIDs[i], head.TFs[i] = uint32(i), 1
+		flat.DocIDs[i], flat.TFs[i] = uint32(i), 2
+		lens[i] = 40
+	}
+	head.TFs[store.BlockLen-1], head.TFs[store.BlockLen] = 7, 7
+	lists := map[string]*postings.List{"w0x": head, "w1x": flat}
+	for _, docLens := range [][]uint32{nil, lens} {
+		src := newStubSource(t, n, docLens, lists)
+		if nb := src.blocks["w0x"].Lists[0].NumBlocks(); nb != 2 {
+			t.Fatalf("tie list stored as %d blocks, want 2", nb)
+		}
+		s := NewWithSource(src)
+		if s.UsesBM25() != (docLens != nil) {
+			t.Fatalf("UsesBM25 = %v with docLens %v", s.UsesBM25(), docLens != nil)
+		}
+		for _, mode := range []RankMode{RankAuto, RankExhaustive} {
+			for _, q := range [][]string{{"w0x"}, {"w0x", "w1x"}} {
+				got, err := s.TopKModeCtx(context.Background(), mode, 2, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 2 || got[0].Doc != store.BlockLen-1 || got[1].Doc != store.BlockLen ||
+					got[0].Score != got[1].Score {
+					t.Fatalf("%s %v bm25=%v k=2: %+v, want docs %d then %d at one score",
+						mode, q, docLens != nil, got, store.BlockLen-1, store.BlockLen)
+				}
+				got, err = s.TopKModeCtx(context.Background(), mode, 1, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0].Doc != store.BlockLen-1 {
+					t.Fatalf("%s %v bm25=%v k=1: %+v, want doc %d", mode, q, docLens != nil, got, store.BlockLen-1)
+				}
+			}
+			// Every document of w1x scores the same: the best 130 are the
+			// first 130, in docID order, straight through the boundary.
+			got, err := s.TopKModeCtx(context.Background(), mode, store.BlockLen+2, "w1x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range got {
+				if d.Doc != uint32(i) {
+					t.Fatalf("%s all-tied list: result %d is doc %d", mode, i, d.Doc)
+				}
+			}
+			if len(got) != store.BlockLen+2 {
+				t.Fatalf("%s all-tied list: %d results", mode, len(got))
+			}
+		}
+		if st := s.RankStats(); st.FallbackQueries != 0 {
+			t.Fatalf("stub source fell back: %+v", st)
+		}
+	}
+}
+
+// TestTopKSteadyStateAllocs pins the search side's whole allocation
+// budget: over a source whose fetches allocate nothing, a warm,
+// untraced three-word query allocates its result slice and the
+// normalized words — a small constant, whatever the lists' lengths and
+// however many blocks are decoded — in both modes. And k is never a
+// size: asking for every result there could be allocates what the
+// matches need.
+func TestTopKSteadyStateAllocs(t *testing.T) {
+	const blocks = 64
+	const n = blocks * store.BlockLen
+	rng := rand.New(rand.NewSource(7))
+	lists := map[string]*postings.List{}
+	for w, stride := range []uint32{2, 3, 11} { // bitpack, bitpack, Elias-Fano
+		l := &postings.List{DocIDs: make([]uint32, n), TFs: make([]uint32, n)}
+		for i := range l.DocIDs {
+			l.DocIDs[i] = uint32(i)*stride + uint32(w)
+			l.TFs[i] = 1 + uint32(rng.Intn(9))
+		}
+		lists[fmt.Sprintf("w%dx", w)] = l
+	}
+	numDocs := int64(11*n + 3)
+	lens := make([]uint32, numDocs)
+	for i := range lens {
+		lens[i] = 20 + uint32(rng.Intn(200))
+	}
+	src := newStubSource(t, numDocs, lens, lists)
+	for term, tb := range src.blocks {
+		if nb := tb.Lists[0].NumBlocks(); nb != blocks {
+			t.Fatalf("%s stored as %d blocks, want %d", term, nb, blocks)
+		}
+	}
+	s := NewWithSource(src)
+	ctx := context.Background()
+	words := []string{"w0x", "w1x", "w2x"}
+	for _, mode := range []RankMode{RankAuto, RankExhaustive} {
+		before := s.RankStats()
+		allocs := testing.AllocsPerRun(20, func() {
+			if res, err := s.TopKModeCtx(ctx, mode, 10, words...); err != nil || len(res) != 10 {
+				t.Fatalf("%s: %d results, %v", mode, len(res), err)
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("%s: %.0f allocations per warm 3-word query over %d-block lists, want <= 12", mode, allocs, blocks)
+		}
+		after := s.RankStats()
+		if decoded := after.BlocksDecoded - before.BlocksDecoded; (mode == RankAuto) != (decoded > 21*blocks) {
+			t.Errorf("%s decoded %d blocks over 21 queries", mode, decoded)
+		}
+	}
+
+	// Every match, asked for with the largest k there is.
+	all, err := s.Or(words...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []RankMode{RankAuto, RankExhaustive} {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		res, err := s.TopKModeCtx(ctx, mode, math.MaxInt32, words...)
+		runtime.ReadMemStats(&ms1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(all) {
+			t.Fatalf("%s k=MaxInt32: %d results, %d documents match", mode, len(res), len(all))
+		}
+		// The heap grows by doubling and the result is copied out of it:
+		// a few times the matches' 16 bytes each, nowhere near k's 32 GiB.
+		if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(8*16*len(all)); got > limit {
+			t.Errorf("%s k=MaxInt32 allocated %d bytes for %d results (limit %d)", mode, got, len(res), limit)
+		}
 	}
 }

@@ -3,19 +3,34 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // TestSearcherConcurrentQueries hammers one Searcher (and therefore
 // one IndexReader) from 16 goroutines with mixed Postings/And/TopK —
-// the documented concurrency guarantee, checked under -race.
+// the documented concurrency guarantee, checked under -race. The
+// ranked queries alternate between the two modes over a merged index
+// with blocked lists, so pooled scratch — cursors, decode buffers,
+// heap — changes hands between goroutines and evaluators all the
+// time, and every answer is held to the one computed up front: a
+// scratch two queries shared would show as a wrong result even
+// without the race detector.
 func TestSearcherConcurrentQueries(t *testing.T) {
-	idx, ref := buildIndex(t)
-	defer idx.Close()
+	idx, ref := buildBlockedIndex(t)
 	s := New(idx)
 	frequent, rare := pickTerms(ref)
 	words := []string{frequent, rare}
+	ranked := [][]string{topTerms(ref, 3), {frequent, rare}, topTerms(ref, 8)[5:]}
+	want := make([][]ScoredDoc, len(ranked))
+	for i, q := range ranked {
+		var err error
+		if want[i], err = s.TopKModeCtx(context.Background(), RankExhaustive, 5, q...); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -37,7 +52,13 @@ func TestSearcherConcurrentQueries(t *testing.T) {
 				case 1:
 					_, err = s.And(frequent, rare)
 				case 2:
-					_, err = s.TopK(5, frequent, rare)
+					qi := (g + i) % len(ranked)
+					mode := []RankMode{RankAuto, RankExhaustive}[(g+i/3)%2]
+					var got []ScoredDoc
+					got, err = s.TopKModeCtx(context.Background(), mode, 5, ranked[qi]...)
+					if err == nil && !slices.Equal(got, want[qi]) {
+						err = fmt.Errorf("%s %v = %v, want %v", mode, ranked[qi], got, want[qi])
+					}
 				}
 				if err != nil {
 					errCh <- err
@@ -50,6 +71,9 @@ func TestSearcherConcurrentQueries(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if st := s.RankStats(); st.BlockQueries == 0 || st.FallbackQueries != 0 {
+		t.Fatalf("auto queries did not all take the block path: %+v", st)
 	}
 }
 

@@ -6,11 +6,11 @@
 package search
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"fastinvert/internal/postings"
@@ -62,9 +62,10 @@ type Source interface {
 
 // Searcher evaluates queries against one opened index.
 //
-// Concurrency: a Searcher is immutable after construction and safe for
-// concurrent use, provided its Source is (store.IndexReader,
-// segment.Manager and serve's cached wrapper all are).
+// Concurrency: a Searcher is safe for concurrent use, provided its
+// Source is (store.IndexReader, segment.Manager and serve's cached
+// wrapper all are): apart from the rank mode, its counters and the
+// pool of per-query scratch it is immutable after construction.
 type Searcher struct {
 	idx     Source
 	stop    *stopwords.Set
@@ -74,6 +75,7 @@ type Searcher struct {
 
 	rankMode  atomic.Int32 // RankMode, read once per TopK call
 	rankStats rankCounters
+	scratch   sync.Pool // *rankScratch, see blockrank.go
 }
 
 // New wraps an opened index. The document count for IDF comes from the
@@ -366,8 +368,10 @@ func (s *Searcher) TopKModeCtx(ctx context.Context, mode RankMode, k int, words 
 	if k <= 0 {
 		return nil, ErrInvalidK
 	}
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	if mode != RankExhaustive {
-		out, ok, err := s.topKBlocks(ctx, k, mode, words)
+		out, ok, err := s.topKBlocks(ctx, sc, k, words)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +380,25 @@ func (s *Searcher) TopKModeCtx(ctx context.Context, mode RankMode, k int, words 
 		}
 		s.rankStats.fallbackQueries.Add(1)
 	}
-	scores := map[uint32]float64{}
+	return s.topKExhaustive(ctx, sc, k, words)
+}
+
+// listHead is one query word's whole postings list in the exhaustive
+// merge: what is left of it, and the word's idf.
+type listHead struct {
+	docs, tfs []uint32
+	idf       float64
+}
+
+// topKExhaustive is the whole-list scorer, and the oracle the pruned
+// evaluator is held to: it knows nothing of blocks, cursors or skip
+// tables. It merges the words' lists document-at-a-time — smallest
+// head docID next, that document's contributions summed in query-word
+// order (a repeated word has a head per occurrence, so it scores once
+// per occurrence) — and offers each to the bounded heap. DocIDs arrive
+// ascending, so the heap's strict admission test keeps the smaller
+// docID on a score tie.
+func (s *Searcher) topKExhaustive(ctx context.Context, sc *rankScratch, k int, words []string) ([]ScoredDoc, error) {
 	numDocs := s.NumDocs()
 	for _, w := range words {
 		l, err := s.PostingsCtx(ctx, w)
@@ -386,61 +408,115 @@ func (s *Searcher) TopKModeCtx(ctx context.Context, mode RankMode, k int, words 
 		if l.Len() == 0 {
 			continue
 		}
-		df := float64(l.Len())
-		if s.UsesBM25() {
-			idf := math.Log(1 + (float64(numDocs)-df+0.5)/(df+0.5))
-			for i, doc := range l.DocIDs {
-				tf := float64(l.TFs[i])
-				norm := 1 - bm25B
-				if int(doc) < len(s.docLens) {
-					norm += bm25B * float64(s.docLens[doc]) / s.avgLen
-				} else {
-					norm += bm25B
-				}
-				scores[doc] += idf * tf * (bm25K1 + 1) / (tf + bm25K1*norm)
-			}
-			continue
-		}
-		idf := math.Log(1 + float64(numDocs)/df)
-		for i, doc := range l.DocIDs {
-			scores[doc] += float64(l.TFs[i]) * idf
-		}
+		sc.heads = append(sc.heads, listHead{docs: l.DocIDs, tfs: l.TFs, idf: s.idf(numDocs, l.Len())})
 	}
+	heads := sc.heads
 	rsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageRank)
-	rsp.AddItems(int64(len(scores)))
-	h := &docHeap{}
-	heap.Init(h)
-	for doc, score := range scores {
-		heap.Push(h, ScoredDoc{doc, score})
-		if h.Len() > k {
-			heap.Pop(h)
+	h := &sc.heap
+	theta := math.Inf(-1)
+	scored := int64(0)
+	for {
+		var doc uint32
+		found := false
+		for i := range heads {
+			if hd := &heads[i]; len(hd.docs) > 0 && (!found || hd.docs[0] < doc) {
+				doc = hd.docs[0]
+				found = true
+			}
 		}
+		if !found {
+			break
+		}
+		var score float64
+		for i := range heads {
+			if hd := &heads[i]; len(hd.docs) > 0 && hd.docs[0] == doc {
+				score += s.score(hd.idf, hd.tfs[0], doc)
+				hd.docs, hd.tfs = hd.docs[1:], hd.tfs[1:]
+			}
+		}
+		scored++
+		theta = h.admit(k, ScoredDoc{doc, score}, theta)
 	}
-	out := make([]ScoredDoc, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(ScoredDoc)
-	}
+	rsp.AddItems(scored)
+	out := h.results()
 	rsp.End()
 	return out, nil
 }
 
-// docHeap is a min-heap by (score, then reversed docID) so the weakest
-// kept result is on top and pops yield ascending relevance.
-type docHeap []ScoredDoc
+// topHeap is the bounded result heap both scorers share: a min-heap by
+// (score, then reversed docID), so the weakest kept result is on top
+// and draining it yields ascending relevance. It grows by append as
+// results arrive and is never sized by k, which the caller chose.
+type topHeap []ScoredDoc
 
-func (h docHeap) Len() int { return len(h) }
-func (h docHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
+// weaker orders results worst first: lower score, then larger docID.
+func weaker(a, b ScoredDoc) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
 	}
-	return h[i].Doc > h[j].Doc
+	return a.Doc > b.Doc
 }
-func (h docHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *docHeap) Push(x interface{}) { *h = append(*h, x.(ScoredDoc)) }
-func (h *docHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// admit offers a scored doc to the heap bounded at k and returns the
+// new theta, the k-th best score once k results are held (-Inf
+// before). Callers offer docIDs in ascending order, which makes the
+// strict > test exact: a candidate tying the current k-th best has the
+// larger docID and loses the tie-break anyway.
+func (h *topHeap) admit(k int, d ScoredDoc, theta float64) float64 {
+	hp := *h
+	switch {
+	case len(hp) < k:
+		hp = append(hp, d)
+		for i := len(hp) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !weaker(hp[i], hp[parent]) {
+				break
+			}
+			hp[i], hp[parent] = hp[parent], hp[i]
+			i = parent
+		}
+		*h = hp
+		if len(hp) < k {
+			return theta
+		}
+	case d.Score > theta:
+		hp[0] = d
+		hp.down(0)
+	default:
+		return theta
+	}
+	return hp[0].Score
+}
+
+// down restores the heap below i.
+func (h topHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if r := child + 1; r < len(h) && weaker(h[r], h[child]) {
+			child = r
+		}
+		if !weaker(h[child], h[i]) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
+// results drains the heap into a fresh slice in descending-score
+// (ties: ascending docID) order.
+func (h *topHeap) results() []ScoredDoc {
+	hp := *h
+	out := make([]ScoredDoc, len(hp))
+	for n := len(hp) - 1; n >= 0; n-- {
+		out[n] = hp[0]
+		hp[0] = hp[n]
+		hp = hp[:n]
+		hp.down(0)
+	}
+	*h = hp
+	return out
 }

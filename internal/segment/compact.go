@@ -136,11 +136,18 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		}
 	}
 	sort.Slice(newMetas, func(i, j int) bool { return newMetas[i].FirstDoc < newMetas[j].FirstDoc })
+	// Tombstones physically purged from the compacted range come off
+	// the bitmap; deletions that raced in after the snapshot stay. The
+	// manifest must be saved with them already counted as purged, or a
+	// reopen reads the old count and NumDocs — every idf — is off by
+	// this compaction's purge until the next manifest write.
+	cur := m.tomb.Load()
+	nb := cur.without(dead, meta.FirstDoc, meta.LastDoc)
 	newMan := &Manifest{
 		Version:  manifestVersion,
 		NextDoc:  m.man.NextDoc,
 		NextSeg:  id + 1,
-		Purged:   m.man.Purged,
+		Purged:   m.man.Purged + cur.deleted - nb.deleted,
 		Segments: newMetas,
 	}
 	if err := newMan.save(m.dir); err != nil {
@@ -149,16 +156,9 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		os.Remove(filepath.Join(m.dir, meta.Dict))
 		return err
 	}
-	// Tombstones physically purged from the compacted range come off
-	// the bitmap; deletions that raced in after the snapshot stay.
-	cur := m.tomb.Load()
-	nb := cur.without(dead, meta.FirstDoc, meta.LastDoc)
-	newMan.Purged += cur.deleted - nb.deleted
 	if err := saveTombstones(m.dir, nb, newMan.NextDoc); err != nil {
 		return err
 	}
-	m.tomb.Store(nb)
-	m.purged.Store(newMan.Purged)
 
 	gen := m.gen.Add(1)
 	m.mu.Lock()
@@ -175,6 +175,12 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 	})
 	m.cur = newView(newSegs, m.mem, gen)
 	m.mu.Unlock()
+	// Only now may the purged bits go: readers load the bitmap first
+	// and acquire their view second, so whoever sees the shorter bitmap
+	// is certain to get the view without the purged postings, and the
+	// longer one is harmless over either view.
+	m.tomb.Store(nb)
+	m.purged.Store(newMan.Purged)
 	old.release()
 	m.compactions.Add(1)
 

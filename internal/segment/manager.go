@@ -96,7 +96,13 @@ type Manager struct {
 	nextDoc atomic.Uint32
 	purged  atomic.Uint32 // docs physically removed by past compactions
 	tomb    atomic.Pointer[bitmap]
-	gen     atomic.Uint64
+	// gone counts every document deleted so far, still tombstoned or
+	// already purged: what NumDocs subtracts. A compaction only moves
+	// documents from the first state to the second, so its commit
+	// leaves gone alone and no query reads a collection size torn
+	// between the tomb and purged stores.
+	gone atomic.Uint32
+	gen  atomic.Uint64
 
 	compactMu      sync.Mutex  // one compaction at a time
 	compactPending atomic.Bool // a background compaction is queued or running
@@ -166,6 +172,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	m.nextDoc.Store(man.NextDoc)
 	m.purged.Store(man.Purged)
 	m.tomb.Store(tomb)
+	m.gone.Store(man.Purged + tomb.deleted)
 	m.cur = newView(segs, mem, 0)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	return m, nil
@@ -219,14 +226,10 @@ func (m *Manager) finishOp(tr *telemetry.RequestTrace, err error) {
 func (m *Manager) CodecDecodes() map[string]uint64 { return m.reads.ListsByCodec() }
 
 // NumDocs reports the number of non-deleted documents — the collection
-// size IDF is computed from: assigned IDs (Stats().Docs) minus current
-// tombstones minus docs already purged by compactions.
+// size IDF is computed from: assigned IDs (Stats().Docs) minus every
+// document deleted since, tombstoned or already purged by a compaction.
 func (m *Manager) NumDocs() int64 {
-	n := int64(m.nextDoc.Load()) - int64(m.purged.Load())
-	if d := m.tomb.Load(); d != nil {
-		n -= int64(d.deleted)
-	}
-	return n
+	return int64(m.nextDoc.Load()) - int64(m.gone.Load())
 }
 
 // IsDeleted reports whether doc carries a tombstone.
@@ -287,6 +290,7 @@ func (m *Manager) Delete(doc uint32) error {
 		}
 	}
 	m.tomb.Store(nb)
+	m.gone.Add(1)
 	m.gen.Add(1)
 	return nil
 }
@@ -321,6 +325,14 @@ func (m *Manager) PostingsCtx(ctx context.Context, term string) (*postings.List,
 // dict/pread/decode children) and one memtable span for the in-memory
 // tail, plus the view generation the query ran against.
 func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.List, int64, error) {
+	// The bitmap before the view, in that order: a compaction swaps in
+	// the view without the purged postings and only then clears their
+	// bits, so a bitmap loaded first is never too short for the view
+	// acquired after it (BlockPostingsCtx reads in the same order).
+	var drop func(doc uint32) bool
+	if dead := m.tomb.Load(); dead != nil && dead.deleted > 0 {
+		drop = dead.has
+	}
 	v, err := m.acquire()
 	if err != nil {
 		return nil, 0, err
@@ -328,10 +340,6 @@ func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.
 	defer v.release()
 	tr := telemetry.TraceFrom(ctx)
 	tr.SetGeneration(v.gen)
-	var drop func(doc uint32) bool
-	if dead := m.tomb.Load(); dead != nil && dead.deleted > 0 {
-		drop = dead.has
-	}
 	coll := int32(trie.IndexString(term))
 	out := &postings.List{}
 	var enc int64

@@ -239,6 +239,24 @@ func TestCompactionMergesSegmentsAndPurgesTombstones(t *testing.T) {
 	if m.Stats().Docs != 5 {
 		t.Fatalf("Docs = %d, want 5", m.Stats().Docs)
 	}
+	// The collection size idf is computed from counts the purged
+	// document out once — now, and after a reopen: the memtable is
+	// empty, so the compaction's manifest is the last one written and
+	// must carry the purge itself.
+	if n := m.NumDocs(); n != 4 {
+		t.Fatalf("NumDocs after compaction = %d, want 4", n)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if n := m2.NumDocs(); n != 4 {
+		t.Fatalf("NumDocs after reopen = %d, want 4", n)
+	}
 }
 
 // TestCompactionReadsExtents: a compaction's reads follow the layout

@@ -51,10 +51,9 @@ func TestServerBlockRankedPath(t *testing.T) {
 	}
 }
 
-// TestServerRankParam checks the per-request evaluator override: every
-// rank= value answers identically on the same query, the explicit
-// evaluators advance the block counters, exhaustive does not, and a
-// junk value is a 400.
+// TestServerRankParam checks the per-request evaluator override: both
+// rank= values answer identically on the same query, auto advances the
+// block counters, exhaustive does not, and anything else is a 400.
 func TestServerRankParam(t *testing.T) {
 	idx := buildIndex(t)
 	if _, err := idx.Merge(); err != nil {
@@ -72,14 +71,15 @@ func TestServerRankParam(t *testing.T) {
 	if st := srv.searcher.RankStats(); st.BlockQueries != 0 {
 		t.Fatalf("exhaustive override ran a block evaluator (%+v)", st)
 	}
-	for i, rank := range []string{"auto", "maxscore", "bmw"} {
-		got := getJSON(t, ts, "/search?mode=topk&k=5&rank="+rank+"&q="+q, 200)
-		if fmt.Sprint(got["ranked"]) != fmt.Sprint(want["ranked"]) {
-			t.Fatalf("rank=%s: %v\nexhaustive: %v", rank, got["ranked"], want["ranked"])
-		}
-		if st := srv.searcher.RankStats(); st.BlockQueries != uint64(i+1) {
-			t.Fatalf("rank=%s: block queries = %d, want %d", rank, st.BlockQueries, i+1)
-		}
+	got := getJSON(t, ts, "/search?mode=topk&k=5&rank=auto&q="+q, 200)
+	if fmt.Sprint(got["ranked"]) != fmt.Sprint(want["ranked"]) {
+		t.Fatalf("rank=auto: %v\nexhaustive: %v", got["ranked"], want["ranked"])
 	}
-	getJSON(t, ts, "/search?mode=topk&k=5&rank=wand&q="+q, 400)
+	if st := srv.searcher.RankStats(); st.BlockQueries != 1 {
+		t.Fatalf("rank=auto: block queries = %d, want 1", st.BlockQueries)
+	}
+	// The two evaluators folded into auto are no longer values.
+	for _, rank := range []string{"wand", "maxscore", "bmw"} {
+		getJSON(t, ts, "/search?mode=topk&k=5&rank="+rank+"&q="+q, 400)
+	}
 }

@@ -324,20 +324,20 @@ func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() m
 	reg.HistogramFunc("hetserve_cache_entry_bytes",
 		"Charged-size distribution of resident postings-cache entries.",
 		sizeBounds, func() telemetry.HistSnapshot { return s.cache.SizeHist(sizeBounds) })
-	// Block-max ranked-retrieval counters, read off the searcher's
-	// atomics at scrape time: how many TopK calls the block evaluators
-	// served versus fell back from, and how effective block skipping is.
+	// Ranked-retrieval counters, read off the searcher's atomics at
+	// scrape time: how many TopK calls the block evaluator served versus
+	// fell back from, and how effective block skipping is.
 	reg.CounterFunc("hetserve_rank_block_queries_total",
-		"Ranked queries served by a block-max evaluator (MaxScore/BMW).",
+		"Ranked queries served by the block evaluator (MaxScore).",
 		func() float64 { return float64(s.searcher.RankStats().BlockQueries) })
 	reg.CounterFunc("hetserve_rank_fallback_queries_total",
 		"Ranked queries that fell back to the exhaustive scorer.",
 		func() float64 { return float64(s.searcher.RankStats().FallbackQueries) })
 	reg.CounterFunc("hetserve_rank_blocks_decoded_total",
-		"Postings blocks decoded by the block-max evaluators.",
+		"Postings blocks decoded by the block evaluator.",
 		func() float64 { return float64(s.searcher.RankStats().BlocksDecoded) })
 	reg.CounterFunc("hetserve_rank_blocks_skipped_total",
-		"Postings blocks skipped via their impact upper bound.",
+		"Postings blocks the block evaluator passed over undecoded.",
 		func() float64 { return float64(s.searcher.RankStats().BlocksSkipped) })
 	reg.GaugeFunc("hetserve_inflight_requests",
 		"HTTP requests currently inside an instrumented handler.",
@@ -472,7 +472,7 @@ type rankedDoc struct {
 // handleSearch evaluates q under the configured mode:
 //
 //	GET /search?q=parallel+inverted&mode=and|or|phrase|topk&k=10
-//	    [&rank=auto|exhaustive|maxscore|bmw]   topk evaluator override
+//	    [&rank=auto|exhaustive]   topk evaluator override
 //
 // The query runs on a pool worker under the per-query deadline; a
 // saturated pool makes callers wait here (backpressure), and an
@@ -503,7 +503,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("rank"); v != "" {
 		m, ok := parseRankMode(v)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "rank must be one of auto, exhaustive, maxscore, bmw")
+			httpError(w, http.StatusBadRequest, "rank must be one of auto, exhaustive")
 			return
 		}
 		rankMode = m
@@ -561,18 +561,14 @@ var errBadMode = errors.New("serve: mode must be one of and, or, phrase, topk")
 
 // parseRankMode maps a non-empty rank query parameter onto the topk
 // evaluation strategy (an absent parameter defers to the searcher's
-// configured mode instead). Auto means Block-Max-WAND whenever the
-// index state can serve blocks, exhaustive otherwise.
+// configured mode instead). Auto means the pruned evaluator whenever
+// the index state can serve blocks, exhaustive otherwise.
 func parseRankMode(v string) (search.RankMode, bool) {
 	switch v {
 	case "auto":
 		return search.RankAuto, true
 	case "exhaustive":
 		return search.RankExhaustive, true
-	case "maxscore":
-		return search.RankMaxScore, true
-	case "bmw":
-		return search.RankBlockMax, true
 	}
 	return 0, false
 }

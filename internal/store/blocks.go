@@ -34,9 +34,10 @@ import (
 )
 
 const (
-	// blockLen is the number of postings per block (the last block of
-	// a list is shorter when the count is not a multiple).
-	blockLen = 128
+	// BlockLen is the number of postings per block (the last block of
+	// a list is shorter when the count is not a multiple), and so the
+	// size of the buffers DecodeBlockInto needs.
+	BlockLen = 128
 
 	// blockMinPostings is the blocking threshold: shorter lists gain
 	// nothing from skip data and stay in the unblocked layout.
@@ -93,15 +94,28 @@ func (b *BlockList) DecodeBlock(i int) (docIDs, tfs []uint32, err error) {
 	if b.mem != nil {
 		return b.mem.DocIDs, b.mem.TFs, nil
 	}
+	n := b.skips[i].Count
+	return b.DecodeBlockInto(i, make([]uint32, n), make([]uint32, n))
+}
+
+// DecodeBlockInto is DecodeBlock into buffers the caller owns, each at
+// least BlockLen long: a disk-backed block comes back as the buffers'
+// prefixes, a pseudo-block still as its wrapped slices, uncopied —
+// either way valid until the buffers are reused. No stored block
+// outgrows BlockLen: parseBlockedBlob refuses a skip entry that
+// claims to.
+func (b *BlockList) DecodeBlockInto(i int, docBuf, tfBuf []uint32) (docIDs, tfs []uint32, err error) {
+	if b.mem != nil {
+		return b.mem.DocIDs, b.mem.TFs, nil
+	}
 	s := b.skips[i]
-	body := b.body[b.starts[i]:b.starts[i+1]]
-	docIDs, tfs, _, err = b.codec.Decode(body, int(s.Count), false)
-	if err != nil {
+	docIDs, tfs = docBuf[:s.Count], tfBuf[:s.Count]
+	if err := b.codec.DecodeInto(b.body[b.starts[i]:b.starts[i+1]], docIDs, tfs); err != nil {
 		// Codec failures on a body the skip table vouched for are index
 		// corruption; fold them under the typed sentinel.
 		return nil, nil, fmt.Errorf("%w: block %d: %v", ErrCorruptRun, i, err)
 	}
-	if n := len(docIDs); n == 0 || docIDs[n-1] != s.LastDoc {
+	if docIDs[s.Count-1] != s.LastDoc {
 		return nil, nil, fmt.Errorf("%w: block %d lastDoc mismatch", ErrCorruptRun, i)
 	}
 	return docIDs, tfs, nil
@@ -152,15 +166,15 @@ func (t *TermBlocks) Len() int {
 // first docID absolute), so decode cost is per block.
 func appendBlockedList(dst []byte, codec encoding.Codec, docIDs, tfs []uint32) ([]byte, error) {
 	n := len(docIDs)
-	nBlocks := (n + blockLen - 1) / blockLen
+	nBlocks := (n + BlockLen - 1) / BlockLen
 	var bodies []byte
 	bodyStarts := make([]uint32, 0, nBlocks+1)
 	bodyStarts = append(bodyStarts, 0)
 
 	dst = encoding.PutUvarByte(dst, uint64(nBlocks))
 	prevLast := uint32(0)
-	for lo := 0; lo < n; lo += blockLen {
-		hi := lo + blockLen
+	for lo := 0; lo < n; lo += BlockLen {
+		hi := lo + BlockLen
 		if hi > n {
 			hi = n
 		}
@@ -229,7 +243,9 @@ func parseBlockedBlob(blob []byte, e RunEntry) (*BlockList, error) {
 			return nil, fmt.Errorf("%w: blocked blob: non-ascending block lastDoc", ErrCorruptRun)
 		}
 		last := prevLast + delta
-		if last > math.MaxUint32 || count == 0 || maxTF > math.MaxUint32 {
+		// count <= BlockLen is what lets a reader decode any block into
+		// fixed buffers: no writer emits more, so more is corruption.
+		if last > math.MaxUint32 || count == 0 || count > BlockLen || maxTF > math.MaxUint32 {
 			return nil, fmt.Errorf("%w: blocked blob: skip entry out of range", ErrCorruptRun)
 		}
 		sumCount += count

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fastinvert/internal/encoding"
@@ -222,10 +223,55 @@ func FuzzParseDocMap(f *testing.F) {
 	})
 }
 
+// oneBlockBlob hand-assembles a blocked blob of a single varbyte block
+// holding docs 0..n-1 at tf 1, with the skip entry claiming exactly
+// that: well-formed in every respect but, for n > BlockLen, the
+// block's size.
+func oneBlockBlob(n int) ([]byte, RunEntry) {
+	docs := make([]uint32, n)
+	tfs := make([]uint32, n)
+	for i := range docs {
+		docs[i], tfs[i] = uint32(i), 1
+	}
+	body, err := encoding.VarByteCodec.Encode(nil, docs, tfs, nil)
+	if err != nil {
+		panic(err)
+	}
+	blob := encoding.PutUvarByte(nil, 1)                 // nBlocks
+	blob = encoding.PutUvarByte(blob, uint64(n-1))       // lastDoc
+	blob = encoding.PutUvarByte(blob, uint64(n))         // count
+	blob = encoding.PutUvarByte(blob, uint64(len(body))) // byteLen
+	blob = encoding.PutUvarByte(blob, 1)                 // maxTF
+	blob = append(blob, body...)
+	return blob, RunEntry{Length: uint32(len(blob)), Count: uint32(n), Flags: FlagBlocks}
+}
+
+// TestBlockedBlobRejectsOversizedBlock: a skip entry may not claim
+// more postings than a block holds, however consistent the rest of
+// the blob is with the claim — readers decode blocks into fixed
+// BlockLen buffers, and no on-disk number may size a write past them.
+func TestBlockedBlobRejectsOversizedBlock(t *testing.T) {
+	blob, e := oneBlockBlob(BlockLen)
+	bl, err := parseBlockedBlob(blob, e)
+	if err != nil {
+		t.Fatalf("a full block must parse: %v", err)
+	}
+	var docBuf, tfBuf [BlockLen]uint32
+	docs, tfs, err := bl.DecodeBlockInto(0, docBuf[:], tfBuf[:])
+	if err != nil || len(docs) != BlockLen || len(tfs) != BlockLen || docs[BlockLen-1] != BlockLen-1 {
+		t.Fatalf("full block decoded to %d/%d postings, %v", len(docs), len(tfs), err)
+	}
+	blob, e = oneBlockBlob(BlockLen + 1)
+	if _, err := parseBlockedBlob(blob, e); !errors.Is(err, ErrCorruptRun) {
+		t.Fatalf("block of %d postings: parse = %v, want ErrCorruptRun", BlockLen+1, err)
+	}
+}
+
 // FuzzBlockedList hardens the blocked-blob parser: arbitrary bytes
 // must be rejected with the typed corruption error or parse into a
 // skip table whose blocks all decode within their declared shapes —
-// never a panic, never an allocation driven by unvalidated counts.
+// into BlockLen buffers, which no parsed block may outgrow — never a
+// panic, never an allocation driven by unvalidated counts.
 func FuzzBlockedList(f *testing.F) {
 	run, err := openRunBytes(blockedRunSeed(f))
 	if err != nil {
@@ -239,6 +285,8 @@ func FuzzBlockedList(f *testing.F) {
 	f.Add(blob, e.Count, e.Flags)
 	f.Add([]byte{}, uint32(0), e.Flags)
 	f.Add([]byte{1, 1, 1, 1, 1, 0}, uint32(1), e.Flags)
+	big, be := oneBlockBlob(BlockLen + 1)
+	f.Add(big, be.Count, be.Flags)
 	f.Fuzz(func(t *testing.T, data []byte, count, flags uint32) {
 		fe := RunEntry{Length: uint32(len(data)), Count: count, Flags: flags | FlagBlocks}
 		bl, err := parseBlockedBlob(data, fe)
@@ -249,9 +297,14 @@ func FuzzBlockedList(f *testing.F) {
 			return
 		}
 		total := 0
+		var docBuf, tfBuf [BlockLen]uint32
 		for i := 0; i < bl.NumBlocks(); i++ {
 			sk := bl.Skip(i)
-			ds, ts, err := bl.DecodeBlock(i)
+			ds, ts, err := bl.DecodeBlockInto(i, docBuf[:], tfBuf[:])
+			ads, ats, aerr := bl.DecodeBlock(i)
+			if (err != nil) != (aerr != nil) || !slices.Equal(ds, ads) || !slices.Equal(ts, ats) {
+				t.Fatalf("block %d: DecodeBlockInto (%v) and DecodeBlock (%v) disagree", i, err, aerr)
+			}
 			if err != nil {
 				if !errors.Is(err, ErrCorruptIndex) {
 					t.Fatalf("untyped decode error: %v", err)

@@ -86,7 +86,7 @@ func TestRunFileReadMethodsAgree(t *testing.T) {
 		positional bool
 	}{
 		{"short unblocked", 0, encoding.CodecVarByte, 0, false},
-		{"long blocked", 1, encoding.CodecBitPack, (600 + blockLen - 1) / blockLen, false},
+		{"long blocked", 1, encoding.CodecBitPack, (600 + BlockLen - 1) / BlockLen, false},
 		{"long positional", 2, encoding.CodecBitPack, 0, true},
 	} {
 		e, ok := run.Find(1, tc.slot)

@@ -207,6 +207,10 @@ func (s SpanRef) AddBytes(n int64) {
 	s.t.mu.Unlock()
 }
 
+// Live reports whether the ref records anything: false for the inert
+// ref of an unsampled request, so callers can skip building a note.
+func (s SpanRef) Live() bool { return s.t != nil }
+
 // AddItems attributes n logical items (lists, segments, docs).
 func (s SpanRef) AddItems(n int64) {
 	if s.t == nil {

@@ -73,6 +73,11 @@ type LiveResult struct {
 	QueryErrs   []string // errors observed by scheduled queries (must be empty)
 	Leaked      int      // goroutines that never drained after Close
 	Checkpoints []LiveCheckpoint
+
+	// RankFallbacks counts the checkpoints at which a live tombstone
+	// made rank=auto the fallback path; every checkpoint holds rank-auto
+	// and rank-exhaustive to the reference scorer either way.
+	RankFallbacks int
 }
 
 // OK reports whether every checkpoint agreed, no query errored, and
@@ -94,6 +99,7 @@ func (r *LiveResult) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "seed %d: %d ops (%d ins, %d del, %d qry), %d seals, %d compactions, %d checkpoints",
 		r.Seed, r.Ops, r.Inserts, r.Deletes, r.Queries, r.Seals, r.Compactions, len(r.Checkpoints))
+	fmt.Fprintf(&sb, ", rank-auto and rank-exhaustive vs reference at each (%d under tombstones)", r.RankFallbacks)
 	for _, e := range r.QueryErrs {
 		fmt.Fprintf(&sb, "\n  query error: %s", e)
 	}
@@ -192,10 +198,15 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			return fmt.Errorf("verify: serial rebuild at op %d (%s): %w", op, trigger, err)
 		}
 		diff := DiffLists(trigger, live, want, cfg.MaxDiffs)
-		// Ranked differential at the same boundary: the block evaluators
-		// (sealed segments + memtable pseudo-block, tombstone fallback)
-		// must match the exhaustive scorer query-for-query.
-		diff.Diffs = append(diff.Diffs, liveRankDiffs(m, live, cfg.MaxDiffs)...)
+		// Ranked differential at the same boundary: rank=auto (blocks
+		// over sealed segments + memtable pseudo-block, or the fallback
+		// while a tombstone is live) and rank=exhaustive must each match
+		// the reference scorer over the rebuild, query for query.
+		rd, fellBack := liveRankDiffs(m, want, int64(len(shadow)), cfg.MaxDiffs)
+		diff.Diffs = append(diff.Diffs, rd...)
+		if fellBack {
+			res.RankFallbacks++
+		}
 		res.Checkpoints = append(res.Checkpoints, LiveCheckpoint{
 			Op:      op,
 			Trigger: trigger,

@@ -1,14 +1,17 @@
-// rank.go extends the differential harness to ranked retrieval: the
-// block-max evaluators (MaxScore, Block-Max-WAND) are run query-for-
-// query against the exhaustive scorer over the merged pipeline index,
-// and every blocked list's skip table is checked against the postings
-// it summarizes. The evaluators are exact by construction, so the
-// comparison demands bitwise-equal scores in identical order.
+// rank.go extends the differential harness to ranked retrieval: both
+// of search's scorers — the pruned block evaluator behind rank=auto
+// and the exhaustive whole-list merge — are run query-for-query
+// against referenceTopK, a scorer the harness keeps for itself, over
+// the merged pipeline index and over the live index at every
+// checkpoint; and every blocked list's skip table is checked against
+// the postings it summarizes. Both scorers are exact by construction,
+// so the comparison demands bitwise-equal scores in identical order.
 package verify
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"fastinvert/internal/postings"
@@ -17,11 +20,97 @@ import (
 	"fastinvert/internal/store"
 )
 
+// BM25 parameters, restated from search so the reference shares no
+// code with what it checks.
+const (
+	refK1 = 1.2
+	refB  = 0.75
+)
+
+// referenceTopK is the oracle's oracle: the map-accumulate scorer
+// search.TopK was before it became a merge, arithmetic verbatim, fed
+// from the harness's own data instead of a search.Source — lists is
+// the harness's term -> postings map, numDocs its document count,
+// docLens its document lengths (nil ranks by TF-IDF, as an index
+// without lengths does). terms are already normalized, stop words
+// dropped; a repeated term scores once per occurrence. Selection is a
+// full sort by (score descending, docID ascending) cut to k.
+func referenceTopK(lists map[string]*postings.List, numDocs int64, docLens []uint32, k int, terms []string) []search.ScoredDoc {
+	var avgLen float64
+	if len(docLens) > 0 {
+		var sum float64
+		for _, l := range docLens {
+			sum += float64(l)
+		}
+		avgLen = sum / float64(len(docLens))
+	}
+	scores := map[uint32]float64{}
+	for _, t := range terms {
+		l := lists[t]
+		if l == nil || l.Len() == 0 {
+			continue
+		}
+		df := float64(l.Len())
+		if avgLen > 0 {
+			idf := math.Log(1 + (float64(numDocs)-df+0.5)/(df+0.5))
+			for i, doc := range l.DocIDs {
+				tf := float64(l.TFs[i])
+				norm := 1 - refB
+				if int(doc) < len(docLens) {
+					norm += refB * float64(docLens[doc]) / avgLen
+				} else {
+					norm += refB
+				}
+				scores[doc] += idf * tf * (refK1 + 1) / (tf + refK1*norm)
+			}
+			continue
+		}
+		idf := math.Log(1 + float64(numDocs)/df)
+		for i, doc := range l.DocIDs {
+			scores[doc] += float64(l.TFs[i]) * idf
+		}
+	}
+	out := make([]search.ScoredDoc, 0, len(scores))
+	for doc, score := range scores {
+		out = append(out, search.ScoredDoc{Doc: doc, Score: score})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Doc < out[j].Doc
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// docLensFromLists derives every document's length — its surviving
+// tokens — from the postings themselves: the sum of its term
+// frequencies over all terms.
+func docLensFromLists(lists map[string]*postings.List, numDocs int64) []uint32 {
+	lens := make([]uint32, numDocs)
+	for _, l := range lists {
+		for i, doc := range l.DocIDs {
+			if int64(doc) < numDocs {
+				lens[doc] += l.TFs[i]
+			}
+		}
+	}
+	return lens
+}
+
+// rankKs are the cut-offs every query of the mix runs at: the single
+// best, two ordinary sizes, and one far past any match count, which
+// returns (and so compares) the complete ranking.
+var rankKs = []int{1, 3, 10, math.MaxInt32}
+
 // rankQueryMix derives a seeded query set from a term -> postings map:
 // head terms (long, typically blocked lists), a tail term, multi-term
-// combinations, a duplicate word, and an unknown. Only terms the
-// searcher's normalization leaves unchanged are eligible, so both
-// evaluators resolve the same lists.
+// combinations, repeated words, an unknown, and stop words only. Only
+// terms the searcher's normalization leaves unchanged are eligible, so
+// the searcher and the reference resolve the same lists.
 func rankQueryMix(s *search.Searcher, lists map[string]*postings.List) [][]string {
 	type tdf struct {
 		term string
@@ -52,8 +141,10 @@ func rankQueryMix(s *search.Searcher, lists map[string]*postings.List) [][]strin
 		{head[0]},
 		{tail},
 		{head[0], tail},
-		{head[0], head[0]}, // duplicate word: contributes twice
+		{head[0], head[0]},          // duplicate word: contributes twice
+		{head[0], head[0], head[0]}, // and three times
 		{head[0], "zzzunknownzzz"},
+		{"the", "and", "of"}, // stop words only: no results
 	}
 	if len(head) >= 2 {
 		qs = append(qs, head[:2])
@@ -64,56 +155,56 @@ func rankQueryMix(s *search.Searcher, lists map[string]*postings.List) [][]strin
 	return qs
 }
 
-// diffTopK runs one query through the exhaustive scorer and through
-// mode, and returns a TermDiff on any disagreement (nil on exact
-// agreement: same docs, same order, bitwise-equal scores).
-func diffTopK(s *search.Searcher, mode search.RankMode, k int, q []string) *TermDiff {
-	label := fmt.Sprintf("%v k=%d", q, k)
-	s.SetRankMode(search.RankExhaustive)
-	want, err := s.TopK(k, q...)
-	if err != nil {
-		return &TermDiff{Term: label, Kind: "topk", Detail: fmt.Sprintf("exhaustive: %v", err)}
+// rankDiffs runs every query of the mix at every k of rankKs through
+// the searcher under mode and returns a TermDiff for each answer that
+// is not the reference's: same docs, same order, bitwise-equal scores.
+// reference receives the query's normalized scoring terms.
+func rankDiffs(s *search.Searcher, mode search.RankMode, queries [][]string,
+	reference func(k int, terms []string) []search.ScoredDoc, maxDiffs int) (diffs []TermDiff, truncated bool) {
+	if maxDiffs <= 0 {
+		maxDiffs = 8
 	}
-	s.SetRankMode(mode)
-	got, err := s.TopK(k, q...)
-	s.SetRankMode(search.RankExhaustive)
+	for _, q := range queries {
+		var terms []string
+		for _, w := range q {
+			if term, stop := s.Normalize(w); !stop && term != "" {
+				terms = append(terms, term)
+			}
+		}
+		for _, k := range rankKs {
+			d := diffTopK(s, mode, k, q, reference(k, terms))
+			if d == nil {
+				continue
+			}
+			if len(diffs) >= maxDiffs {
+				return diffs, true
+			}
+			diffs = append(diffs, *d)
+		}
+	}
+	return diffs, false
+}
+
+// diffTopK runs one query under mode and returns a TermDiff unless
+// the answer is exactly want.
+func diffTopK(s *search.Searcher, mode search.RankMode, k int, q []string, want []search.ScoredDoc) *TermDiff {
+	label := fmt.Sprintf("%v k=%d", q, k)
+	got, err := s.TopKModeCtx(context.Background(), mode, k, q...)
 	if err != nil {
 		return &TermDiff{Term: label, Kind: "topk", Detail: fmt.Sprintf("%s: %v", mode, err)}
 	}
 	if len(got) != len(want) {
 		return &TermDiff{Term: label, Kind: "topk",
-			Detail: fmt.Sprintf("%s returned %d results, exhaustive %d", mode, len(got), len(want))}
+			Detail: fmt.Sprintf("%s returned %d results, reference %d", mode, len(got), len(want))}
 	}
 	for i := range want {
 		if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
 			return &TermDiff{Term: label, Kind: "topk",
-				Detail: fmt.Sprintf("%s result %d = (%d, %v), exhaustive (%d, %v)",
+				Detail: fmt.Sprintf("%s result %d = (%d, %v), reference (%d, %v)",
 					mode, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)}
 		}
 	}
 	return nil
-}
-
-// rankDiff compares one evaluator against the exhaustive scorer over
-// the query mix at several k.
-func rankDiff(name string, s *search.Searcher, mode search.RankMode,
-	queries [][]string, maxDiffs int) *DiffReport {
-	if maxDiffs <= 0 {
-		maxDiffs = 8
-	}
-	rep := &DiffReport{Name: name, GotTerms: len(queries), WantTerms: len(queries)}
-	for _, q := range queries {
-		for _, k := range []int{3, 10} {
-			if d := diffTopK(s, mode, k, q); d != nil {
-				if len(rep.Diffs) >= maxDiffs {
-					rep.Truncated = true
-					return rep
-				}
-				rep.Diffs = append(rep.Diffs, *d)
-			}
-		}
-	}
-	return rep
 }
 
 // blockBoundsDiff checks every term's block view against the postings
@@ -204,8 +295,10 @@ func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, ma
 
 // rankComparisons reopens the merged index (left behind by the last
 // mergeAndReadBack pass, codec-selected and block-laid-out) and runs
-// the ranked differential plus the skip-table bounds check.
-func rankComparisons(dir string, lists map[string]*postings.List, maxDiffs int) []Comparison {
+// the ranked differential — each scorer against referenceTopK over
+// lists, docs and the document lengths lists imply — plus the
+// skip-table bounds check.
+func rankComparisons(dir string, lists map[string]*postings.List, docs int64, maxDiffs int) []Comparison {
 	idx, err := store.OpenIndex(dir)
 	if err != nil {
 		return []Comparison{{Name: "rank", Err: err}}
@@ -216,31 +309,41 @@ func rankComparisons(dir string, lists map[string]*postings.List, maxDiffs int) 
 	}
 	s := search.New(idx)
 	queries := rankQueryMix(s, lists)
-	out := []Comparison{
-		{Name: "rank-maxscore", Diff: rankDiff("rank-maxscore", s, search.RankMaxScore, queries, maxDiffs)},
-		{Name: "rank-bmw", Diff: rankDiff("rank-bmw", s, search.RankBlockMax, queries, maxDiffs)},
-		{Name: "block-bounds", Diff: blockBoundsDiff(idx, lists, maxDiffs)},
+	docLens := docLensFromLists(lists, docs)
+	reference := func(k int, terms []string) []search.ScoredDoc {
+		return referenceTopK(lists, docs, docLens, k, terms)
 	}
-	return out
+	var out []Comparison
+	for _, mode := range []search.RankMode{search.RankAuto, search.RankExhaustive} {
+		name := "rank-" + mode.String()
+		rep := &DiffReport{Name: name, GotTerms: len(queries), WantTerms: len(queries)}
+		rep.Diffs, rep.Truncated = rankDiffs(s, mode, queries, reference, maxDiffs)
+		out = append(out, Comparison{Name: name, Diff: rep})
+	}
+	// A merged index serves blocks for every term: an auto query that
+	// fell back compared the exhaustive scorer twice.
+	if st := s.RankStats(); st.FallbackQueries != 0 || st.BlockQueries == 0 {
+		out[0].Diff.Diffs = append(out[0].Diff.Diffs, TermDiff{Term: "(index)", Kind: "topk",
+			Detail: fmt.Sprintf("rank=auto over a merged index: %d block queries, %d fallbacks", st.BlockQueries, st.FallbackQueries)})
+	}
+	return append(out, Comparison{Name: "block-bounds", Diff: blockBoundsDiff(idx, lists, maxDiffs)})
 }
 
 // liveRankDiffs runs the ranked differential against a live manager at
-// a seal/compact boundary: block evaluation over sealed segments (and
-// the memtable pseudo-block) must match the exhaustive scorer exactly,
-// tombstones falling back transparently.
-func liveRankDiffs(m *segment.Manager, lists map[string]*postings.List, maxDiffs int) []TermDiff {
+// a checkpoint: both scorers must match referenceTopK over want — the
+// serial rebuild of the surviving documents — and their count, by
+// TF-IDF as live indexes rank. With no tombstone live rank=auto is
+// block evaluation over sealed segments and the memtable
+// pseudo-block; with one it is the fallback, and fellBack says so.
+func liveRankDiffs(m *segment.Manager, want map[string]*postings.List, docs int64, maxDiffs int) (diffs []TermDiff, fellBack bool) {
 	s := search.NewWithSource(m)
-	var diffs []TermDiff
-	for _, q := range rankQueryMix(s, lists) {
-		if len(diffs) >= maxDiffs && maxDiffs > 0 {
-			break
-		}
-		for _, mode := range []search.RankMode{search.RankAuto, search.RankMaxScore} {
-			if d := diffTopK(s, mode, 10, q); d != nil {
-				diffs = append(diffs, *d)
-				break
-			}
-		}
+	queries := rankQueryMix(s, want)
+	reference := func(k int, terms []string) []search.ScoredDoc {
+		return referenceTopK(want, docs, nil, k, terms)
 	}
-	return diffs
+	for _, mode := range []search.RankMode{search.RankAuto, search.RankExhaustive} {
+		d, _ := rankDiffs(s, mode, queries, reference, maxDiffs)
+		diffs = append(diffs, d...)
+	}
+	return diffs, s.RankStats().FallbackQueries > 0
 }

@@ -210,9 +210,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Ranked retrieval differential over the final (auto-codec, blocked)
-	// merged index: MaxScore and Block-Max-WAND against the exhaustive
-	// scorer, plus the skip-table bounds check on every list.
-	res.Comparisons = append(res.Comparisons, rankComparisons(outDir, pipeline, cfg.MaxDiffs)...)
+	// merged index: the pruned evaluator and the exhaustive scorer each
+	// against the harness's reference scorer, plus the skip-table bounds
+	// check on every list.
+	res.Comparisons = append(res.Comparisons, rankComparisons(outDir, pipeline, rep.Docs, cfg.MaxDiffs)...)
 	return res, nil
 }
 
