@@ -79,8 +79,9 @@ profile:
 # part of ./...; its TestQuick runs all four workloads at -quick sizes
 # and asserts no timing), the telemetry smoke gate, and — so they
 # cannot rot — the profile target on a tiny corpus and one iteration
-# of the ranked-retrieval microbenchmark (it builds a bench-shaped
-# index and a live one, then asserts nothing about time).
+# each of the ranked-retrieval and Boolean-handler microbenchmarks
+# (they build a bench-shaped index, and the first a live one, then
+# assert nothing about time).
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -88,6 +89,7 @@ check: lint
 	$(MAKE) smoke
 	$(MAKE) profile FILES=2 SCALE=0.25
 	$(GO) test ./internal/search/ -run '^$$' -bench BenchmarkTopK -benchtime 1x
+	$(GO) test ./internal/serve/ -run '^$$' -bench BenchmarkHandlerBool -benchtime 1x
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md):
 # four workloads over the shipped hetindex/hetserve binaries, seven
@@ -96,8 +98,10 @@ bench:
 	bash bench/run.sh
 
 # One pass over every go-test microbenchmark with allocation metrics
-# (BenchmarkParseDoc's ns/token, BenchmarkGPUIndexRun and BenchmarkTopK's
-# ns, allocations and blocks decoded per ranked query among them).
+# (BenchmarkParseDoc's ns/token, BenchmarkGPUIndexRun, BenchmarkTopK's
+# ns, allocations and blocks decoded per ranked query and
+# BenchmarkHandlerBool's ns, allocations and body bytes per Boolean
+# request among them).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -117,6 +121,7 @@ fuzz:
 	$(GO) test ./internal/store/ -fuzz FuzzParseDocMap -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzBlockedList -fuzztime 30s
 	$(GO) test ./internal/search/ -fuzz FuzzSearchQueries -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz FuzzResponseJSON -fuzztime 30s
 	$(GO) test ./internal/segment/ -fuzz FuzzSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/segment/ -fuzz FuzzTombstoneBitmap -fuzztime 30s
 

@@ -10,8 +10,8 @@
 //
 // Endpoints:
 //
-//	/search?q=parallel+inverted&mode=topk&k=10   ranked / Boolean / phrase queries
-//	/postings?term=parallel&limit=50             one term's postings (404 if absent)
+//	/search?q=parallel+inverted&mode=topk&k=10   ranked / Boolean / phrase queries  } one compact line of
+//	/postings?term=parallel&limit=50             one term's postings (404 if absent) } JSON each: | jq .
 //	/healthz                                     liveness + index shape
 //	/metrics                                     Prometheus text exposition: query counters,
 //	                                             latency histogram, cache hit/miss/eviction,
@@ -45,6 +45,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,42 +60,48 @@ import (
 )
 
 func main() {
-	var (
-		indexDir = flag.String("index", "", "built index directory (required; see cmd/hetindex)")
-		addr     = flag.String("addr", ":8080", "listen address")
-		cacheMB  = flag.Int64("cache-mb", 64, "postings cache budget in MiB")
-		shards   = flag.Int("cache-shards", 16, "postings cache shard count")
-		workers  = flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 2*time.Second, "per-query deadline")
-		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/ handlers")
-
-		sample   = flag.Int("sample", 64, "head-sample one request in N into a full trace (0 disables tracing)")
-		slowMS   = flag.Int("slow-ms", 250, "slow-query log threshold in milliseconds (negative logs every request)")
-		traceReq = flag.String("trace-requests", "", "stream sampled request traces as JSON lines to this file")
-
-		live       = flag.Bool("live", false, "serve a live LSM-style index from -index (created if empty)")
-		positional = flag.Bool("positional", false, "live mode: index token positions (phrase queries)")
-		sealEvery  = flag.Int("seal-every", 10000, "live mode: auto-seal the memtable every N documents (0 = manual)")
-		compactAt  = flag.Int("compact-at", 4, "live mode: background-compact at N segments (0 = manual)")
-		codec      = flag.String("codec", "auto", "live mode: postings codec for sealed segments")
-		selfcheck  = flag.Bool("selfcheck", false, "live mode: drive a seeded ingest+query load against the server, then exit (CI trace harness)")
-	)
-	flag.Parse()
-	if *indexDir == "" {
-		fmt.Fprintln(os.Stderr, "hetserve: -index is required")
-		flag.Usage()
-		os.Exit(2)
+	log.SetFlags(0)
+	log.SetPrefix("hetserve: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
 
-	// Registered before every closer below, so it runs after them: a
-	// selfcheck failure must still seal the memtable and flush the trace
-	// stream before the process reports it.
-	failed := false
-	defer func() {
-		if failed {
-			os.Exit(1)
-		}
-	}()
+// run is the command: it parses args, opens the index they name, and
+// serves it until interrupted — or, with -selfcheck, until the seeded
+// load has run — printing its status lines to w. Whatever it returns,
+// the closers have run first: the memtable is sealed and the trace
+// stream flushed before a failure is reported.
+func run(args []string, w io.Writer) (err error) {
+	fs := flag.NewFlagSet("hetserve", flag.ExitOnError)
+	var (
+		indexDir = fs.String("index", "", "built index directory (required; see cmd/hetindex)")
+		addr     = fs.String("addr", ":8080", "listen address")
+		cacheMB  = fs.Int64("cache-mb", 64, "postings cache budget in MiB")
+		shards   = fs.Int("cache-shards", 16, "postings cache shard count")
+		workers  = fs.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
+		timeout  = fs.Duration("timeout", 2*time.Second, "per-query deadline")
+		pprofOn  = fs.Bool("pprof", false, "mount /debug/pprof/ handlers")
+
+		sample   = fs.Int("sample", 64, "head-sample one request in N into a full trace (0 disables tracing)")
+		slowMS   = fs.Int("slow-ms", 250, "slow-query log threshold in milliseconds (negative logs every request)")
+		traceReq = fs.String("trace-requests", "", "stream sampled request traces as JSON lines to this file")
+
+		live       = fs.Bool("live", false, "serve a live LSM-style index from -index (created if empty)")
+		positional = fs.Bool("positional", false, "live mode: index token positions (phrase queries)")
+		sealEvery  = fs.Int("seal-every", 10000, "live mode: auto-seal the memtable every N documents (0 = manual)")
+		compactAt  = fs.Int("compact-at", 4, "live mode: background-compact at N segments (0 = manual)")
+		codec      = fs.String("codec", "auto", "live mode: postings codec for sealed segments")
+		selfcheck  = fs.Bool("selfcheck", false, "live mode: drive a seeded ingest+query load against the server, then exit (CI trace harness)")
+	)
+	fs.Parse(args)
+	if *indexDir == "" {
+		fs.Usage()
+		return errors.New("-index is required")
+	}
+	if *selfcheck && !*live {
+		return errors.New("-selfcheck requires -live")
+	}
 
 	cfg := serve.Config{
 		CacheBytes:   *cacheMB << 20,
@@ -107,19 +115,14 @@ func main() {
 	if *traceReq != "" {
 		tw, err := telemetry.CreateReqTraceFile(*traceReq)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer func() {
-			if err := tw.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "hetserve: request trace: %v\n", err)
+			if cerr := tw.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("request trace: %w", cerr)
 			}
 		}()
 		cfg.ReqTraces = tw
-	}
-	if *selfcheck && !*live {
-		fmt.Fprintln(os.Stderr, "hetserve: -selfcheck requires -live")
-		os.Exit(2)
 	}
 	var srv *serve.Server
 	if *live {
@@ -130,8 +133,7 @@ func main() {
 			CompactAt:  *compactAt,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hetserve: open live index: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("open live index: %w", err)
 		}
 		defer mgr.Close() // seals the memtable so every ingested doc persists
 		srv = serve.NewLive(mgr, cfg)
@@ -140,29 +142,26 @@ func main() {
 		if *selfcheck {
 			where = "a loopback selfcheck port"
 		}
-		fmt.Printf("hetserve: live index, %d docs in %d segments — listening on %s\n",
+		fmt.Fprintf(w, "hetserve: live index, %d docs in %d segments — listening on %s\n",
 			mgr.NumDocs(), st.Segments, where)
 	} else {
 		idx, err := store.OpenIndex(*indexDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hetserve: open index: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("open index: %w", err)
 		}
 		defer idx.Close()
 		srv = serve.New(idx, cfg)
-		fmt.Printf("hetserve: %d terms, %d runs — listening on %s\n",
+		fmt.Fprintf(w, "hetserve: %d terms, %d runs — listening on %s\n",
 			idx.Terms(), len(idx.Runs()), *addr)
 	}
 	defer srv.Close()
 
 	if *selfcheck {
 		if err := runSelfCheck(srv.Handler(), *positional); err != nil {
-			fmt.Fprintf(os.Stderr, "hetserve: selfcheck: %v\n", err)
-			failed = true
-			return
+			return fmt.Errorf("selfcheck: %w", err)
 		}
-		fmt.Println("hetserve: selfcheck passed")
-		return
+		fmt.Fprintln(w, "hetserve: selfcheck passed")
+		return nil
 	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -171,18 +170,19 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "hetserve: %v\n", err)
-			os.Exit(1)
+		if !errors.Is(err, http.ErrServerClosed) {
+			return err
 		}
 	case <-sig:
-		fmt.Println("hetserve: shutting down")
+		fmt.Fprintln(w, "hetserve: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "hetserve: shutdown: %v\n", err)
+			return fmt.Errorf("shutdown: %w", err)
 		}
 	}
+	return nil
 }

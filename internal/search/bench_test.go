@@ -1,16 +1,13 @@
 package search
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
-	"fastinvert/internal/core"
-	"fastinvert/internal/corpus"
+	"fastinvert/internal/benchindex"
 	"fastinvert/internal/segment"
-	"fastinvert/internal/store"
 )
 
 func benchSearcher(b *testing.B) (*Searcher, string, string) {
@@ -42,78 +39,18 @@ func BenchmarkAndQuery(b *testing.B) {
 	}
 }
 
-// benchWords draws n words out of the documents' own text the way the
-// repository benchmark's query sampler does (bench/inputs.go): a
-// random document, a random position in it, then the first whole
-// alphabetic word of three letters or more after that position — so
-// word popularity follows the corpus's own law.
-func benchWords(rng *rand.Rand, docs [][]byte, n int) []string {
-	out := make([]string, 0, n)
-	for len(out) < n {
-		doc := docs[rng.Intn(len(docs))]
-		tail := doc[rng.Intn(len(doc)):]
-		sp := bytes.IndexAny(tail, " \n")
-		if sp < 0 {
-			continue
-		}
-		var words []string
-		for _, f := range bytes.Fields(tail[sp:min(len(tail), sp+64)]) {
-			notLetter := func(r rune) bool { return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z') }
-			if len(f) >= 3 && bytes.IndexFunc(f, notLetter) < 0 {
-				words = append(words, string(f))
-			}
-		}
-		// The window's last word may be cut short, so it is never taken.
-		if len(words) > 1 {
-			out = append(out, words[0])
-		}
-	}
-	return out
-}
-
 // BenchmarkTopK is ranked retrieval on the shape the repository
-// benchmark serves: a generated Wikipedia-profile collection (24 files
-// at scale 3, serve_topk's and live_mixed's corpus), 2-3-word queries
-// copied out of the documents, top 10. static is that collection built
-// through the pipeline and merged with the self-tuned codec, read
-// without a list cache; live is its first 2,700 documents in a segment
-// manager — five sealed segments, a 200-document memtable and one
-// tombstone, so auto is the fallback most live_mixed queries take.
+// benchmark serves (benchindex.Build: serve_topk's and live_mixed's
+// corpus), 2-3-word queries copied out of the documents, top 10. static
+// is that collection built through the pipeline and merged with the
+// self-tuned codec, read without a list cache; live is its first 2,700
+// documents in a segment manager — five sealed segments, a 200-document
+// memtable and one tombstone, so auto is the fallback most live_mixed
+// queries take.
 // Each reports ns, allocations and blocks decoded per query, and
 // asserts no time.
 func BenchmarkTopK(b *testing.B) {
-	src := corpus.NewMemSource(corpus.NewGenerator(corpus.Wikipedia0107(3)), 24).Materialize()
-	var docs [][]byte
-	for i := 0; i < src.NumFiles(); i++ {
-		stored, compressed, err := src.ReadFile(i)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain, err := corpus.Decompress(stored, compressed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		docs = append(docs, corpus.SplitDocs(plain)...)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Concurrent = true
-	cfg.OutDir = filepath.Join(b.TempDir(), "idx")
-	eng, err := core.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Build(src); err != nil {
-		b.Fatal(err)
-	}
-	idx, err := store.OpenIndexWith(cfg.OutDir, store.ReaderOptions{MergeCodec: "auto", CacheBytes: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer idx.Close()
-	if _, err := idx.Merge(); err != nil {
-		b.Fatal(err)
-	}
+	idx, docs := benchindex.Build(b)
 
 	const liveDocs = 2700
 	m, err := segment.Open(filepath.Join(b.TempDir(), "live"), segment.Options{Codec: "auto", SealEvery: 500})
@@ -141,7 +78,7 @@ func BenchmarkTopK(b *testing.B) {
 		rng := rand.New(rand.NewSource(20110516))
 		queries := make([][]string, 512)
 		for i := range queries {
-			queries[i] = benchWords(rng, shape.docs, 2+rng.Intn(2))
+			queries[i] = benchindex.Words(rng, shape.docs, 2+rng.Intn(2))
 		}
 		for _, mode := range []RankMode{RankAuto, RankExhaustive} {
 			b.Run(mode.String()+"/"+shape.name, func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,8 +173,10 @@ func (s *Searcher) AndCtx(ctx context.Context, words ...string) ([]uint32, error
 	msp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageMerge)
 	msp.AddItems(int64(len(lists)))
 	defer msp.End()
-	// Intersect smallest-first to keep the candidate set minimal.
-	sort.Slice(lists, func(i, j int) bool { return lists[i].Len() < lists[j].Len() })
+	// Intersect smallest-first to keep the candidate set minimal. out is
+	// this call's own copy of the shortest list; the source's lists may
+	// be shared with a cache and are only read.
+	slices.SortFunc(lists, func(a, b *postings.List) int { return a.Len() - b.Len() })
 	out := append([]uint32(nil), lists[0].DocIDs...)
 	for _, l := range lists[1:] {
 		out = intersect(out, l.DocIDs)
@@ -184,21 +187,94 @@ func (s *Searcher) AndCtx(ctx context.Context, words ...string) ([]uint32, error
 	return out, nil
 }
 
-// intersect merges two sorted docID slices, galloping through the
-// longer one.
-func intersect(a, b []uint32) []uint32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	out := a[:0]
-	for _, doc := range a {
-		i := sort.Search(len(b), func(i int) bool { return b[i] >= doc })
-		if i < len(b) && b[i] == doc {
-			out = append(out, doc)
+// gallopRatio is how many times longer than acc the other list must be
+// before intersect stops stepping through it and starts skipping: up
+// to it a linear merge's one comparison per element beats a search per
+// candidate. Measured on random lists of 20 to 3,000 candidates, the
+// two cross between 4x and 6x.
+const gallopRatio = 4
+
+// intersect narrows acc to the docIDs that other also holds and returns
+// the narrowed prefix. Both lists are strictly ascending. acc is the
+// only slice written (survivors move to its front); other is only read,
+// whichever of the two is longer. A linear merge when other is within
+// gallopRatio of acc's length, galloping otherwise: from where the last
+// candidate left off in other, an exponential probe and a binary search
+// inside the bracket it finds.
+func intersect(acc, other []uint32) []uint32 {
+	out := acc[:0]
+	if len(other) > gallopRatio*len(acc) {
+		j := 0
+		for _, doc := range acc {
+			j = gallop(other, j, doc)
+			if j == len(other) {
+				break
+			}
+			if other[j] == doc {
+				out = append(out, doc)
+				j++
+			}
 		}
-		b = b[i:]
+		return out
+	}
+	for i, j := 0, 0; i < len(acc) && j < len(other); {
+		switch a, b := acc[i], other[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			out = append(out, a)
+			i++
+			j++
+		}
 	}
 	return out
+}
+
+// gallop returns the first index at or after from whose element is at
+// least target, len(l) if there is none: steps of 1, 2, 4, … until one
+// lands at or beyond the target, then a binary search between the last
+// two landings.
+func gallop(l []uint32, from int, target uint32) int {
+	if from >= len(l) || l[from] >= target {
+		return from
+	}
+	lo, step := from, 1 // l[lo] < target throughout
+	for lo+step < len(l) && l[lo+step] < target {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(l)) // hi == len(l) or l[hi] >= target
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); l[mid] < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// union returns a new ascending, duplicate-free list of the docIDs in
+// either strictly ascending list; neither input is written.
+func union(a, b []uint32) []uint32 {
+	out := make([]uint32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if x <= y {
+			out = append(out, x)
+			i++
+		} else {
+			out = append(out, y)
+		}
+		if y <= x {
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Or returns the docIDs containing any word, in ascending order.
@@ -206,24 +282,23 @@ func (s *Searcher) Or(words ...string) ([]uint32, error) {
 	return s.OrCtx(context.Background(), words...)
 }
 
-// OrCtx is Or honoring ctx cancellation between per-term fetches.
+// OrCtx is Or honoring ctx cancellation between per-term fetches. The
+// answer is a fold of two-list unions, so it is the caller's own slice
+// even when one word matched.
 func (s *Searcher) OrCtx(ctx context.Context, words ...string) ([]uint32, error) {
-	seen := map[uint32]struct{}{}
+	var lists []*postings.List
 	for _, w := range words {
 		l, err := s.PostingsCtx(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		for _, doc := range l.DocIDs {
-			seen[doc] = struct{}{}
-		}
+		lists = append(lists, l)
 	}
 	msp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageMerge)
-	out := make([]uint32, 0, len(seen))
-	for doc := range seen {
-		out = append(out, doc)
+	out := []uint32{}
+	for _, l := range lists {
+		out = union(out, l.DocIDs)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	msp.AddItems(int64(len(out)))
 	msp.End()
 	return out, nil

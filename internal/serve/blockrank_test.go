@@ -53,7 +53,9 @@ func TestServerBlockRankedPath(t *testing.T) {
 
 // TestServerRankParam checks the per-request evaluator override: both
 // rank= values answer identically on the same query, auto advances the
-// block counters, exhaustive does not, and anything else is a 400.
+// block counters, exhaustive does not, and anything else is a 400 —
+// answered, like a bad mode or k, before the request is a query: no
+// pool slot taken, nothing counted.
 func TestServerRankParam(t *testing.T) {
 	idx := buildIndex(t)
 	if _, err := idx.Merge(); err != nil {
@@ -78,8 +80,30 @@ func TestServerRankParam(t *testing.T) {
 	if st := srv.searcher.RankStats(); st.BlockQueries != 1 {
 		t.Fatalf("rank=auto: block queries = %d, want 1", st.BlockQueries)
 	}
-	// The two evaluators folded into auto are no longer values.
-	for _, rank := range []string{"wand", "maxscore", "bmw"} {
-		getJSON(t, ts, "/search?mode=topk&k=5&rank="+rank+"&q="+q, 400)
+	// A bad rank (the two evaluators folded into auto are no longer
+	// values), mode or k is rejected before anything is counted.
+	queries := srv.metrics.queries.Value()
+	completed := srv.pool.Stats().Completed
+	for _, params := range []string{
+		"mode=topk&k=5&rank=wand", "mode=topk&k=5&rank=maxscore", "mode=topk&k=5&rank=bmw",
+		"mode=bogus", "mode=AND", "mode=topk,and", "mode=bogus&rank=auto&k=5",
+		"mode=topk&k=abc", "mode=and&k=0",
+	} {
+		m := getJSON(t, ts, "/search?"+params+"&q="+q, 400)
+		if m["status"] != float64(400) || m["error"] == "" {
+			t.Errorf("%s: error body = %v", params, m)
+		}
+	}
+	if got := srv.metrics.queries.Value(); got != queries {
+		t.Errorf("rejected parameters were counted as %v queries", got-queries)
+	}
+	if got := srv.metrics.errors.Value(); got != 0 {
+		t.Errorf("rejected parameters were counted as %v query errors", got)
+	}
+	if got := srv.metrics.latency.Count(); float64(got) != queries {
+		t.Errorf("hetserve_query_seconds holds %d observations after %v queries", got, queries)
+	}
+	if got := srv.pool.Stats().Completed; got != completed {
+		t.Errorf("rejected parameters took %d pool slots", got-completed)
 	}
 }

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"context"
-	"io"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,27 +23,25 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	word := indexedWord(t, idx)
 	// Two searches: the repeat warms the postings cache so the hit
-	// counter moves too.
-	getJSON(t, ts, "/search?q="+word+"&mode=and", http.StatusOK)
-	getJSON(t, ts, "/search?q="+word+"&mode=and", http.StatusOK)
-	// A bad mode passes the input checks and fails inside the query
-	// path, so it lands in both the query and error counters.
-	getJSON(t, ts, "/search?q="+word+"&mode=bogus", http.StatusBadRequest)
-
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// counter moves too. sent adds up the bodies /search wrote, error
+	// bodies included: bytes on the wire per endpoint.
+	sent := 0
+	for _, path := range []string{"/search?q=" + word + "&mode=and", "/search?q=" + word + "&mode=and",
+		// A bad mode is rejected before the request becomes a query, so
+		// it moves neither the query nor the error counter (a query that
+		// fails inside the path moves both: TestServerQueryTimeout).
+		"/search?q=" + word + "&mode=bogus"} {
+		_, body := getRaw(t, ts, path)
+		sent += len(body)
 	}
-	defer resp.Body.Close()
+	_, postings := getRaw(t, ts, "/postings?term="+word)
+
+	resp, body := getRaw(t, ts, "/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type = %q, want text exposition 0.0.4", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
 	}
 	out := string(body)
 
@@ -52,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE hetserve_query_seconds histogram",
 		"hetserve_query_seconds_bucket{le=\"+Inf\"} 3",
 		"hetserve_queries_total 3",
-		"hetserve_query_errors_total 1",
+		"hetserve_query_errors_total 0",
 		"hetserve_cache_hits_total",
 		"hetserve_cache_misses_total",
 		"hetserve_cache_evictions_total",
@@ -65,6 +63,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hetserve_store_decode_varbyte_total",
 		"hetserve_store_decode_bitpack_total",
 		"hetserve_store_decode_eliasfano_total",
+		"# TYPE hetserve_response_bytes_total counter",
+		fmt.Sprintf("hetserve_response_bytes_total{endpoint=\"search\"} %d\n", sent),
+		fmt.Sprintf("hetserve_response_bytes_total{endpoint=\"postings\"} %d\n", len(postings)),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

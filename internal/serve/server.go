@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -474,21 +473,29 @@ type rankedDoc struct {
 //	GET /search?q=parallel+inverted&mode=and|or|phrase|topk&k=10
 //	    [&rank=auto|exhaustive]   topk evaluator override
 //
-// The query runs on a pool worker under the per-query deadline; a
-// saturated pool makes callers wait here (backpressure), and an
-// expired deadline aborts with 503.
+// Every parameter is checked before the query costs anything: a bad
+// mode, k or rank is a 400 that takes no pool slot and is not counted
+// as a query. The query runs on a pool worker under the per-query
+// deadline; a saturated pool makes callers wait here (backpressure),
+// and an expired deadline aborts with 503.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
+	params := r.URL.Query()
+	q := strings.TrimSpace(params.Get("q"))
 	if q == "" {
 		httpError(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
+	mode := params.Get("mode")
+	switch mode {
+	case "":
 		mode = "topk"
+	case "and", "or", "phrase", "topk":
+	default:
+		httpError(w, http.StatusBadRequest, "serve: mode must be one of and, or, phrase, topk")
+		return
 	}
 	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := params.Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v <= 0 {
 			httpError(w, http.StatusBadRequest, "k must be a positive integer")
@@ -500,7 +507,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		k = s.cfg.MaxK
 	}
 	rankMode := s.searcher.GetRankMode()
-	if v := r.URL.Query().Get("rank"); v != "" {
+	if v := params.Get("rank"); v != "" {
 		m, ok := parseRankMode(v)
 		if !ok {
 			httpError(w, http.StatusBadRequest, "rank must be one of auto, exhaustive")
@@ -521,31 +528,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	wsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageWait)
 	err := s.pool.Do(ctx, func(ctx context.Context) error {
 		wsp.End()
+		var err error
 		switch mode {
 		case "and":
-			docs, err := s.searcher.AndCtx(ctx, words...)
-			resp.Docs, resp.Count = docs, len(docs)
-			return err
+			resp.Docs, err = s.searcher.AndCtx(ctx, words...)
 		case "or":
-			docs, err := s.searcher.OrCtx(ctx, words...)
-			resp.Docs, resp.Count = docs, len(docs)
-			return err
+			resp.Docs, err = s.searcher.OrCtx(ctx, words...)
 		case "phrase":
-			docs, err := s.searcher.PhraseCtx(ctx, words...)
-			resp.Docs, resp.Count = docs, len(docs)
-			return err
-		case "topk":
+			resp.Docs, err = s.searcher.PhraseCtx(ctx, words...)
+		default: // topk: mode was validated above
 			resp.K = k
-			ranked, err := s.searcher.TopKModeCtx(ctx, rankMode, k, words...)
+			var ranked []search.ScoredDoc
+			ranked, err = s.searcher.TopKModeCtx(ctx, rankMode, k, words...)
 			resp.Ranked = make([]rankedDoc, len(ranked))
 			for i, d := range ranked {
 				resp.Ranked[i] = rankedDoc{Doc: d.Doc, Score: d.Score}
 			}
-			resp.Count = len(ranked)
-			return err
-		default:
-			return errBadMode
 		}
+		resp.Count = len(resp.Docs) + len(resp.Ranked) // a mode fills one of the two
+		return err
 	})
 	took := time.Since(t0)
 	s.metrics.Observe(took, err)
@@ -554,10 +555,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.TookMs = float64(took) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
-
-var errBadMode = errors.New("serve: mode must be one of and, or, phrase, topk")
 
 // parseRankMode maps a non-empty rank query parameter onto the topk
 // evaluation strategy (an absent parameter defers to the searcher's
@@ -587,13 +586,14 @@ type postingsResponse struct {
 //
 //	GET /postings?term=parallel&limit=100
 func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
-	word := r.URL.Query().Get("term")
+	params := r.URL.Query()
+	word := params.Get("term")
 	if word == "" {
 		httpError(w, http.StatusBadRequest, "missing term parameter")
 		return
 	}
 	limit := 100
-	if ls := r.URL.Query().Get("limit"); ls != "" {
+	if ls := params.Get("limit"); ls != "" {
 		v, err := strconv.Atoi(ls)
 		if err != nil || v <= 0 {
 			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
@@ -651,7 +651,7 @@ func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("store: term %q not found", norm))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleHealthz reports liveness plus basic index shape.
@@ -688,22 +688,13 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		httpError(w, http.StatusServiceUnavailable, "query canceled")
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, store.ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, errBadMode), errors.Is(err, search.ErrInvalidK),
-		errors.Is(err, search.ErrNotPositional):
+	case errors.Is(err, search.ErrInvalidK), errors.Is(err, search.ErrNotPositional):
 		httpError(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, store.ErrCorruptIndex):
 		httpError(w, http.StatusInternalServerError, err.Error())
 	default:
 		httpError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

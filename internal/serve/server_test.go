@@ -85,14 +85,24 @@ func indexedWord(t testing.TB, idx *store.IndexReader) string {
 	return pickWords(t, idx, 1)[0]
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, status int) map[string]any {
+// getRaw returns the response and body of a GET, whatever its status.
+func getRaw(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+func getJSON(t *testing.T, ts *httptest.Server, path string, status int) map[string]any {
+	t.Helper()
+	resp, body := getRaw(t, ts, path)
 	if resp.StatusCode != status {
 		t.Fatalf("GET %s = %d, want %d; body: %s", path, resp.StatusCode, status, body)
 	}
@@ -231,6 +241,10 @@ func TestServerQueryTimeout(t *testing.T) {
 
 	word := indexedWord(t, idx)
 	getJSON(t, ts, "/search?q="+word, http.StatusServiceUnavailable)
+	// A query that fails inside the path is a query and an error.
+	if q, e := srv.metrics.queries.Value(), srv.metrics.errors.Value(); q != 1 || e != 1 {
+		t.Errorf("after one timed-out query: queries = %v, errors = %v, want 1 and 1", q, e)
+	}
 }
 
 // TestServerAfterIndexClose verifies ErrClosed maps to 503 rather

@@ -13,10 +13,12 @@ import (
 
 // statusWriter captures the response status the wrapped handler wrote
 // so the instrumentation after it can label the trace and slow-log
-// entry. Pooled: the unsampled fast path must not allocate per request.
+// entry, and counts the body bytes it wrote. Pooled: the unsampled fast
+// path must not allocate per request.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	bytes  int
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
@@ -24,6 +26,12 @@ func (sw *statusWriter) WriteHeader(code int) {
 		sw.status = code
 	}
 	sw.ResponseWriter.WriteHeader(code)
+}
+
+func (sw *statusWriter) Write(b []byte) (int, error) {
+	n, err := sw.ResponseWriter.Write(b)
+	sw.bytes += n
+	return n, err
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
@@ -58,14 +66,17 @@ func (s *Server) stageHist(endpoint, stage string) *telemetry.Histogram {
 // pprof goroutine labels, the per-endpoint latency histogram, and —
 // for sampled or slow requests only — trace retention, per-stage
 // histograms and the slow-query log. The unsampled path touches two
-// atomics, a pooled status writer and one histogram observe: zero
-// allocations.
+// atomics, a pooled status writer, one counter add and one histogram
+// observe: zero allocations.
 //
-// The per-endpoint histogram is resolved once, at registration, so a
-// request never looks anything up in the registry.
+// The per-endpoint histogram and byte counter are resolved once, at
+// registration, so a request never looks anything up in the registry.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.cfg.Registry.Histogram("hetserve_endpoint_seconds",
 		"Request latency by endpoint.", telemetry.DefBuckets,
+		telemetry.L("endpoint", endpoint))
+	sent := s.cfg.Registry.Counter("hetserve_response_bytes_total",
+		"Response body bytes written, by endpoint.",
 		telemetry.L("endpoint", endpoint))
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
@@ -84,7 +95,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		}
 
 		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.status = w, 0
+		sw.ResponseWriter, sw.status, sw.bytes = w, 0, 0
 		start := time.Now()
 		if s.cfg.EnablePprof {
 			// Label query goroutines so CPU profiles split by endpoint and
@@ -101,6 +112,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if status == 0 {
 			status = http.StatusOK
 		}
+		sent.Add(float64(sw.bytes))
 		sw.ResponseWriter = nil
 		swPool.Put(sw)
 

@@ -308,8 +308,17 @@ func TestTracingZeroAllocFastPath(t *testing.T) {
 	}
 }
 
-type nopResponseWriter struct{ hdr http.Header }
+// nopResponseWriter discards the response, keeping its status and the
+// number of body bytes.
+type nopResponseWriter struct {
+	hdr    http.Header
+	status int
+	bytes  int
+}
 
-func (w *nopResponseWriter) Header() http.Header         { return w.hdr }
-func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w *nopResponseWriter) WriteHeader(int)             {}
+func (w *nopResponseWriter) Header() http.Header { return w.hdr }
+func (w *nopResponseWriter) Write(b []byte) (int, error) {
+	w.bytes += len(b)
+	return len(b), nil
+}
+func (w *nopResponseWriter) WriteHeader(status int) { w.status = status }
