@@ -18,8 +18,8 @@
 //
 //	-progress          live build ticker: docs/s, MB/s, ETA, per-stage utilization
 //	-metrics FILE      Prometheus text snapshot of the build metrics ("-" = stdout)
-//	-trace FILE        JSONL build trace: per-stage spans (busy + derived stalls),
-//	                   buffer-occupancy samples, per-collection token skew
+//	-trace FILE        build trace, one JSONL record: per-stage spans on one lane
+//	                   per worker (busy + derived stalls), per-collection token skew
 //	-cpuprofile FILE   pprof CPU profile covering the build (and merge, if any)
 //	-memprofile FILE   pprof allocation profile written at exit
 package main
@@ -123,7 +123,7 @@ func run(args []string, w io.Writer) error {
 	reg := telemetry.NewRegistry()
 	if *progress || *metricsOut != "" || *traceOut != "" {
 		if *traceOut != "" {
-			tw, err = telemetry.CreateTrace(*traceOut)
+			tw, err = telemetry.CreateTraceFile(*traceOut)
 			if err != nil {
 				return err
 			}
@@ -235,8 +235,8 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("trace validation FAILED: %w", err)
 		}
-		fmt.Fprintf(w, "trace: %s (%d spans, %d samples, busy+stall coverage %.0f%%)\n",
-			*traceOut, st.Spans, st.Samples, 100*st.BusyStallCoverage)
+		fmt.Fprintf(w, "trace: %s (%d spans, busy+stall coverage %.0f%%)\n",
+			*traceOut, st.Spans, 100*st.BusyStallCoverage)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(w, *metricsOut, reg); err != nil {

@@ -36,7 +36,7 @@
 // span tree (dictionary, cache, pread, decode, merge, memtable stages),
 // retained at /debug/trace, broken down per stage on /metrics, and —
 // with -trace-requests — streamed as JSON lines that cmd/tracecheck
-// -requests validates. Requests at or over -slow-ms always land in
+// validates. Requests at or over -slow-ms always land in
 // /debug/slowlog, traced or not.
 package main
 
@@ -113,7 +113,7 @@ func run(args []string, w io.Writer) (err error) {
 		SlowQuery:    time.Duration(*slowMS) * time.Millisecond,
 	}
 	if *traceReq != "" {
-		tw, err := telemetry.CreateReqTraceFile(*traceReq)
+		tw, err := telemetry.CreateTraceFile(*traceReq)
 		if err != nil {
 			return err
 		}

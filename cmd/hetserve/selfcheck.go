@@ -24,7 +24,7 @@ var selfCheckVocab = []string{
 // runSelfCheck binds the server to a loopback port and drives a
 // seeded, deterministic ingest + maintenance + query load against it
 // over real HTTP — the workload CI's trace-serve job traces and then
-// validates with cmd/tracecheck -requests. It exercises every traced
+// validates with cmd/tracecheck. It exercises every traced
 // endpoint: ingest, delete, seal, compact, search (all modes) and
 // postings, plus the debug surfaces.
 func runSelfCheck(h http.Handler, positional bool) error {

@@ -1,22 +1,26 @@
-// Command tracecheck validates JSONL traces written by the fastinvert
-// tools: build traces from hetindex -trace (schema shape, per-worker
-// span nesting, the busy+stall wall-clock coverage gate) and, with
-// -requests, request traces from hetserve -trace-requests (span-tree
-// shape, known stages, the child-sum ≤ parent-wall invariant, and a
-// query-stage coverage gate). CI runs both against seeded workloads.
+// Command tracecheck validates the JSONL trace streams the fastinvert
+// tools write — build records from hetindex -trace, request and
+// seal/compaction records from hetserve -trace-requests — against the
+// one trace rule: known stages, every span inside its parent, and the
+// children of one parent on one lane never summing past it. Then it
+// applies the stream gates it is given: the busy+stall coverage of the
+// build's worker lanes, the widest query-stage coverage of one request,
+// and the record count. CI runs it against seeded workloads.
 //
 // Usage:
 //
-//	tracecheck [-min-coverage 0.9] build-trace.jsonl
-//	tracecheck -requests [-min-stages 5] [-min-traces 1] request-trace.jsonl
+//	tracecheck [-min-coverage 0.9] [-min-stages 5] [-min-traces 1] trace.jsonl
 //
-// Exit status 0 means the trace is well-formed and the gates passed;
-// 1 names the first violated invariant.
+// Exit status 0 means the stream is well-formed and the gates passed;
+// 1 names the first violated invariant or failed gate; 2 is a usage
+// error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -27,76 +31,70 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracecheck: ")
-	minCov := flag.Float64("min-coverage", 0.9,
-		"minimum busy+stall fraction of build wall-clock (0 disables the gate)")
-	requests := flag.Bool("requests", false,
-		"validate a request trace (hetserve -trace-requests) instead of a build trace")
-	minStages := flag.Int("min-stages", 5,
-		"request mode: some trace must cover at least this many distinct query stages (0 disables)")
-	minTraces := flag.Int("min-traces", 1,
-		"request mode: minimum number of traces in the stream")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-min-coverage 0.9] build-trace.jsonl")
-		fmt.Fprintln(os.Stderr, "       tracecheck -requests [-min-stages 5] [-min-traces 1] request-trace.jsonl")
-		os.Exit(2)
-	}
-	if *requests {
-		checkRequests(flag.Arg(0), *minStages, *minTraces)
-		return
-	}
-
-	st, err := telemetry.ValidateTraceFile(flag.Arg(0))
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) || errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		log.Fatal(err)
 	}
-	fmt.Printf("trace OK: %d events (%d spans, %d samples, %d counters), wall %.3fs\n",
-		st.Events, st.Spans, st.Samples, st.Counters, st.WallSec)
-	printStages(st.StageSec)
-	fmt.Printf("busy+stall coverage of wall-clock: %.1f%%\n", 100*st.BusyStallCoverage)
+}
+
+var errUsage = errors.New("want exactly one trace file")
+
+// run is the command: it validates the one stream named in args,
+// prints its summary to w, and returns the first failed invariant or
+// gate.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	minCov := fs.Float64("min-coverage", 0,
+		"minimum busy+stall fraction of build wall-clock over the worker lanes (0 disables)")
+	minStages := fs.Int("min-stages", 0,
+		"some trace must cover at least this many distinct query stages (0 disables)")
+	minTraces := fs.Int("min-traces", 1, "minimum number of traces in the stream")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
+	}
+	st, err := telemetry.ValidateTraceFile(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "traces OK: %d traces, %d spans, %d slow, %d errors\n",
+		st.Traces, st.Spans, st.Slow, st.Errors)
+	fmt.Fprintln(w, "traces per endpoint:")
+	for _, e := range sorted(st.Endpoints) {
+		fmt.Fprintf(w, "  %-14s %8d\n", e, st.Endpoints[e])
+	}
+	fmt.Fprintln(w, "span time per stage (ms):")
+	for _, s := range sorted(st.StageMs) {
+		fmt.Fprintf(w, "  %-14s %12.3f\n", s, st.StageMs[s])
+	}
+	fmt.Fprintf(w, "busy+stall coverage of wall-clock: %.1f%% over %d worker lanes\n",
+		100*st.BusyStallCoverage, len(st.LaneCoverage))
+	fmt.Fprintf(w, "widest query-stage coverage in one trace: %d stages\n", st.MaxQueryStages)
+	if st.Traces < *minTraces {
+		return fmt.Errorf("%d traces below the %d-trace gate — the workload produced too little traffic",
+			st.Traces, *minTraces)
+	}
 	if *minCov > 0 && st.BusyStallCoverage < *minCov {
-		log.Fatalf("coverage %.1f%% below the %.0f%% gate — stage spans are missing build time",
+		return fmt.Errorf("coverage %.1f%% below the %.0f%% gate — stage spans are missing build time",
 			100*st.BusyStallCoverage, 100**minCov)
 	}
+	if *minStages > 0 && st.MaxQueryStages < *minStages {
+		return fmt.Errorf("no trace covers %d query stages (max %d) — request spans are missing query work",
+			*minStages, st.MaxQueryStages)
+	}
+	return nil
 }
 
-// checkRequests validates a request-trace stream: every record's
-// schema and span tree (including the span-sum invariant) via the
-// telemetry validator, then the stream-level gates.
-func checkRequests(path string, minStages, minTraces int) {
-	st, err := telemetry.ValidateRequestTraceFile(path)
-	if err != nil {
-		log.Fatal(err)
+func sorted[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	fmt.Printf("request traces OK: %d traces, %d spans, %d slow, %d errors\n",
-		st.Traces, st.Spans, st.Slow, st.Errors)
-	endpoints := make([]string, 0, len(st.Endpoints))
-	for e := range st.Endpoints {
-		endpoints = append(endpoints, e)
-	}
-	sort.Strings(endpoints)
-	for _, e := range endpoints {
-		fmt.Printf("  %-10s %6d traces\n", e, st.Endpoints[e])
-	}
-	printStages(st.StageMs)
-	fmt.Printf("widest query-stage coverage in one trace: %d stages\n", st.MaxQueryStages)
-	if st.Traces < minTraces {
-		log.Fatalf("%d traces below the %d-trace gate — the load generator produced too little traffic",
-			st.Traces, minTraces)
-	}
-	if minStages > 0 && st.MaxQueryStages < minStages {
-		log.Fatalf("no trace covers %d query stages (max %d) — request spans are missing query work",
-			minStages, st.MaxQueryStages)
-	}
-}
-
-func printStages(stageVals map[string]float64) {
-	stages := make([]string, 0, len(stageVals))
-	for s := range stageVals {
-		stages = append(stages, s)
-	}
-	sort.Strings(stages)
-	for _, s := range stages {
-		fmt.Printf("  %-14s %12.4f\n", s, stageVals[s])
-	}
+	sort.Strings(keys)
+	return keys
 }

@@ -61,7 +61,7 @@ func (e *Engine) BuildConcurrent(src corpus.Source) (*Report, error) {
 // cancellation the disk reader stops feeding the parsers, every stage
 // goroutine drains to completion (no leaks), and the build returns
 // ctx.Err(); a partially written OutDir may remain.
-func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) (*Report, error) {
+func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) (_ *Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -75,6 +75,7 @@ func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) 
 	e.docFiles = e.docFiles[:0]
 	e.docLocs = e.docLocs[:0]
 	e.beginObserve(src.NumFiles(), true)
+	defer func() { e.endObserve(rep, err) }()
 
 	if err := e.samplePhase(src, rep); err != nil {
 		return nil, err
@@ -512,6 +513,5 @@ func (e *Engine) finishReport(rep *Report, items []pipesim.Item, nIdx int, write
 	rep.TotalSec = rep.SamplingSec + res.MakespanSec + rep.DictCombineSec + rep.DictWriteSec
 	rep.ThroughputMBps = pipesim.Throughput(rep.UncompressedBytes, rep.TotalSec)
 	rep.IndexingThroughputMBps = pipesim.Throughput(rep.UncompressedBytes, rep.IndexersSpanSec)
-	e.endObserve(rep)
 	return rep, nil
 }

@@ -147,7 +147,7 @@ func (e *Engine) Build(src corpus.Source) (*Report, error) {
 // expiry is observed between files and aborts the build with ctx.Err().
 // A canceled build leaves any partially written OutDir behind; rerun
 // to completion (or remove it) before opening.
-func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (*Report, error) {
+func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (_ *Report, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -156,6 +156,7 @@ func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (*Report, 
 	e.docFiles = e.docFiles[:0]
 	e.docLocs = e.docLocs[:0]
 	e.beginObserve(src.NumFiles(), false)
+	defer func() { e.endObserve(rep, err) }()
 
 	if err := e.samplePhase(src, rep); err != nil {
 		return nil, err

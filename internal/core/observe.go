@@ -57,7 +57,7 @@ func (s spanObserver) buildEnd(attrs map[string]any) {
 	}
 }
 
-// buildAttrs describes the pipeline shape for the trace meta event.
+// buildAttrs describes the pipeline shape for the build trace's attrs.
 func (e *Engine) buildAttrs(files int, concurrent bool) map[string]any {
 	return map[string]any{
 		"files":      files,
@@ -100,9 +100,14 @@ func shareTokens(groups []*parser.Group) int64 {
 	return n
 }
 
-// endObserve emits the split-skew totals and the build summary.
-func (e *Engine) endObserve(rep *Report) {
+// endObserve emits the split-skew totals and the build summary, or
+// the error a failed build returned.
+func (e *Engine) endObserve(rep *Report, err error) {
 	if !e.obs.active() {
+		return
+	}
+	if err != nil {
+		e.obs.buildEnd(map[string]any{"err": err.Error()})
 		return
 	}
 	for coll, tokens := range e.collTokens {

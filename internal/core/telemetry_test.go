@@ -1,109 +1,108 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fastinvert/internal/telemetry"
 )
 
-// traceLine mirrors the JSONL event envelope for test-side decoding.
-type traceLine struct {
-	Ev     string            `json:"ev"`
-	Span   *telemetry.Span   `json:"span"`
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels"`
-	Value  float64           `json:"value"`
-	Attrs  map[string]any    `json:"attrs"`
+// runTraced builds files test files with a Collector writing to a
+// buffer, in the given executor, and returns the report, the
+// registry, the trace stream and the build error.
+func runTraced(t *testing.T, mode string, files int, hooks *Hooks) (*Report, *telemetry.Registry, []byte, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := telemetry.NewTraceWriter(&buf)
+	reg := telemetry.NewRegistry()
+	cfg := testConfig(2, 1, 2)
+	cfg.OutDir = filepath.Join(t.TempDir(), "idx")
+	cfg.Observer = telemetry.NewCollector(reg, tw)
+	cfg.Hooks = hooks
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep *Report
+	if mode == "serial" {
+		rep, err = eng.Build(testSource(files))
+	} else {
+		rep, err = eng.BuildConcurrent(testSource(files))
+	}
+	if cerr := tw.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	return rep, reg, buf.Bytes(), err
 }
 
 // TestPipelineTelemetry runs both executors with a Collector attached
-// and checks the resulting trace end-to-end: it validates (spans nest,
-// schema shape), busy+stall accounts for ≥90% of wall-clock, per-stage
-// span payloads sum to the build report's totals, and the
-// per-collection token counters reproduce the CPU/GPU split.
+// and checks the resulting build record end-to-end: it validates (every
+// span inside the build, worker lanes serial), busy+stall accounts for
+// ≥90% of wall-clock, per-stage span payloads sum to the build report's
+// totals, and the per-collection token totals reproduce the CPU/GPU
+// split.
 func TestPipelineTelemetry(t *testing.T) {
 	const files = 4
 	for _, mode := range []string{"serial", "concurrent"} {
 		t.Run(mode, func(t *testing.T) {
-			src := testSource(files)
-			var buf bytes.Buffer
-			tw := telemetry.NewTraceWriter(&buf)
-			reg := telemetry.NewRegistry()
-			col := telemetry.NewCollector(reg, tw)
-
-			cfg := testConfig(2, 1, 2)
-			cfg.OutDir = filepath.Join(t.TempDir(), "idx")
-			cfg.Observer = col
-			eng, err := New(cfg)
+			rep, reg, trace, err := runTraced(t, mode, files, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rep *Report
-			if mode == "serial" {
-				rep, err = eng.Build(src)
-			} else {
-				rep, err = eng.BuildConcurrent(src)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tw.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			st, err := telemetry.ValidateTrace(bytes.NewReader(buf.Bytes()))
+			st, err := telemetry.ValidateTraces(bytes.NewReader(trace))
 			if err != nil {
 				t.Fatalf("trace invalid: %v", err)
 			}
-			if st.WallSec <= 0 {
-				t.Fatalf("summary wall_sec = %v, want > 0", st.WallSec)
+			var rec telemetry.TraceRecord
+			if err := json.Unmarshal(trace, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if st.Traces != 1 || rec.Endpoint != "build" || rec.DurMs <= 0 {
+				t.Fatalf("want one build record with a wall time, got %d traces, endpoint %q, %vms",
+					st.Traces, rec.Endpoint, rec.DurMs)
 			}
 			// The acceptance gate: derived stalls close every worker's
-			// timeline, so busy+stall sums to wall-clock within 10%.
+			// lane, so busy+stall sums to wall-clock within 10%.
 			if st.BusyStallCoverage < 0.9 {
 				t.Errorf("busy+stall coverage = %.1f%%, want >= 90%%", 100*st.BusyStallCoverage)
 			}
-			for wk, cov := range st.WorkerCoverage {
+			for lane, cov := range st.LaneCoverage {
 				if cov < 0.99 {
-					t.Errorf("worker %s busy+stall covers %.1f%% of its window", wk, 100*cov)
+					t.Errorf("lane %s busy+stall covers %.1f%% of its window", lane, 100*cov)
 				}
 			}
 
-			// Re-read the raw events and sum span payloads against the
-			// build report.
+			// Sum span payloads against the build report.
 			var parseTokens, parseDocs, indexTokens int64
 			var sampled telemetry.Span
 			var flushes, reads int
-			var collCPU, collGPU float64
-			sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-			sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-			for sc.Scan() {
-				var ev traceLine
-				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-					t.Fatal(err)
-				}
-				switch {
-				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageSampling:
-					sampled = *ev.Span
-				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageParse:
-					parseTokens += ev.Span.Tokens
-					parseDocs += ev.Span.Docs
-				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageIndex:
-					indexTokens += ev.Span.Tokens
-				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageFlush:
+			for _, sp := range rec.Spans {
+				switch sp.Stage {
+				case telemetry.StageSampling:
+					sampled = sp
+				case telemetry.StageParse:
+					parseTokens += sp.Tokens
+					parseDocs += sp.Items
+				case telemetry.StageIndex:
+					indexTokens += sp.Tokens
+				case telemetry.StageFlush:
 					flushes++
-				case ev.Ev == "span" && ev.Span.Stage == telemetry.StageRead:
+				case telemetry.StageRead:
 					reads++
-				case ev.Ev == "counter" && ev.Name == "collection_tokens":
-					if ev.Labels["kind"] == "gpu" {
-						collGPU += ev.Value
-					} else {
-						collCPU += ev.Value
-					}
+				}
+			}
+			var collCPU, collGPU float64
+			coll, _ := rec.Attrs["collection_tokens"].([]any)
+			for _, c := range coll {
+				c := c.(map[string]any)
+				if c["kind"] == "gpu" {
+					collGPU += c["value"].(float64)
+				} else {
+					collCPU += c["value"].(float64)
 				}
 			}
 			if parseTokens != rep.Tokens || parseDocs != rep.Docs {
@@ -112,14 +111,14 @@ func TestPipelineTelemetry(t *testing.T) {
 			}
 			// The sampling span reports the sample it took, and the
 			// report and registry agree with it.
-			if sampled.Docs < int64(files) || sampled.Docs >= rep.Docs || sampled.Tokens <= 0 ||
+			if sampled.Items < int64(files) || sampled.Items >= rep.Docs || sampled.Tokens <= 0 ||
 				sampled.Bytes <= 0 || sampled.Bytes >= rep.UncompressedBytes {
 				t.Errorf("sampling span carries %d docs / %d tokens / %d bytes of a %d-doc, %d-byte build",
-					sampled.Docs, sampled.Tokens, sampled.Bytes, rep.Docs, rep.UncompressedBytes)
+					sampled.Items, sampled.Tokens, sampled.Bytes, rep.Docs, rep.UncompressedBytes)
 			}
-			if sampled.Docs != rep.SampledDocs || sampled.Bytes != rep.SampledBytes {
+			if sampled.Items != rep.SampledDocs || sampled.Bytes != rep.SampledBytes {
 				t.Errorf("sampling span %d docs / %d bytes, report says %d / %d",
-					sampled.Docs, sampled.Bytes, rep.SampledDocs, rep.SampledBytes)
+					sampled.Items, sampled.Bytes, rep.SampledDocs, rep.SampledBytes)
 			}
 			if v := reg.Counter("fastinvert_build_sampled_docs_total", "").Value(); int64(v) != rep.SampledDocs {
 				t.Errorf("registry sampled docs = %v, report %d", v, rep.SampledDocs)
@@ -141,6 +140,36 @@ func TestPipelineTelemetry(t *testing.T) {
 			}
 			if v := reg.Counter("fastinvert_build_tokens_total", "").Value(); int64(v) != rep.Tokens {
 				t.Errorf("registry tokens = %v, report %d", v, rep.Tokens)
+			}
+		})
+	}
+}
+
+// TestPipelineTelemetryFailedBuild: a build that fails still writes
+// its record, valid and carrying the error.
+func TestPipelineTelemetryFailedBuild(t *testing.T) {
+	boom := errors.New("injected parse failure")
+	for _, mode := range []string{"serial", "concurrent"} {
+		t.Run(mode, func(t *testing.T) {
+			_, _, trace, err := runTraced(t, mode, 4, &Hooks{AfterParse: func(f int) error {
+				if f == 2 {
+					return boom
+				}
+				return nil
+			}})
+			if !errors.Is(err, boom) {
+				t.Fatalf("build error = %v, want %v", err, boom)
+			}
+			st, err := telemetry.ValidateTraces(bytes.NewReader(trace))
+			if err != nil {
+				t.Fatalf("trace invalid: %v", err)
+			}
+			var rec telemetry.TraceRecord
+			if err := json.Unmarshal(trace, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if st.Traces != 1 || st.Errors != 1 || !strings.Contains(rec.Err, boom.Error()) {
+				t.Errorf("want one build record carrying %q, got %d traces, err %q", boom, st.Traces, rec.Err)
 			}
 		})
 	}

@@ -273,7 +273,7 @@ func TestCompactionReadsExtents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	var compact *telemetry.ReqTraceRecord
+	var compact *telemetry.TraceRecord
 	m.SetTraceSink(func(tr *telemetry.RequestTrace) {
 		if rec := tr.Snapshot(); rec.Endpoint == "compact" {
 			compact = &rec

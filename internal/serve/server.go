@@ -58,9 +58,9 @@ type Config struct {
 	// to finish before closing the worker pool (default 5s).
 	DrainTimeout time.Duration
 	// ReqTraces, when non-nil, additionally streams every sampled trace
-	// as a JSON line — the format cmd/tracecheck -requests validates.
-	// The writer's lifetime belongs to the caller.
-	ReqTraces *telemetry.ReqTraceWriter
+	// as a JSON line — the format cmd/tracecheck validates. The writer's
+	// lifetime belongs to the caller.
+	ReqTraces *telemetry.TraceWriter
 	// Registry receives the server's metric families and is served at
 	// /metrics in Prometheus text format. nil allocates a private one;
 	// pass a shared registry to co-publish with other subsystems. Cache

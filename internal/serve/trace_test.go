@@ -32,7 +32,7 @@ func TestServerRequestTracing(t *testing.T) {
 	defer m.Close()
 
 	tracePath := filepath.Join(dir, "req.jsonl")
-	tw, err := telemetry.CreateReqTraceFile(tracePath)
+	tw, err := telemetry.CreateTraceFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestServerRequestTracing(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := telemetry.ValidateRequestTraceFile(tracePath)
+	stats, err := telemetry.ValidateTraceFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,25 +37,35 @@ type Observer interface {
 	// per-trie-collection token counts split by cpu/gpu ownership.
 	Total(name string, labels map[string]string, value float64)
 
-	// BuildEnd closes the window; attrs carries the summary totals.
+	// BuildEnd closes the window; attrs carries the summary totals, or
+	// "err" when the build failed.
 	BuildEnd(attrs map[string]any)
 }
 
 // Collector is the standard Observer: it derives per-worker stall
 // spans from the gaps between busy spans, maintains registry metrics
-// (stage seconds, span histograms, byte/doc/token totals), forwards
-// everything to an optional TraceWriter, and serves live Progress
-// snapshots for CLI tickers. Both Registry and Trace may be nil.
+// (stage seconds, span histograms, byte/doc/token totals), records the
+// build as one trace written to an optional TraceWriter, and serves
+// live Progress snapshots for CLI tickers. Both Registry and the
+// writer may be nil.
+//
+// The build trace is a RequestTrace with endpoint "build": every stage
+// span and derived stall is a child of the root, on the lane of the
+// worker that ran it ("parse/0", "index/3"; the stage name for the
+// pipeline's singleton stages), and BuildStart/BuildEnd attrs and
+// Totals become the record's attrs.
 type Collector struct {
-	reg   *Registry
-	trace *TraceWriter
+	reg *Registry
+	w   *TraceWriter
 
 	mu         sync.Mutex
+	trace      *RequestTrace // open between BuildStart and BuildEnd when w != nil
+	totals     map[string][]map[string]any
 	epoch      time.Time
 	started    bool
 	totalFiles int
-	lastEnd    map[string]float64 // "stage/worker" -> end of last busy/stall span
-	stageBusy  map[string]float64 // busy seconds per stage (stalls under "stall:<of>")
+	lastEnd    map[string]float64 // lane -> end of its last busy/stall span
+	stageBusy  map[string]float64 // busy seconds per stage
 	workers    map[string]int     // stage -> max worker index + 1
 
 	filesDone   atomic.Int64
@@ -66,10 +77,10 @@ type Collector struct {
 
 // NewCollector wires a collector onto a registry and an optional trace
 // writer.
-func NewCollector(reg *Registry, trace *TraceWriter) *Collector {
+func NewCollector(reg *Registry, w *TraceWriter) *Collector {
 	return &Collector{
 		reg:       reg,
-		trace:     trace,
+		w:         w,
 		lastEnd:   make(map[string]float64),
 		stageBusy: make(map[string]float64),
 		workers:   make(map[string]int),
@@ -85,29 +96,44 @@ func (c *Collector) BuildStart(totalFiles int, attrs map[string]any) {
 	c.epoch = time.Now()
 	c.started = true
 	c.totalFiles = totalFiles
+	if c.w != nil {
+		c.trace = newTrace("build", StageBuild)
+		c.epoch = c.trace.start
+		c.totals = make(map[string][]map[string]any)
+		for k, v := range attrs {
+			c.trace.SetAttr(k, v)
+		}
+	}
 	c.mu.Unlock()
 	if c.reg != nil {
 		c.reg.Gauge("fastinvert_build_files_total",
 			"Container files in the collection being built.").Set(float64(totalFiles))
 	}
-	if c.trace != nil {
-		c.trace.Meta(attrs)
+}
+
+// laneOf names the serial worker a build span ran on.
+func laneOf(stage string, worker int) string {
+	if worker < 0 {
+		return stage
 	}
+	return stage + "/" + strconv.Itoa(worker)
 }
 
-// streamKey identifies one worker's busy/stall timeline.
-func streamKey(stage string, worker int) string {
-	return fmt.Sprintf("%s/%d", stage, worker)
-}
-
-// stalledStages are the stages whose workers get derived stall spans:
+// stalled reports the stages whose workers get derived stall spans:
 // the pipeline's parallel actors, whose idle time is the backpressure
 // signal the trace exists to expose.
 func stalled(stage string) bool { return stage == StageParse || stage == StageIndex }
 
+// msSpan is a build span's place in the trace: seconds since the
+// build start become the record's milliseconds.
+func msSpan(stage, lane string, start, dur float64) Span {
+	return Span{Stage: stage, Lane: lane, StartMs: start * 1e3, DurMs: dur * 1e3}
+}
+
 // StageSpan implements Observer.
 func (c *Collector) StageSpan(stage string, worker, file int, start time.Time,
 	dur time.Duration, bytes, tokens, docs int64) {
+	lane := laneOf(stage, worker)
 	c.mu.Lock()
 	if !c.started {
 		c.epoch = start
@@ -118,24 +144,20 @@ func (c *Collector) StageSpan(stage string, worker, file int, start time.Time,
 		rel = 0
 	}
 	d := dur.Seconds()
-	var stallSpan *Span
+	var stall, stallStart float64
 	if stalled(stage) {
-		key := streamKey(stage, worker)
-		if gap := rel - c.lastEnd[key]; gap > 1e-6 {
-			stallSpan = &Span{
-				Stage: StageStall, Of: stage, Worker: worker, File: -1,
-				Start: c.lastEnd[key], Dur: gap,
-			}
-			c.stageBusy["stall:"+stage] += gap
+		if gap := rel - c.lastEnd[lane]; gap > 1e-6 {
+			stall, stallStart = gap, c.lastEnd[lane]
 		}
-		if end := rel + d; end > c.lastEnd[key] {
-			c.lastEnd[key] = end
+		if end := rel + d; end > c.lastEnd[lane] {
+			c.lastEnd[lane] = end
 		}
 		if worker+1 > c.workers[stage] {
 			c.workers[stage] = worker + 1
 		}
 	}
 	c.stageBusy[stage] += d
+	tr := c.trace
 	c.mu.Unlock()
 
 	switch stage {
@@ -161,10 +183,10 @@ func (c *Collector) StageSpan(stage string, worker, file int, start time.Time,
 			c.reg.Counter("fastinvert_build_stage_bytes_total",
 				"Input bytes processed per stage.", lbl).Add(float64(bytes))
 		}
-		if stallSpan != nil {
+		if stall > 0 {
 			c.reg.Counter("fastinvert_build_stage_seconds_total",
 				"Busy seconds per pipeline stage (stall rows are derived idle gaps).",
-				L("stage", "stall_"+stage)).Add(stallSpan.Dur)
+				L("stage", "stall_"+stage)).Add(stall)
 		}
 		// Doc/token totals count the parse stage only: index spans carry
 		// the same tokens again (each occurrence is parsed once, then
@@ -192,32 +214,31 @@ func (c *Collector) StageSpan(stage string, worker, file int, start time.Time,
 				"Container files fully indexed and flushed.").Set(float64(c.filesDone.Load()))
 		}
 	}
-	if c.trace != nil {
-		if stallSpan != nil {
-			c.trace.Span(*stallSpan)
+	if tr != nil {
+		if stall > 0 {
+			tr.addChild(msSpan(StageStall, lane, stallStart, stall))
 		}
-		c.trace.Span(Span{
-			Stage: stage, Worker: worker, File: file,
-			Start: rel, Dur: d, Bytes: bytes, Tokens: tokens, Docs: docs,
-		})
+		sp := msSpan(stage, lane, rel, d)
+		sp.Bytes, sp.Tokens, sp.Items = bytes, tokens, docs
+		if file >= 0 {
+			sp.Note = "file " + strconv.Itoa(file)
+		}
+		tr.addChild(sp)
 	}
 }
 
-// Sample implements Observer.
+// Sample implements Observer: a registry gauge only.
 func (c *Collector) Sample(name string, worker int, value float64) {
 	if c.reg != nil {
 		c.reg.Gauge("fastinvert_build_"+name,
 			"Point-in-time pipeline sample.", L("worker", fmt.Sprintf("%d", worker))).Set(value)
 	}
-	if c.trace != nil {
-		c.trace.Sample(name, worker, value)
-	}
 }
 
 // Total implements Observer. The trace keeps the full label set (one
-// counter line per trie collection); the registry drops the
-// high-cardinality "coll" label and aggregates, so the Prometheus
-// snapshot stays a handful of series per total.
+// entry per trie collection under the total's attr); the registry
+// drops the high-cardinality "coll" label and aggregates, so the
+// Prometheus snapshot stays a handful of series per total.
 func (c *Collector) Total(name string, labels map[string]string, value float64) {
 	if c.reg != nil {
 		ls := make([]Label, 0, len(labels))
@@ -229,34 +250,41 @@ func (c *Collector) Total(name string, labels map[string]string, value float64) 
 		}
 		c.reg.Counter("fastinvert_build_"+name, "Final build total.", ls...).Add(value)
 	}
+	c.mu.Lock()
 	if c.trace != nil {
-		c.trace.Counter(name, labels, value)
+		e := make(map[string]any, len(labels)+1)
+		for k, v := range labels {
+			e[k] = v
+		}
+		e["value"] = value
+		c.totals[name] = append(c.totals[name], e)
 	}
+	c.mu.Unlock()
 }
 
 // BuildEnd implements Observer: closes every stalled worker's timeline
 // with a tail stall span so busy+stall tiles the whole build window,
-// then emits the trace summary.
+// then finishes the build trace and writes it. attrs["err"], set by a
+// failed build, becomes the record's err.
 func (c *Collector) BuildEnd(attrs map[string]any) {
 	c.mu.Lock()
 	wall := time.Since(c.epoch).Seconds()
 	type tail struct {
-		stage  string
-		worker int
-		start  float64
-		dur    float64
+		stage, lane string
+		start, dur  float64
 	}
 	var tails []tail
 	for stage, n := range c.workers {
 		for w := 0; w < n; w++ {
-			key := streamKey(stage, w)
-			if gap := wall - c.lastEnd[key]; gap > 1e-6 {
-				tails = append(tails, tail{stage, w, c.lastEnd[key], gap})
-				c.stageBusy["stall:"+stage] += gap
-				c.lastEnd[key] = wall
+			lane := laneOf(stage, w)
+			if gap := wall - c.lastEnd[lane]; gap > 1e-6 {
+				tails = append(tails, tail{stage, lane, c.lastEnd[lane], gap})
+				c.lastEnd[lane] = wall
 			}
 		}
 	}
+	tr, totals := c.trace, c.totals
+	c.trace, c.totals = nil, nil
 	c.mu.Unlock()
 	for _, t := range tails {
 		if c.reg != nil {
@@ -264,35 +292,28 @@ func (c *Collector) BuildEnd(attrs map[string]any) {
 				"Busy seconds per pipeline stage (stall rows are derived idle gaps).",
 				L("stage", "stall_"+t.stage)).Add(t.dur)
 		}
-		if c.trace != nil {
-			c.trace.Span(Span{Stage: StageStall, Of: t.stage, Worker: t.worker,
-				File: -1, Start: t.start, Dur: t.dur})
+		if tr != nil {
+			tr.addChild(msSpan(StageStall, t.lane, t.start, t.dur))
 		}
 	}
 	if c.reg != nil {
 		c.reg.Gauge("fastinvert_build_wall_seconds",
 			"Wall-clock seconds of the completed build.").Set(wall)
 	}
-	if c.trace != nil {
-		if attrs == nil {
-			attrs = map[string]any{}
+	if tr == nil {
+		return
+	}
+	errMsg, _ := attrs["err"].(string)
+	for k, v := range attrs {
+		if k != "err" {
+			tr.SetAttr(k, v)
 		}
-		attrs["wall_sec"] = wall
-		c.trace.Summary(attrs)
 	}
-}
-
-// StageSeconds returns the accumulated busy seconds per stage (stall
-// time under "stall:<stage>" keys) — the per-stage breakdown exported
-// by benchrunner's JSON output.
-func (c *Collector) StageSeconds() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.stageBusy))
-	for k, v := range c.stageBusy {
-		out[k] = v
+	for name, entries := range totals {
+		tr.SetAttr(name, entries)
 	}
-	return out
+	tr.Finish(0, errMsg)
+	c.w.Write(tr)
 }
 
 // Progress is a live snapshot for CLI tickers.

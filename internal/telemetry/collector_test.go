@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 
 // TestCollectorDerivesStalls feeds hand-built spans through the
 // Collector and checks that it derives the idle gaps: a stall span per
-// gap in each parse/index worker stream plus a tail stall at BuildEnd,
+// gap in each parse/index worker lane plus a tail stall at BuildEnd,
 // so that busy+stall tiles the whole build window.
 func TestCollectorDerivesStalls(t *testing.T) {
 	var buf bytes.Buffer
@@ -50,28 +51,52 @@ func TestCollectorDerivesStalls(t *testing.T) {
 	}
 
 	// Let real wall-clock pass the last span end so BuildEnd has a tail
-	// gap to close for each worker stream.
+	// gap to close for each worker lane.
 	time.Sleep(60 * ms)
 	c.BuildEnd(map[string]any{"docs": 10})
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := ValidateTrace(&buf)
+	st, err := ValidateTraces(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rec TraceRecord
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if st.Traces != 1 || rec.Endpoint != "build" || rec.Spans[0].Stage != StageBuild || rec.Err != "" {
+		t.Fatalf("want one clean build record, got %d traces, endpoint %q, root %q, err %q",
+			st.Traces, rec.Endpoint, rec.Spans[0].Stage, rec.Err)
+	}
+	// BuildStart and BuildEnd attrs and the totals are the record's
+	// attrs; samples stay out of the trace.
+	if rec.Attrs["files"] != float64(2) || rec.Attrs["docs"] != float64(10) {
+		t.Errorf("attrs = %v, want files 2 and docs 10", rec.Attrs)
+	}
+	if coll, _ := rec.Attrs["collection_tokens"].([]any); len(coll) != 2 {
+		t.Errorf("collection_tokens attr = %v, want two collections", rec.Attrs["collection_tokens"])
+	}
+	if strings.Contains(buf.String(), "parsed_queue_depth") {
+		t.Error("a pipeline sample reached the trace")
+	}
 	// The spans above were fed with microsecond-level skew between the
 	// collector's epoch and base; stage sums are exact span durations.
-	approx(t, "parse busy", st.StageSec[StageParse], 0.010, 1e-9)
-	approx(t, "index busy", st.StageSec[StageIndex], 0.004, 1e-9)
+	approx(t, "parse busy", st.StageMs[StageParse], 10, 1e-6)
+	approx(t, "index busy", st.StageMs[StageIndex], 4, 1e-6)
+	stall := map[string]float64{}
+	for _, sp := range rec.Spans {
+		if sp.Stage == StageStall {
+			stage, _, _ := strings.Cut(sp.Lane, "/")
+			stall[stage] += sp.DurMs
+		}
+	}
 	// parse/0 gaps: [0,10ms) before the first span, (15ms,25ms) between
 	// spans, plus the tail from 30ms to the wall clock.
-	wantParseStall := st.WallSec - 0.010
-	approx(t, "parse stall", st.StageSec["stall:"+StageParse], wantParseStall, 2e-3)
-	wantIndexStall := st.WallSec - 0.004
-	approx(t, "index stall", st.StageSec["stall:"+StageIndex], wantIndexStall, 2e-3)
-	// Busy+stall tiles each stream → coverage ≈ 1.
+	approx(t, "parse stall", stall[StageParse], rec.DurMs-10, 2)
+	approx(t, "index stall", stall[StageIndex], rec.DurMs-4, 2)
+	// Busy+stall tiles each lane → coverage ≈ 1.
 	if st.BusyStallCoverage < 0.95 || st.BusyStallCoverage > 1.05 {
 		t.Errorf("busy+stall coverage = %v, want ~1.0", st.BusyStallCoverage)
 	}
@@ -95,6 +120,7 @@ func TestCollectorDerivesStalls(t *testing.T) {
 		"fastinvert_build_stage_seconds_total{stage=\"stall_parse\"}",
 		"fastinvert_build_span_seconds_bucket",
 		"fastinvert_build_wall_seconds",
+		"fastinvert_build_parsed_queue_depth{worker=\"0\"} 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %s", want)
@@ -103,8 +129,8 @@ func TestCollectorDerivesStalls(t *testing.T) {
 }
 
 // TestCollectorNilSinks: a collector with neither registry nor trace
-// must still accumulate StageSeconds and Progress without panicking —
-// benchrunner uses exactly this shape.
+// writer must still feed Progress without panicking — the shape
+// hetindex -progress arms.
 func TestCollectorNilSinks(t *testing.T) {
 	c := NewCollector(nil, nil)
 	c.BuildStart(1, nil)
@@ -113,8 +139,11 @@ func TestCollectorNilSinks(t *testing.T) {
 	c.Sample("x", 0, 1)
 	c.Total("collection_tokens", map[string]string{"kind": "gpu"}, 20)
 	c.BuildEnd(nil)
-	approx(t, "StageSeconds[parse]", c.StageSeconds()[StageParse], 0.001, 1e-9)
-	if c.Progress().Tokens != 20 {
-		t.Errorf("tokens = %d, want 20", c.Progress().Tokens)
+	p := c.Progress()
+	if p.Tokens != 20 || p.Docs != 1 || p.ParsedBytes != 10 || p.FilesTotal != 1 {
+		t.Errorf("progress = %+v, want 20 tokens, 1 doc, 10 bytes of 1 file", p)
+	}
+	if u := p.StageUtil[StageParse]; u <= 0 {
+		t.Errorf("parse utilization = %v, want > 0", u)
 	}
 }

@@ -1,10 +1,13 @@
-// Request-scoped tracing for the serving tier. A RequestTrace is a
-// span tree carried through context.Context from the HTTP handler down
-// to the pread/decode leaves of the store, attributing each request's
+// One trace model for every traced operation. A RequestTrace is a span
+// tree, carried through context.Context from the HTTP handler down to
+// the pread/decode leaves of the store, that attributes a request's
 // wall time to named stages (dictionary lookup, cache probe, disk
 // read, codec decode, list merge, memtable scan, ranking). The same
-// machinery traces background seal/compaction operations so slow-query
-// spans can be correlated with concurrent maintenance.
+// tree records background seal/compaction operations, so slow-query
+// spans can be correlated with concurrent maintenance, and whole index
+// builds (Collector), whose stage spans sit on one lane per pipeline
+// worker. Every finished trace is one TraceRecord, one JSON line of a
+// TraceWriter stream, and one ValidateTraces rule covers them all.
 //
 // Sampling is two-layered: head sampling (1-in-N, Sampler.Sample)
 // bounds collection cost, and latency-triggered retention
@@ -19,6 +22,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -45,12 +49,30 @@ const (
 	ReqStageCommit   = "commit"   // seal/compact: manifest + view swap
 )
 
-// reqStages is the closed set ValidateRequestTraces accepts.
-var reqStages = map[string]bool{
+// Build-stage names: the stage strings the pipeline passes to
+// Observer.StageSpan, plus the build trace's root and the stall spans
+// the Collector derives.
+const (
+	StageBuild       = "build"        // root span: the whole build
+	StageSampling    = "sampling"     // §III.E popularity sample, before the pipeline
+	StageRead        = "read"         // serialized container-file read
+	StageParse       = "parse"        // decompress + tokenize + regroup
+	StageIndex       = "index"        // one indexer consuming its share of a block
+	StageFlush       = "flush"        // combine + compress + write one run
+	StageDictCombine = "dict_combine" // final dictionary merge
+	StageDictWrite   = "dict_write"   // front-coded dictionary write
+	StageStall       = "stall"        // a worker waiting for upstream/downstream
+)
+
+// stages is the closed vocabulary ValidateTraces accepts.
+var stages = map[string]bool{
 	ReqStageHandler: true, ReqStageWait: true, ReqStageDict: true,
 	ReqStageCache: true, ReqStagePread: true, ReqStageDecode: true,
 	ReqStageMerge: true, ReqStageMemtable: true, ReqStageRank: true,
 	ReqStageEncode: true, ReqStageWrite: true, ReqStageCommit: true,
+	StageBuild: true, StageSampling: true, StageRead: true,
+	StageParse: true, StageIndex: true, StageFlush: true,
+	StageDictCombine: true, StageDictWrite: true, StageStall: true,
 }
 
 // queryStages are the stages that attribute query-path cost — the set
@@ -61,25 +83,30 @@ var queryStages = map[string]bool{
 	ReqStageRank: true, ReqStageWait: true,
 }
 
-// ReqSpan is one node of a request's span tree. Par indexes the parent
-// span within the same trace (-1 for the root); start/duration are
-// milliseconds relative to the trace start.
-type ReqSpan struct {
+// Span is one node of a trace's span tree. Par indexes the parent span
+// within the same trace (-1 for the root); start/duration are
+// milliseconds relative to the trace start. Lane names the serial
+// worker a span ran on ("parse/0", "index/3"); spans of one lane under
+// one parent never overlap, spans of different lanes may. Request
+// spans all sit on the default lane "".
+type Span struct {
 	Stage   string  `json:"stage"`
 	Par     int     `json:"par"`
+	Lane    string  `json:"lane,omitempty"`
 	StartMs float64 `json:"start_ms"`
 	DurMs   float64 `json:"dur_ms"`
 	Bytes   int64   `json:"bytes,omitempty"`
-	Items   int64   `json:"items,omitempty"`
+	Items   int64   `json:"items,omitempty"` // lists, segments; documents in a build
+	Tokens  int64   `json:"tokens,omitempty"`
 	Note    string  `json:"note,omitempty"`
 }
 
-// ReqTraceRecord is the JSON form of a finished trace — one line of
-// the request-trace JSONL stream and the /debug/trace response body.
-type ReqTraceRecord struct {
+// TraceRecord is the JSON form of a finished trace — one line of the
+// trace JSONL stream and the /debug/trace response body.
+type TraceRecord struct {
 	Ev          string         `json:"ev"` // always "reqtrace"
 	ID          string         `json:"id"`
-	Endpoint    string         `json:"endpoint"`
+	Endpoint    string         `json:"endpoint"` // "search", "seal", "build", ...
 	Query       string         `json:"query,omitempty"`
 	Gen         uint64         `json:"gen,omitempty"`
 	StartUnixMs int64          `json:"start_unix_ms"`
@@ -88,7 +115,7 @@ type ReqTraceRecord struct {
 	Err         string         `json:"err,omitempty"`
 	Slow        bool           `json:"slow,omitempty"`
 	Attrs       map[string]any `json:"attrs,omitempty"`
-	Spans       []ReqSpan      `json:"spans"`
+	Spans       []Span         `json:"spans"`
 }
 
 // traceSeq feeds process-unique request IDs; traceEpoch distinguishes
@@ -115,7 +142,7 @@ type RequestTrace struct {
 	errMsg   string
 	slow     bool
 	attrs    map[string]any
-	spans    []ReqSpan
+	spans    []Span
 	open     []int // indices of started-but-unfinished spans, stack order
 	done     bool
 	durMs    float64
@@ -124,13 +151,17 @@ type RequestTrace struct {
 // NewRequestTrace starts a trace for the named endpoint or background
 // operation ("search", "seal", ...), with the root span already open.
 func NewRequestTrace(endpoint string) *RequestTrace {
+	return newTrace(endpoint, ReqStageHandler)
+}
+
+func newTrace(endpoint, root string) *RequestTrace {
 	t := &RequestTrace{
 		id:       fmt.Sprintf("%x-%x", traceEpoch, traceSeq.Add(1)),
 		start:    time.Now(),
 		endpoint: endpoint,
-		spans:    make([]ReqSpan, 0, 16),
+		spans:    make([]Span, 0, 16),
 	}
-	t.spans = append(t.spans, ReqSpan{Stage: ReqStageHandler, Par: -1})
+	t.spans = append(t.spans, Span{Stage: root, Par: -1})
 	t.open = append(t.open, 0)
 	return t
 }
@@ -166,10 +197,22 @@ func (t *RequestTrace) StartSpan(stage string) SpanRef {
 		par = t.open[n-1]
 	}
 	idx := len(t.spans)
-	t.spans = append(t.spans, ReqSpan{Stage: stage, Par: par, StartMs: t.sinceMs()})
+	t.spans = append(t.spans, Span{Stage: stage, Par: par, StartMs: t.sinceMs()})
 	t.open = append(t.open, idx)
 	t.mu.Unlock()
 	return SpanRef{t: t, idx: int32(idx)}
+}
+
+// addChild appends a finished child of the root span timed by the
+// caller: build stages arrive from the pipeline's workers already
+// closed.
+func (t *RequestTrace) addChild(sp Span) {
+	sp.Par = 0
+	t.mu.Lock()
+	if !t.done {
+		t.spans = append(t.spans, sp)
+	}
+	t.mu.Unlock()
 }
 
 // End closes the span. Ending out of stack order is tolerated (the
@@ -326,10 +369,10 @@ func (t *RequestTrace) Duration() time.Duration {
 
 // Snapshot renders the trace as a record. Valid after Finish; calling
 // it earlier snapshots the in-flight state (used by /debug/trace).
-func (t *RequestTrace) Snapshot() ReqTraceRecord {
+func (t *RequestTrace) Snapshot() TraceRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := ReqTraceRecord{
+	rec := TraceRecord{
 		Ev:          "reqtrace",
 		ID:          t.id,
 		Endpoint:    t.endpoint,
@@ -340,7 +383,7 @@ func (t *RequestTrace) Snapshot() ReqTraceRecord {
 		Status:      t.status,
 		Err:         t.errMsg,
 		Slow:        t.slow,
-		Spans:       append([]ReqSpan(nil), t.spans...),
+		Spans:       append([]Span(nil), t.spans...),
 	}
 	if len(t.attrs) > 0 {
 		rec.Attrs = make(map[string]any, len(t.attrs))
@@ -581,36 +624,36 @@ func (l *SlowLog) Entries() []SlowLogEntry {
 	return out
 }
 
-// ReqTraceWriter streams finished request traces as JSON lines,
-// mirroring TraceWriter for build traces. Safe for concurrent use.
-type ReqTraceWriter struct {
+// TraceWriter streams finished traces as JSON lines: sampled requests,
+// background operations and builds alike. Safe for concurrent use.
+type TraceWriter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	c   io.Closer
 	err error
 }
 
-// NewReqTraceWriter wraps w; if w is also an io.Closer, Close closes it.
-func NewReqTraceWriter(w io.Writer) *ReqTraceWriter {
-	t := &ReqTraceWriter{bw: bufio.NewWriter(w)}
+// NewTraceWriter wraps w; if w is also an io.Closer, Close closes it.
+func NewTraceWriter(w io.Writer) *TraceWriter {
+	t := &TraceWriter{bw: bufio.NewWriter(w)}
 	if c, ok := w.(io.Closer); ok {
 		t.c = c
 	}
 	return t
 }
 
-// CreateReqTraceFile creates path and returns a writer over it.
-func CreateReqTraceFile(path string) (*ReqTraceWriter, error) {
+// CreateTraceFile creates path and returns a writer over it.
+func CreateTraceFile(path string) (*TraceWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: create request trace: %w", err)
+		return nil, fmt.Errorf("telemetry: create trace: %w", err)
 	}
-	return NewReqTraceWriter(f), nil
+	return NewTraceWriter(f), nil
 }
 
 // Write appends one finished trace. Encoding errors are sticky and
 // surfaced by Close.
-func (w *ReqTraceWriter) Write(t *RequestTrace) {
+func (w *TraceWriter) Write(t *RequestTrace) {
 	if w == nil || t == nil {
 		return
 	}
@@ -631,7 +674,7 @@ func (w *ReqTraceWriter) Write(t *RequestTrace) {
 }
 
 // Close flushes and closes the underlying writer.
-func (w *ReqTraceWriter) Close() error {
+func (w *TraceWriter) Close() error {
 	if w == nil {
 		return nil
 	}
@@ -648,10 +691,10 @@ func (w *ReqTraceWriter) Close() error {
 	return w.err
 }
 
-// ReqTraceStats summarizes a validated request-trace stream.
-type ReqTraceStats struct {
-	Traces    int            // total reqtrace records
-	Spans     int            // total spans across traces
+// TraceStats summarizes a validated trace stream.
+type TraceStats struct {
+	Traces    int            // total records
+	Spans     int            // total spans across records
 	Slow      int            // traces flagged slow
 	Errors    int            // traces carrying an error
 	Endpoints map[string]int // traces per endpoint
@@ -659,116 +702,170 @@ type ReqTraceStats struct {
 	// MaxQueryStages is the largest count of distinct query stages
 	// observed in any single trace — the tracecheck -min-stages gate.
 	MaxQueryStages int
+	// LaneCoverage maps each stalled lane ("parse/0") to the fraction
+	// of its active window, first span start to last span end, that its
+	// busy+stall spans cover (the lowest over records). Near 1.0 when
+	// stalls are traced.
+	LaneCoverage map[string]float64
+	// BusyStallCoverage is the stalled lanes' busy+stall time over
+	// lanes × root wall time, pooled over records — the tracecheck
+	// -min-coverage gate. 0 when no record has a stalled lane.
+	BusyStallCoverage float64
+
+	laneMs, laneWallMs float64
 }
 
-// spanEps absorbs float rounding when comparing child-span sums
-// against parent wall time (milliseconds).
-const spanEps = 0.05
+// Clock tolerances of the span rules, in milliseconds. A span on the
+// default lane differs from its parent only by float rounding. A span
+// on a worker lane was timed on the worker's goroutine, and
+// consecutive ones may overlap by the jitter between clock reads on
+// different goroutines.
+const (
+	spanEps      = 0.05
+	laneJitterMs = 1.0
+)
 
-// ValidateRequestTraces reads a request-trace JSONL stream and
-// enforces the schema plus the structural invariants every consumer
-// relies on: known stages, parent indices pointing backwards, spans
-// inside the trace window, and — the big one — the sum of children's
-// wall time never exceeding the parent span's (nesting means children
-// run within the parent, so a violation is double-counted time).
-func ValidateRequestTraces(r io.Reader) (*ReqTraceStats, error) {
-	st := &ReqTraceStats{
-		Endpoints: make(map[string]int),
-		StageMs:   make(map[string]float64),
+func tolerance(lane string) float64 {
+	if lane == "" {
+		return spanEps
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec ReqTraceRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: bad JSON: %w", line, err)
-		}
-		if rec.Ev != "reqtrace" {
-			return nil, fmt.Errorf("line %d: ev %q, want \"reqtrace\"", line, rec.Ev)
-		}
-		if rec.ID == "" {
-			return nil, fmt.Errorf("line %d: empty trace id", line)
-		}
-		if rec.Endpoint == "" {
-			return nil, fmt.Errorf("line %d: empty endpoint", line)
-		}
-		if rec.DurMs < 0 {
-			return nil, fmt.Errorf("line %d: negative duration %g", line, rec.DurMs)
-		}
-		if len(rec.Spans) == 0 {
-			return nil, fmt.Errorf("line %d: trace %s has no spans", line, rec.ID)
-		}
-		if rec.Spans[0].Par != -1 || rec.Spans[0].Stage != ReqStageHandler {
-			return nil, fmt.Errorf("line %d: trace %s: span 0 must be the root %q span",
-				line, rec.ID, ReqStageHandler)
-		}
-		childSum := make([]float64, len(rec.Spans))
-		distinct := make(map[string]bool, 8)
-		for i, sp := range rec.Spans {
-			if !reqStages[sp.Stage] {
-				return nil, fmt.Errorf("line %d: trace %s span %d: unknown stage %q",
-					line, rec.ID, i, sp.Stage)
-			}
-			if i > 0 && (sp.Par < 0 || sp.Par >= i) {
-				return nil, fmt.Errorf("line %d: trace %s span %d: parent %d out of range",
-					line, rec.ID, i, sp.Par)
-			}
-			if sp.StartMs < 0 || sp.DurMs < 0 {
-				return nil, fmt.Errorf("line %d: trace %s span %d: negative time", line, rec.ID, i)
-			}
-			if sp.StartMs+sp.DurMs > rec.DurMs+spanEps {
-				return nil, fmt.Errorf("line %d: trace %s span %d (%s): ends %.3fms after the trace (%.3fms)",
-					line, rec.ID, i, sp.Stage, sp.StartMs+sp.DurMs-rec.DurMs, rec.DurMs)
-			}
-			if sp.Par >= 0 {
-				childSum[sp.Par] += sp.DurMs
-			}
-			if queryStages[sp.Stage] {
-				distinct[sp.Stage] = true
-			}
-			st.StageMs[sp.Stage] += sp.DurMs
-			st.Spans++
-		}
-		for i, sp := range rec.Spans {
-			if childSum[i] > sp.DurMs+spanEps {
-				return nil, fmt.Errorf(
-					"line %d: trace %s span %d (%s): children sum %.3fms exceeds span %.3fms",
-					line, rec.ID, i, sp.Stage, childSum[i], sp.DurMs)
-			}
-		}
-		st.Traces++
-		st.Endpoints[rec.Endpoint]++
-		if rec.Slow {
-			st.Slow++
-		}
-		if rec.Err != "" {
-			st.Errors++
-		}
-		if len(distinct) > st.MaxQueryStages {
-			st.MaxQueryStages = len(distinct)
-		}
+	return laneJitterMs
+}
+
+// ValidateTraces reads a JSONL trace stream and enforces the schema
+// plus the one structural rule every consumer relies on: each span
+// lies inside its parent (the root inside the trace window), and the
+// children of one parent on one lane never sum past the parent — a
+// lane is serial, so a violation is double-counted time. Records are
+// decoded whole, whatever their size: one build is one line.
+func ValidateTraces(r io.Reader) (*TraceStats, error) {
+	st := &TraceStats{
+		Endpoints:    make(map[string]int),
+		StageMs:      make(map[string]float64),
+		LaneCoverage: make(map[string]float64),
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: read request trace: %w", err)
+	dec := json.NewDecoder(r)
+	for n := 1; ; n++ {
+		var rec TraceRecord
+		if err := dec.Decode(&rec); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("record %d: bad JSON: %w", n, err)
+		}
+		if err := st.add(&rec); err != nil {
+			return nil, fmt.Errorf("record %d: trace %s: %w", n, rec.ID, err)
+		}
 	}
 	if st.Traces == 0 {
-		return nil, fmt.Errorf("telemetry: request trace stream is empty")
+		return nil, fmt.Errorf("telemetry: trace stream is empty")
+	}
+	if st.laneWallMs > 0 {
+		st.BusyStallCoverage = st.laneMs / st.laneWallMs
 	}
 	return st, nil
 }
 
-// ValidateRequestTraceFile opens path and validates it.
-func ValidateRequestTraceFile(path string) (*ReqTraceStats, error) {
+// add validates one record and folds it into the stats.
+func (st *TraceStats) add(rec *TraceRecord) error {
+	switch {
+	case rec.Ev != "reqtrace":
+		return fmt.Errorf("ev %q, want \"reqtrace\"", rec.Ev)
+	case rec.ID == "":
+		return fmt.Errorf("empty trace id")
+	case rec.Endpoint == "":
+		return fmt.Errorf("empty endpoint")
+	case rec.DurMs < 0:
+		return fmt.Errorf("negative duration %g", rec.DurMs)
+	case len(rec.Spans) == 0:
+		return fmt.Errorf("no spans")
+	case rec.Spans[0].Par != -1 || (rec.Spans[0].Stage != ReqStageHandler && rec.Spans[0].Stage != StageBuild):
+		return fmt.Errorf("span 0 must be the root %q or %q span", ReqStageHandler, StageBuild)
+	}
+	type laneKey struct {
+		par  int
+		lane string
+	}
+	type lane struct {
+		ms, first, last float64
+		stalled         bool
+	}
+	lanes := make(map[laneKey]*lane)
+	distinct := make(map[string]bool, 8)
+	for i, sp := range rec.Spans {
+		if !stages[sp.Stage] {
+			return fmt.Errorf("span %d: unknown stage %q", i, sp.Stage)
+		}
+		if i > 0 && (sp.Par < 0 || sp.Par >= i) {
+			return fmt.Errorf("span %d: parent %d out of range", i, sp.Par)
+		}
+		if sp.StartMs < 0 || sp.DurMs < 0 {
+			return fmt.Errorf("span %d: negative time", i)
+		}
+		lo, hi, tol := 0.0, rec.DurMs, spanEps
+		if i > 0 {
+			p := rec.Spans[sp.Par]
+			lo, hi, tol = p.StartMs, p.StartMs+p.DurMs, tolerance(sp.Lane)
+		}
+		end := sp.StartMs + sp.DurMs
+		if sp.StartMs < lo-tol || end > hi+tol {
+			return fmt.Errorf("span %d (%s) [%.3f, %.3f]ms is not inside its parent [%.3f, %.3f]ms",
+				i, sp.Stage, sp.StartMs, end, lo, hi)
+		}
+		if i > 0 {
+			k := laneKey{sp.Par, sp.Lane}
+			l := lanes[k]
+			if l == nil {
+				l = &lane{first: sp.StartMs, last: end}
+				lanes[k] = l
+			}
+			l.ms += sp.DurMs
+			l.first, l.last = min(l.first, sp.StartMs), max(l.last, end)
+			l.stalled = l.stalled || sp.Stage == StageStall
+			if p := rec.Spans[sp.Par]; l.ms > p.DurMs+tol {
+				return fmt.Errorf("children of span %d (%s) on lane %q sum %.3fms past the span's %.3fms",
+					sp.Par, p.Stage, sp.Lane, l.ms, p.DurMs)
+			}
+		}
+		if queryStages[sp.Stage] {
+			distinct[sp.Stage] = true
+		}
+		st.StageMs[sp.Stage] += sp.DurMs
+		st.Spans++
+	}
+	// Coverage of the root's stalled lanes: a worker is busy or stalled
+	// for the whole build, so its lane sum approaches the root's wall.
+	for k, l := range lanes {
+		if k.par != 0 || !l.stalled {
+			continue
+		}
+		cov := 1.0
+		if w := l.last - l.first; w > 0 {
+			cov = l.ms / w
+		}
+		if old, ok := st.LaneCoverage[k.lane]; !ok || cov < old {
+			st.LaneCoverage[k.lane] = cov
+		}
+		st.laneMs += l.ms
+		st.laneWallMs += rec.Spans[0].DurMs
+	}
+	st.Traces++
+	st.Endpoints[rec.Endpoint]++
+	if rec.Slow {
+		st.Slow++
+	}
+	if rec.Err != "" {
+		st.Errors++
+	}
+	st.MaxQueryStages = max(st.MaxQueryStages, len(distinct))
+	return nil
+}
+
+// ValidateTraceFile opens path and validates it.
+func ValidateTraceFile(path string) (*TraceStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: open request trace: %w", err)
+		return nil, fmt.Errorf("telemetry: open trace: %w", err)
 	}
 	defer f.Close()
-	return ValidateRequestTraces(f)
+	return ValidateTraces(f)
 }

@@ -64,12 +64,12 @@ func TestRequestTraceSpanTree(t *testing.T) {
 
 	// The finished record must satisfy its own validator.
 	var buf bytes.Buffer
-	w := NewReqTraceWriter(&buf)
+	w := NewTraceWriter(&buf)
 	w.Write(tr)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ValidateRequestTraces(&buf)
+	st, err := ValidateTraces(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,27 +234,6 @@ func TestSlowLog(t *testing.T) {
 	}
 }
 
-func TestValidateRequestTracesRejects(t *testing.T) {
-	cases := map[string]string{
-		"bad ev":        `{"ev":"span","id":"a","endpoint":"search","dur_ms":1,"spans":[{"stage":"handler","par":-1}]}`,
-		"empty id":      `{"ev":"reqtrace","id":"","endpoint":"search","dur_ms":1,"spans":[{"stage":"handler","par":-1}]}`,
-		"no spans":      `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":1,"spans":[]}`,
-		"bad root":      `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":1,"spans":[{"stage":"dict","par":-1}]}`,
-		"unknown stage": `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":1,"spans":[{"stage":"handler","par":-1,"dur_ms":1},{"stage":"teleport","par":0}]}`,
-		"fwd parent":    `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":1,"spans":[{"stage":"handler","par":-1,"dur_ms":1},{"stage":"dict","par":2},{"stage":"cache","par":0}]}`,
-		"outside trace": `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":1,"spans":[{"stage":"handler","par":-1,"dur_ms":1},{"stage":"dict","par":0,"start_ms":0.5,"dur_ms":2}]}`,
-		"child sum":     `{"ev":"reqtrace","id":"a","endpoint":"search","dur_ms":10,"spans":[{"stage":"handler","par":-1,"dur_ms":2},{"stage":"dict","par":0,"dur_ms":1.5},{"stage":"cache","par":0,"start_ms":1,"dur_ms":1.5}]}`,
-	}
-	for name, line := range cases {
-		if _, err := ValidateRequestTraces(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("%s: validated, want error", name)
-		}
-	}
-	if _, err := ValidateRequestTraces(strings.NewReader("")); err == nil {
-		t.Error("empty stream validated")
-	}
-}
-
 func TestRequestTraceJSONRoundTrip(t *testing.T) {
 	tr := NewRequestTrace("seal")
 	tr.SetAttr("docs", 42)
@@ -270,14 +249,14 @@ func TestRequestTraceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec ReqTraceRecord
+	var rec TraceRecord
 	if err := json.Unmarshal(b, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Endpoint != "seal" || len(rec.Spans) != 4 || rec.Attrs["docs"] != float64(42) {
 		t.Fatalf("round trip lost data: %+v", rec)
 	}
-	if _, err := ValidateRequestTraces(bytes.NewReader(append(b, '\n'))); err != nil {
+	if _, err := ValidateTraces(bytes.NewReader(append(b, '\n'))); err != nil {
 		t.Fatalf("op trace failed validation: %v", err)
 	}
 }
