@@ -79,9 +79,9 @@ profile:
 # part of ./...; its TestQuick runs all four workloads at -quick sizes
 # and asserts no timing), the telemetry smoke gate, and — so they
 # cannot rot — the profile target on a tiny corpus and one iteration
-# each of the ranked-retrieval and Boolean-handler microbenchmarks
-# (they build a bench-shaped index, and the first a live one, then
-# assert nothing about time).
+# each of the ranked-retrieval, Boolean-handler and live-ingest
+# microbenchmarks (the first two build a bench-shaped index, and the
+# first and last a live one, then assert nothing about time).
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -90,6 +90,7 @@ check: lint
 	$(MAKE) profile FILES=2 SCALE=0.25
 	$(GO) test ./internal/search/ -run '^$$' -bench BenchmarkTopK -benchtime 1x
 	$(GO) test ./internal/serve/ -run '^$$' -bench BenchmarkHandlerBool -benchtime 1x
+	$(GO) test ./internal/segment/ -run '^$$' -bench BenchmarkAddDocument -benchtime 1x
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md):
 # four workloads over the shipped hetindex/hetserve binaries, seven
@@ -99,9 +100,10 @@ bench:
 
 # One pass over every go-test microbenchmark with allocation metrics
 # (BenchmarkParseDoc's ns/token, BenchmarkGPUIndexRun, BenchmarkTopK's
-# ns, allocations and blocks decoded per ranked query and
+# ns, allocations and blocks decoded per ranked query,
 # BenchmarkHandlerBool's ns, allocations and body bytes per Boolean
-# request among them).
+# request and BenchmarkAddDocument's ns and allocations per live
+# ingest among them).
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -3,12 +3,14 @@ package segment
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"fastinvert/internal/store"
 	"fastinvert/internal/telemetry"
+	"fastinvert/internal/trie"
 )
 
 // compactPendingName is the merge output staged inside the directory
@@ -22,7 +24,8 @@ const compactPendingName = "compact.pending"
 // phase — reading, remapping, re-encoding — runs without any manager
 // lock, against a retained view and a tombstone snapshot; only the
 // final commit takes the write lock. Seals may land concurrently:
-// their segments survive untouched next to the compacted one.
+// their segments survive untouched next to the compacted one, and the
+// IDs they reserved at freeze time are never the compaction's.
 //
 // A no-op when there is at most one segment and nothing to purge.
 func (m *Manager) Compact(ctx context.Context) (err error) {
@@ -51,12 +54,16 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 	// order, so the compacted segment's table is sorted and dense.
 	msp := tr.StartSpan(telemetry.ReqStageMerge)
 	msp.AddItems(int64(len(segs)))
-	union, remaps := unionDict(segs)
+	union, remaps, err := unionDict(segs)
+	if err != nil {
+		msp.End()
+		return err
+	}
 	sources := make([]store.CompactSource, len(segs))
 	for i, s := range segs {
 		sources[i] = store.CompactSource{
 			Path:  filepath.Join(m.dir, s.meta.File),
-			Remap: remapFunc(remaps[i]),
+			Remap: remaps[i].remap,
 		}
 	}
 	tmp := filepath.Join(m.dir, compactPendingName)
@@ -100,7 +107,8 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		os.Remove(tmp)
 		return store.ErrClosed
 	}
-	id := m.man.NextSeg
+	id := m.nextSeg
+	m.nextSeg++
 	meta := SegmentMeta{
 		ID:       id,
 		File:     segFileName(id),
@@ -146,7 +154,7 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 	newMan := &Manifest{
 		Version:  manifestVersion,
 		NextDoc:  m.man.NextDoc,
-		NextSeg:  id + 1,
+		NextSeg:  m.nextSeg,
 		Purged:   m.man.Purged + cur.deleted - nb.deleted,
 		Segments: newMetas,
 	}
@@ -173,7 +181,7 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 	sort.Slice(newSegs, func(i, j int) bool {
 		return newSegs[i].meta.FirstDoc < newSegs[j].meta.FirstDoc
 	})
-	m.cur = newView(newSegs, m.mem, gen)
+	m.cur = newView(newSegs, old.frozen, old.mem, gen)
 	m.mu.Unlock()
 	// Only now may the purged bits go: readers load the bitmap first
 	// and acquire their view second, so whoever sees the shorter bitmap
@@ -212,64 +220,98 @@ func anyDeadIn(meta SegmentMeta, dead *bitmap) bool {
 
 // unionDict merges the segments' sorted dictionaries into one
 // deduplicated dictionary with fresh dense slots (per collection, in
-// term order) and returns, per segment, the mapping from its local
-// (collection, slot) keys onto the union slots.
-func unionDict(segs []*segment) ([]store.DictEntry, []map[uint64]uint32) {
-	total := 0
-	for _, s := range segs {
-		total += len(s.dict)
-	}
-	all := make([]store.DictEntry, 0, total)
-	for _, s := range segs {
-		all = append(all, s.dict...)
-	}
-	store.SortDictEntries(all)
-
-	type termKey struct {
-		coll int32
-		term string
-	}
-	slotOf := make(map[termKey]uint32, len(all))
-	union := make([]store.DictEntry, 0, len(all))
-	curColl := int32(-1)
-	var next uint32
-	for i, e := range all {
-		if i > 0 && all[i-1].Collection == e.Collection && all[i-1].Term == e.Term {
-			continue
+// term order) and returns, per segment, the remap from its local
+// (collection, slot) keys onto the union slots. Every input is already
+// in (collection, term) order, so the union is a k-way merge of them.
+func unionDict(segs []*segment) ([]store.DictEntry, []*slotRemap, error) {
+	remaps := make([]*slotRemap, len(segs))
+	longest := 0
+	for i, s := range segs {
+		r, err := newSlotRemap(s)
+		if err != nil {
+			return nil, nil, err
 		}
-		if e.Collection != curColl {
-			curColl = e.Collection
+		remaps[i] = r
+		longest = max(longest, len(s.dict))
+	}
+	union := make([]store.DictEntry, 0, longest)
+	heads := make([]int, len(segs))
+	var next int32
+	for {
+		var least *store.DictEntry
+		for i, s := range segs {
+			if h := heads[i]; h < len(s.dict) && (least == nil || store.CompareDictEntries(s.dict[h], *least) < 0) {
+				least = &s.dict[h]
+			}
+		}
+		if least == nil {
+			return union, remaps, nil
+		}
+		if n := len(union); n == 0 || union[n-1].Collection != least.Collection {
 			next = 0
 		}
-		slotOf[termKey{e.Collection, e.Term}] = next
-		union = append(union, store.DictEntry{
-			Term:       e.Term,
-			Collection: e.Collection,
-			Slot:       int32(next),
-		})
+		e := store.DictEntry{Term: least.Term, Collection: least.Collection, Slot: next}
+		for i, s := range segs {
+			if h := heads[i]; h < len(s.dict) && s.dict[h].Collection == e.Collection && s.dict[h].Term == e.Term {
+				remaps[i].set(s.dict[h], next)
+				heads[i]++
+			}
+		}
+		union = append(union, e)
 		next++
 	}
-
-	remaps := make([]map[uint64]uint32, len(segs))
-	for i, s := range segs {
-		mp := make(map[uint64]uint32, len(s.dict))
-		for _, e := range s.dict {
-			mp[slotKey(uint32(e.Collection), uint32(e.Slot))] =
-				slotOf[termKey{e.Collection, e.Term}]
-		}
-		remaps[i] = mp
-	}
-	return union, remaps
 }
 
-func slotKey(coll, slot uint32) uint64 { return uint64(coll)<<32 | uint64(slot) }
+// slotRemap maps one segment's (collection, slot) keys onto union
+// slots through dense tables laid end to end: collection c's local
+// slots index slots[base[c]:base[c+1]], which hold union slot + 1, or
+// 0 for a local slot the segment does not use (a compaction's purge
+// leaves such gaps).
+type slotRemap struct {
+	base  []int32
+	slots []uint32
+}
 
-// remapFunc adapts a remap table to store.CompactSource's callback.
-func remapFunc(mp map[uint64]uint32) func(coll, slot uint32) (uint32, bool) {
-	return func(coll, slot uint32) (uint32, bool) {
-		n, ok := mp[slotKey(coll, slot)]
-		return n, ok
+// newSlotRemap sizes a segment's remap tables by its dictionary.
+func newSlotRemap(s *segment) (*slotRemap, error) {
+	r := &slotRemap{base: make([]int32, trie.NumCollections+1)}
+	for _, e := range s.dict {
+		if !trie.Valid(int(e.Collection)) || e.Slot < 0 {
+			return nil, fmt.Errorf("segment %d: dictionary entry (%d,%d): %w",
+				s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
+		}
+		r.base[e.Collection+1] = max(r.base[e.Collection+1], e.Slot+1)
 	}
+	for c := 0; c < trie.NumCollections; c++ {
+		// A slot with no list behind it would size a table by a corrupt
+		// number.
+		if n := r.base[c+1]; n > 0 {
+			if _, ok := s.run.Find(uint32(c), uint32(n-1)); !ok {
+				return nil, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
+					s.meta.ID, c, n-1, store.ErrCorruptIndex)
+			}
+		}
+		r.base[c+1] += r.base[c]
+	}
+	r.slots = make([]uint32, r.base[trie.NumCollections])
+	return r, nil
+}
+
+func (r *slotRemap) set(e store.DictEntry, union int32) {
+	r.slots[r.base[e.Collection]+e.Slot] = uint32(union) + 1
+}
+
+// remap is the store.CompactSource callback.
+func (r *slotRemap) remap(coll, slot uint32) (uint32, bool) {
+	if int(coll) >= trie.NumCollections {
+		return 0, false
+	}
+	lo, hi := r.base[coll], r.base[coll+1]
+	if int64(slot) >= int64(hi-lo) {
+		return 0, false
+	}
+	n := r.slots[lo+int32(slot)]
+	return n - 1, n != 0
 }
 
 // writeDictFile atomically writes a segment dictionary.

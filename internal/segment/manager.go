@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fastinvert/internal/encoding"
+	"fastinvert/internal/parser"
 	"fastinvert/internal/postings"
 	"fastinvert/internal/store"
 	"fastinvert/internal/telemetry"
@@ -57,25 +59,33 @@ type Stats struct {
 	Segments       int    // sealed segments on disk
 	SegmentBytes   int64  // their total run-file bytes
 	SegmentLists   int    // their total postings lists
-	MemtableDocs   uint32
+	MemtableDocs   uint32 // the live memtable's, not the frozen one's
 	MemtableTerms  int
 	MemtableTokens int64
+	Sealing        uint32        // frozen documents whose seal has not committed
+	SealWait       time.Duration // writers' time waiting on a previous seal
 	Seals          uint64
+	SealErrors     uint64
 	Compactions    uint64
 	Generation     uint64
 }
 
 // Manager is a live, incrementally updatable index over one directory.
 //
-// Concurrency: AddDocument, Delete, Seal and the compaction commit are
-// serialized by a write lock. Queries run lock-free against immutable
-// generation-stamped views — a query acquires the current view,
-// finishes against it however long it takes, and a concurrent seal or
-// compaction simply swaps in the next view for later queries.
+// Concurrency: AddDocument, Delete, the memtable freeze and the commit
+// phases of seals and compactions are serialized by a write lock. A
+// full memtable is frozen and swapped for a fresh one under that lock;
+// a seal goroutine then encodes and writes it with no lock held, and
+// takes the lock only to commit. Queries run lock-free against
+// immutable generation-stamped views — a query acquires the current
+// view, finishes against it however long it takes, and a concurrent
+// freeze, seal or compaction simply swaps in the next view for later
+// queries.
 //
 // Durability: sealed segments, the manifest and sealed-doc tombstones
-// are written atomically and fsynced. The memtable has no write-ahead
-// log — documents added since the last seal (and deletions recorded
+// are written atomically and fsynced; a document is durable once the
+// manifest naming its segment is saved. The memtables have no
+// write-ahead log — documents not yet sealed (and deletions recorded
 // against them) are lost on crash, by design (§DESIGN 14).
 type Manager struct {
 	dir  string
@@ -83,15 +93,31 @@ type Manager struct {
 	sel  encoding.Selector
 
 	// writeMu serializes all mutation: document adds and deletes,
-	// seals, and the (brief) commit phase of a compaction.
-	writeMu sync.Mutex
+	// freezes, and the (brief) commit phases of seals and compactions.
+	// sealDone, on writeMu, is broadcast when a seal goroutine ends.
+	writeMu  sync.Mutex
+	sealDone *sync.Cond
+
+	// Writer state, under writeMu. The parser and its block belong to
+	// the writer, not to a memtable, so the token cache survives seals.
+	p       *parser.Parser
+	blk     *parser.Block
+	nextSeg uint64 // the next segment ID to reserve
+	// sealing is set while a seal goroutine runs for the frozen
+	// memtable. sealErr is the last seal's failure; a memtable whose
+	// seal failed stays frozen and searchable until a retry commits it.
+	sealing  bool
+	sealErr  error
+	frozenID uint64    // segment ID reserved for the frozen memtable
+	frozenAt time.Time // when it froze
 
 	// mu guards the current view, manifest and memtable pointers; held
 	// only for pointer swaps, never across I/O.
-	mu  sync.RWMutex
-	cur *view
-	man *Manifest
-	mem *memtable
+	mu     sync.RWMutex
+	cur    *view
+	man    *Manifest
+	mem    *memtable
+	frozen *memtable // the memtable being sealed; nil when none
 
 	nextDoc atomic.Uint32
 	purged  atomic.Uint32 // docs physically removed by past compactions
@@ -113,13 +139,20 @@ type Manager struct {
 	closed atomic.Bool
 
 	seals       atomic.Uint64
+	sealErrors  atomic.Uint64
+	sealWait    atomic.Int64 // nanoseconds
 	compactions atomic.Uint64
 
 	// reads counts what queries fetched from the sealed segments, the
 	// live-mode counterpart of store.ReaderStats' read counters.
 	reads store.ReadCounters
 
-	traceSink atomic.Pointer[TraceSink]
+	traceSink    atomic.Pointer[TraceSink]
+	sealObserver atomic.Pointer[func(time.Duration)]
+
+	// sealHook, when set (tests only), runs on the seal goroutine
+	// before anything is written; an error fails the seal.
+	sealHook func() error
 
 	errMu          sync.Mutex
 	lastCompactErr error
@@ -155,8 +188,12 @@ func Open(dir string, opts Options) (*Manager, error) {
 	// gone, like the unsealed documents they may have referenced.
 	tomb = tomb.grown(man.NextDoc)
 
-	mem := newMemtable(man.NextDoc, opts.Positional)
-	m := &Manager{dir: dir, opts: opts, sel: sel, man: man, mem: mem}
+	mem := newMemtable(man.NextDoc, 0)
+	p := parser.New(nil)
+	p.Positional = opts.Positional
+	m := &Manager{dir: dir, opts: opts, sel: sel, man: man, mem: mem,
+		p: p, blk: parser.NewBlock(0), nextSeg: man.NextSeg}
+	m.sealDone = sync.NewCond(&m.writeMu)
 	segs := make([]*segment, 0, len(man.Segments))
 	for _, sm := range man.Segments {
 		s, err := openSegment(dir, sm, &m.reads)
@@ -173,7 +210,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	m.purged.Store(man.Purged)
 	m.tomb.Store(tomb)
 	m.gone.Store(man.Purged + tomb.deleted)
-	m.cur = newView(segs, mem, 0)
+	m.cur = newView(segs, nil, mem, 0)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	return m, nil
 }
@@ -194,6 +231,16 @@ func (m *Manager) SetTraceSink(fn TraceSink) {
 		return
 	}
 	m.traceSink.Store(&fn)
+}
+
+// SetSealObserver installs (or clears, with nil) a receiver for the
+// duration of every committed seal, from freeze to commit.
+func (m *Manager) SetSealObserver(fn func(time.Duration)) {
+	if fn == nil {
+		m.sealObserver.Store(nil)
+		return
+	}
+	m.sealObserver.Store(&fn)
 }
 
 // opTrace starts a background-operation trace when a sink is
@@ -236,35 +283,116 @@ func (m *Manager) NumDocs() int64 {
 func (m *Manager) IsDeleted(doc uint32) bool { return m.tomb.Load().has(doc) }
 
 // AddDocument assigns the next docID, parses and indexes text into the
-// memtable, and (when Options.SealEvery is hit) seals. The docID is
-// consumed even when text indexes to nothing — every document occupies
-// its slot, exactly like the batch pipeline.
+// memtable, and — when the memtable reaches Options.SealEvery — freezes
+// it and starts its seal in the background. The docID is consumed even
+// when text indexes to nothing — every document occupies its slot,
+// exactly like the batch pipeline.
+//
+// An add waits on a seal only when it fills the memtable while the
+// previous seal is still running. A failed seal is reported by the next
+// add, which refuses its document and restarts the seal.
 func (m *Manager) AddDocument(text []byte) (uint32, error) {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 	if m.closed.Load() {
 		return 0, store.ErrClosed
 	}
+	if err := m.sealErr; err != nil && !m.sealing {
+		m.retrySealLocked()
+		return 0, fmt.Errorf("segment: seal: %w", err)
+	}
+	// A writer waiting to freeze a full memtable let this one in.
+	if err := m.freezeFullLocked(); err != nil {
+		return 0, err
+	}
 	doc := m.nextDoc.Load()
 	if doc == ^uint32(0) {
 		return 0, errors.New("segment: document ID space exhausted")
 	}
-	if err := m.mem.add(doc, text); err != nil {
+	m.blk.Reset()
+	m.p.ParseDoc(0, text, m.blk)
+	if err := m.mem.add(doc, m.blk); err != nil {
 		return 0, fmt.Errorf("segment: doc %d: %w", doc, err)
 	}
 	m.nextDoc.Store(doc + 1)
 	m.gen.Add(1)
-	if m.opts.SealEvery > 0 && int(m.mem.numDocs()) >= m.opts.SealEvery {
-		if err := m.sealLocked(); err != nil {
-			return doc, fmt.Errorf("segment: auto-seal: %w", err)
-		}
-	}
+	// The document is in and searchable. If the previous seal fails or
+	// the manager closes while this writer waits to freeze, the next add
+	// reports it, or Close seals the memtable.
+	_ = m.freezeFullLocked()
 	return doc, nil
 }
 
+// freezeFullLocked freezes the memtable once it holds SealEvery
+// documents. With the previous seal still running it first waits for
+// it, writeMu released, and charges the wait to Stats.SealWait; it
+// fails when that seal failed (its memtable still holds the one frozen
+// place) or the manager closed meanwhile.
+func (m *Manager) freezeFullLocked() error {
+	for m.opts.SealEvery > 0 && int(m.mem.numDocs()) >= m.opts.SealEvery {
+		switch {
+		case m.sealing:
+			t := time.Now()
+			m.sealDone.Wait()
+			m.sealWait.Add(int64(time.Since(t)))
+		case m.closed.Load():
+			return store.ErrClosed
+		case m.frozen != nil:
+			return fmt.Errorf("segment: seal: %w", m.sealErr)
+		default:
+			m.freezeLocked()
+		}
+	}
+	return nil
+}
+
+// freezeLocked makes the memtable the frozen one under a segment ID
+// reserved now — so no compaction commit can take it — swaps in a
+// fresh memtable, publishes the view over both and starts the seal.
+// There must be no frozen memtable yet.
+func (m *Manager) freezeLocked() {
+	m.frozenID = m.nextSeg
+	m.nextSeg++
+	m.frozenAt = time.Now()
+	fresh := newMemtable(m.nextDoc.Load(), m.mem.numTerms())
+	m.mu.Lock()
+	old := m.cur
+	m.frozen, m.mem = m.mem, fresh
+	m.cur = newView(old.segs, m.frozen, fresh, m.gen.Load())
+	m.mu.Unlock()
+	old.release()
+	m.startSealLocked()
+}
+
+// startSealLocked starts the seal goroutine for the frozen memtable.
+func (m *Manager) startSealLocked() {
+	m.sealing = true
+	mem, id, frozenAt := m.frozen, m.frozenID, m.frozenAt
+	m.bg.Add(1)
+	go func() {
+		defer m.bg.Done()
+		m.sealFrozen(mem, id, frozenAt)
+	}()
+}
+
+// retrySealLocked restarts a failed seal: the frozen memtable's or,
+// when the failure came after the manifest commit, the tombstone save
+// that commit did not finish.
+func (m *Manager) retrySealLocked() {
+	if m.frozen != nil {
+		m.startSealLocked()
+		return
+	}
+	m.sealErr = saveTombstones(m.dir, m.tomb.Load(), m.man.NextDoc)
+	if m.sealErr != nil {
+		m.sealErrors.Add(1)
+	}
+}
+
 // Delete tombstones a document. Deleting sealed documents persists
-// immediately; deleting a memtable document is recorded in memory only
-// (it becomes durable at the next seal, alongside the document).
+// immediately; deleting a document of either memtable is recorded in
+// memory only (it becomes durable when the document's seal commits,
+// which saves the tombstones under the same lock as this).
 // Deleting an already-deleted document is a no-op.
 func (m *Manager) Delete(doc uint32) error {
 	m.writeMu.Lock()
@@ -363,10 +491,15 @@ func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.
 	msp.End()
 	memsp := tr.StartSpan(telemetry.ReqStageMemtable)
 	defer memsp.End()
-	if part := v.mem.postings(term); part != nil {
-		enc += memEncodedEstimate(part)
-		if err := concatLive(out, part, drop); err != nil {
-			return nil, 0, err
+	for _, mt := range v.mems() {
+		if mt == nil {
+			continue
+		}
+		if part := mt.postings(term); part != nil {
+			enc += memEncodedEstimate(part)
+			if err := concatLive(out, part, drop); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	return out, enc, nil
@@ -386,7 +519,8 @@ func concatLive(dst, part *postings.List, drop func(doc uint32) bool) error {
 // sealed segments and the memtable, in ascending disjoint docID-range
 // order: per segment what store.RunFile.BlocksCtx gives (stored skip
 // tables for blocked lists, exact pseudo-blocks for short ones), then
-// the memtable tail as one more exact pseudo-block.
+// each memtable's tail (frozen, then live) as one more exact
+// pseudo-block.
 //
 // It returns (nil, nil) — block evaluation unavailable, caller falls
 // back to exhaustive scoring — whenever any tombstone is live:
@@ -423,8 +557,13 @@ func (m *Manager) BlockPostingsCtx(ctx context.Context, term string) (*store.Ter
 	memsp := tr.StartSpan(telemetry.ReqStageMemtable)
 	// memtable.postings already deep-copies, so the pseudo-block cannot
 	// alias a list tail a concurrent add is mutating.
-	if part := v.mem.postings(term); part != nil {
-		tb.Lists = append(tb.Lists, store.BlockListFromList(part))
+	for _, mt := range v.mems() {
+		if mt == nil {
+			continue
+		}
+		if part := mt.postings(term); part != nil {
+			tb.Lists = append(tb.Lists, store.BlockListFromList(part))
+		}
 	}
 	memsp.End()
 	return tb, nil
@@ -455,7 +594,11 @@ func (m *Manager) Dictionary() []store.DictEntry {
 	for _, s := range v.segs {
 		all = append(all, s.dict...)
 	}
-	all = v.mem.dictionary(all)
+	for _, mt := range v.mems() {
+		if mt != nil {
+			all = mt.dictionary(all)
+		}
+	}
 	store.SortDictEntries(all)
 	out := all[:0]
 	for i, e := range all {
@@ -471,50 +614,108 @@ func (m *Manager) Dictionary() []store.DictEntry {
 // TF-IDF (no BM25 length normalization).
 func (m *Manager) DocLens() []uint32 { return nil }
 
-// Seal freezes the memtable into an immutable on-disk segment and
-// starts a fresh memtable. A no-op when the memtable is empty.
+// Seal is a synchronous checkpoint: it returns once every document
+// added before the call is in a committed segment. It waits for an
+// in-flight seal, retries a failed one, then freezes and seals the
+// memtable. A no-op when nothing is buffered.
 func (m *Manager) Seal() error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
 	if m.closed.Load() {
 		return store.ErrClosed
 	}
-	return m.sealLocked()
+	return m.sealAllLocked()
+}
+
+// WaitSeal waits for an in-flight seal to end and reports its failure,
+// if it failed and has not been retried since.
+func (m *Manager) WaitSeal() error {
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	for m.sealing {
+		m.sealDone.Wait()
+	}
+	return m.sealErr
+}
+
+// sealAllLocked is Seal's loop; it waits with writeMu released, so
+// writers may add (and freeze) meanwhile. It retries a failure once and
+// reports a second.
+func (m *Manager) sealAllLocked() error {
+	target := m.nextDoc.Load()
+	retried := false
+	for {
+		switch {
+		case m.cur == nil: // Close finished while this Seal waited
+			return store.ErrClosed
+		case m.sealing:
+			m.sealDone.Wait()
+		case m.sealErr != nil:
+			if retried {
+				return fmt.Errorf("segment: seal: %w", m.sealErr)
+			}
+			retried = true
+			m.retrySealLocked()
+		case m.man.NextDoc >= target:
+			return nil
+		default:
+			m.freezeLocked()
+		}
+	}
 }
 
 func segFileName(id uint64) string  { return fmt.Sprintf("seg-%06d.post", id) }
 func dictFileName(id uint64) string { return fmt.Sprintf("seg-%06d.dict", id) }
 
-// sealLocked runs the seal under writeMu: encode the memtable, write
-// segment files, persist the manifest (the commit point), persist
-// tombstones over the new frontier, then swap the view. Queries keep
-// running throughout — only the final pointer swap takes the write
-// side of mu, and it does no I/O.
-func (m *Manager) sealLocked() (err error) {
-	if m.mem.numDocs() == 0 {
-		return nil
-	}
+// sealFrozen is the seal goroutine: it encodes the frozen memtable and
+// writes its segment files with no lock held, then commits under
+// writeMu. Queries keep running throughout — they read the frozen
+// memtable until the commit's view swap replaces it with the segment.
+func (m *Manager) sealFrozen(mem *memtable, id uint64, frozenAt time.Time) {
 	tr := m.opTrace("seal")
-	if tr != nil {
-		defer func() { m.finishOp(tr, err) }()
+	seg, err := m.writeSegment(tr, mem, id)
+	m.writeMu.Lock()
+	if err == nil {
+		err = m.commitSealLocked(tr, seg)
 	}
-	next := m.nextDoc.Load()
-	id := m.man.NextSeg
+	m.sealing = false
+	m.sealErr = err
+	if err != nil {
+		m.sealErrors.Add(1)
+	}
+	took := time.Since(frozenAt)
+	m.sealDone.Broadcast()
+	m.writeMu.Unlock()
+	if fn := m.sealObserver.Load(); fn != nil && err == nil {
+		(*fn)(took)
+	}
+	m.finishOp(tr, err)
+}
+
+// writeSegment encodes mem and writes it as segment id, returning the
+// opened segment.
+func (m *Manager) writeSegment(tr *telemetry.RequestTrace, mem *memtable, id uint64) (*segment, error) {
+	docs := mem.numDocs()
 	meta := SegmentMeta{
 		ID:       id,
 		File:     segFileName(id),
 		Dict:     dictFileName(id),
-		FirstDoc: m.mem.firstDoc,
-		LastDoc:  next - 1,
-		Docs:     next - m.mem.firstDoc,
+		FirstDoc: mem.firstDoc,
+		LastDoc:  mem.firstDoc + docs - 1,
+		Docs:     docs,
 	}
 	tr.SetAttr("segment", id)
 	tr.SetAttr("docs", meta.Docs)
+	if m.sealHook != nil {
+		if err := m.sealHook(); err != nil {
+			return nil, err
+		}
+	}
 	esp := tr.StartSpan(telemetry.ReqStageEncode)
-	data, dict, lists, err := m.mem.seal(m.sel, next-1)
+	data, dict, lists, err := mem.seal(m.sel, meta.LastDoc)
 	if err != nil {
 		esp.End()
-		return err
+		return nil, err
 	}
 	esp.AddBytes(int64(len(data)))
 	esp.AddItems(int64(lists))
@@ -522,58 +723,64 @@ func (m *Manager) sealLocked() (err error) {
 	meta.Lists = lists
 	meta.Bytes = int64(len(data))
 	wsp := tr.StartSpan(telemetry.ReqStageWrite)
+	defer wsp.End()
 	wsp.AddBytes(int64(len(data)))
 	if err := writeFileAtomic(filepath.Join(m.dir, meta.File), data); err != nil {
-		wsp.End()
-		return err
+		return nil, err
 	}
 	if err := writeDictFile(m.dir, meta.Dict, dict); err != nil {
-		wsp.End()
 		os.Remove(filepath.Join(m.dir, meta.File))
-		return err
+		return nil, err
 	}
 	seg, err := openSegment(m.dir, meta, &m.reads)
-	wsp.End()
 	if err != nil {
 		os.Remove(filepath.Join(m.dir, meta.File))
 		os.Remove(filepath.Join(m.dir, meta.Dict))
-		return err
+		return nil, err
 	}
+	return seg, nil
+}
+
+// commitSealLocked commits a written segment of the frozen memtable:
+// the manifest naming it (the commit point), the view without the
+// frozen memtable, then the tombstones over the new frontier — which
+// carry every delete of its documents so far, since deletes take
+// writeMu too. A failure before the manifest is saved leaves the
+// frozen memtable in place; one after it leaves only the tombstone
+// save to retry.
+func (m *Manager) commitSealLocked(tr *telemetry.RequestTrace, seg *segment) error {
 	csp := tr.StartSpan(telemetry.ReqStageCommit)
+	defer csp.End()
+	meta := seg.meta
 	newMan := &Manifest{
 		Version:  manifestVersion,
-		NextDoc:  next,
-		NextSeg:  id + 1,
+		NextDoc:  meta.LastDoc + 1,
+		NextSeg:  m.nextSeg,
 		Purged:   m.man.Purged,
 		Segments: append(append([]SegmentMeta(nil), m.man.Segments...), meta),
 	}
 	if err := newMan.save(m.dir); err != nil {
-		csp.End()
 		seg.run.Close()
 		os.Remove(filepath.Join(m.dir, meta.File))
 		os.Remove(filepath.Join(m.dir, meta.Dict))
 		return err
 	}
-	// Manifest first, then tombstones: a crash between the two loses
-	// recent deletions, never resurrects stale ones (see Open).
-	if err := saveTombstones(m.dir, m.tomb.Load(), next); err != nil {
-		csp.End()
-		return err
-	}
-	newMem := newMemtable(next, m.opts.Positional)
 	gen := m.gen.Add(1)
 	m.mu.Lock()
 	old := m.cur
 	m.man = newMan
-	m.mem = newMem
+	m.frozen = nil
 	segs := append(append([]*segment(nil), old.segs...), seg)
-	m.cur = newView(segs, newMem, gen)
-	nSegs := len(segs)
+	m.cur = newView(segs, nil, old.mem, gen)
 	m.mu.Unlock()
 	old.release()
-	csp.End()
 	m.seals.Add(1)
-	if m.opts.CompactAt > 0 && nSegs >= m.opts.CompactAt {
+	// Manifest first, then tombstones: a crash between the two loses
+	// recent deletions, never resurrects stale ones (see Open).
+	if err := saveTombstones(m.dir, m.tomb.Load(), newMan.NextDoc); err != nil {
+		return err
+	}
+	if m.opts.CompactAt > 0 && len(segs) >= m.opts.CompactAt {
 		m.startBackgroundCompaction()
 	}
 	return nil
@@ -609,7 +816,9 @@ func (m *Manager) LastCompactionError() error {
 func (m *Manager) Stats() Stats {
 	st := Stats{
 		Docs:        m.nextDoc.Load(),
+		SealWait:    time.Duration(m.sealWait.Load()),
 		Seals:       m.seals.Load(),
+		SealErrors:  m.sealErrors.Load(),
 		Compactions: m.compactions.Load(),
 		Generation:  m.gen.Load(),
 	}
@@ -628,26 +837,31 @@ func (m *Manager) Stats() Stats {
 		st.SegmentLists += s.meta.Lists
 	}
 	st.MemtableDocs = v.mem.numDocs()
-	st.MemtableTerms = v.mem.terms()
+	st.MemtableTerms = v.mem.numTerms()
 	st.MemtableTokens = v.mem.numTokens()
+	if v.frozen != nil {
+		st.Sealing = v.frozen.numDocs()
+	}
 	return st
 }
 
-// Close seals any buffered documents, waits for background work, and
-// releases every segment. Idempotent.
+// Close seals every buffered document — the frozen memtable's, retried
+// if its seal failed, and the memtable's — waits for background work,
+// and releases every segment. Idempotent.
 func (m *Manager) Close() error {
+	m.writeMu.Lock()
 	if m.closed.Swap(true) {
+		m.writeMu.Unlock()
 		return nil
 	}
 	m.cancel()
-	m.bg.Wait()
-	m.writeMu.Lock()
-	err := m.sealLocked()
+	err := m.sealAllLocked()
 	m.mu.Lock()
 	v := m.cur
 	m.cur = nil
 	m.mu.Unlock()
 	m.writeMu.Unlock()
+	m.bg.Wait()
 	if v != nil {
 		v.release()
 	}

@@ -1,10 +1,10 @@
 package segment
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
-	"fastinvert/internal/cpuindexer"
 	"fastinvert/internal/encoding"
 	"fastinvert/internal/parser"
 	"fastinvert/internal/postings"
@@ -12,61 +12,98 @@ import (
 	"fastinvert/internal/trie"
 )
 
-// memtable is the in-memory write segment: one cpuindexer (trie-routed
-// B-tree dictionaries plus postings stores) fed one document per
-// IndexRun, with global docIDs passed straight through as the run's
-// doc base. A RWMutex covers it — adds are serialized by the manager's
-// write lock anyway, and queries deep-copy lists under the read lock
-// because postings.Store mutates list tails in place (a repeated term
-// bumps the tail TF).
+// memtable is the in-memory write segment: one hash table from
+// (collection, stripped term) to that term's postings list, kept for
+// the memtable's whole life. A term seen for the first time takes its
+// collection's next slot — first-appearance order, the order the batch
+// indexer's B-trees assign — so a sealed memtable is byte for byte the
+// run the batch path would write for the same documents.
+//
+// A RWMutex covers it: adds are serialized by the manager's write lock
+// anyway, and queries deep-copy lists under the read lock because a
+// repeated term bumps the tail TF in place. Once frozen (the manager
+// swapped in a fresh memtable and is sealing this one) nothing writes
+// to it again.
 type memtable struct {
-	mu       sync.RWMutex
-	ix       *cpuindexer.Indexer
-	p        *parser.Parser
-	blk      *parser.Block
-	groups   []*parser.Group // scratch, reused across adds
-	gidx     []int           // scratch, sorted group indices
+	mu sync.RWMutex
+	// index maps termKey bytes to the term's position in terms.
+	index map[string]int32
+	terms []memTerm
+	// nextSlot is each collection's slot counter, allocated with the
+	// memtable's first term.
+	nextSlot []int32
+	key      []byte // termKey scratch, writer only
 	firstDoc uint32
 	docs     uint32
 	tokens   int64
 }
 
-func newMemtable(firstDoc uint32, positional bool) *memtable {
-	p := parser.New(nil)
-	p.Positional = positional
+// memTerm is one dictionary term of a memtable and its postings.
+type memTerm struct {
+	key  string // termKey: collection (2 bytes) + stripped term
+	coll int32
+	slot int32
+	list postings.List
+}
+
+// termKey appends the table key of a stripped term of collection coll
+// to dst: the collection in two big-endian bytes (trie.NumCollections
+// fits in 16 bits), then the stripped bytes.
+func termKey(dst []byte, coll int, stripped []byte) []byte {
+	return append(append(dst, byte(coll>>8), byte(coll)), stripped...)
+}
+
+// newMemtable returns an empty memtable whose first document is
+// firstDoc, with room for terms terms — the size of the memtable it
+// replaces, so a steady ingest does not grow the table term by term.
+func newMemtable(firstDoc uint32, terms int) *memtable {
 	return &memtable{
-		ix:       cpuindexer.New(),
-		p:        p,
-		blk:      parser.NewBlock(0),
+		index:    make(map[string]int32, terms),
+		terms:    make([]memTerm, 0, terms),
 		firstDoc: firstDoc,
 	}
 }
 
-// add parses one document and indexes it under the given global docID.
-// Documents arrive in ascending docID order (the manager assigns IDs
-// under its write lock), so postings stay sorted by construction.
-func (m *memtable) add(doc uint32, text []byte) error {
+// add indexes one parsed document under the given global docID: every
+// group of blk, whose only document is local doc 0. Documents arrive in
+// ascending docID order (the manager assigns IDs under its write lock),
+// so postings stay sorted by construction.
+func (m *memtable) add(doc uint32, blk *parser.Block) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.blk.Reset()
-	m.p.ParseDoc(0, text, m.blk)
-	// Feed groups in sorted collection order for deterministic slot
-	// assignment when terms tie across collections of one document.
-	m.gidx = m.gidx[:0]
-	for idx := range m.blk.Groups {
-		m.gidx = append(m.gidx, idx)
-	}
-	sort.Ints(m.gidx)
-	m.groups = m.groups[:0]
-	for _, idx := range m.gidx {
-		m.groups = append(m.groups, m.blk.Groups[idx])
-	}
-	if _, err := m.ix.IndexRun(m.groups, doc); err != nil {
-		return err
+	for coll, g := range blk.Groups {
+		m.key = termKey(m.key[:0], coll, nil)
+		err := g.ForEachPos(func(_, pos uint32, stripped []byte) error {
+			m.key = append(m.key[:2], stripped...)
+			i, ok := m.index[string(m.key)]
+			if !ok {
+				i = m.insert(coll)
+			}
+			if g.Positional {
+				return m.terms[i].list.AddPos(doc, pos)
+			}
+			return m.terms[i].list.Add(doc)
+		})
+		if err != nil {
+			return err
+		}
 	}
 	m.docs++
-	m.tokens += int64(m.blk.Tokens)
+	m.tokens += int64(blk.Tokens)
 	return nil
+}
+
+// insert enters the term in m.key as the next slot of its collection.
+func (m *memtable) insert(coll int) int32 {
+	if m.nextSlot == nil {
+		m.nextSlot = make([]int32, trie.NumCollections)
+	}
+	i := int32(len(m.terms))
+	key := string(m.key)
+	m.index[key] = i
+	m.terms = append(m.terms, memTerm{key: key, coll: int32(coll), slot: m.nextSlot[coll]})
+	m.nextSlot[coll]++
+	return i
 }
 
 func (m *memtable) numDocs() uint32 {
@@ -81,30 +118,33 @@ func (m *memtable) numTokens() int64 {
 	return m.tokens
 }
 
+// numTerms reports the number of distinct terms across collections.
+func (m *memtable) numTerms() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.terms)
+}
+
 // postings returns a deep copy of the term's in-memory list, or nil
 // when the memtable has never seen the term.
 func (m *memtable) postings(term string) *postings.List {
 	tb := []byte(term)
 	coll := trie.Index(tb)
-	stripped := trie.Strip(coll, tb)
+	key := termKey(make([]byte, 0, 2+len(tb)), coll, trie.Strip(coll, tb))
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	slot := m.ix.Lookup(coll, stripped)
-	if slot < 0 {
+	i, ok := m.index[string(key)]
+	if !ok {
 		return nil
 	}
-	st := m.ix.Store(coll)
-	if st == nil || int(slot) >= st.NumSlots() {
-		return nil
-	}
-	return copyList(st.List(slot))
+	return copyList(&m.terms[i].list)
 }
 
 // copyList deep-copies a postings list, including the per-posting
-// position slices: the store appends to the tail position slice in
-// place, so aliasing any part of it would race with a concurrent add.
+// position slices: an add appends to the tail position slice in place,
+// so aliasing any part of it would race with a concurrent add.
 func copyList(l *postings.List) *postings.List {
-	if l == nil || l.Len() == 0 {
+	if l.Len() == 0 {
 		return nil
 	}
 	out := &postings.List{
@@ -120,77 +160,71 @@ func copyList(l *postings.List) *postings.List {
 	return out
 }
 
-// dictionary appends the memtable's terms (restored to full form) to
-// dst as dictionary entries and returns the extended slice. Entries
-// are appended in (collection, term) order.
+// appendEntry appends the term's dictionary entry, restored to its
+// full form, to dst.
+func (t *memTerm) appendEntry(dst []store.DictEntry, scratch []byte) ([]store.DictEntry, []byte) {
+	scratch = append(trie.RestoreAppend(int(t.coll), scratch[:0], nil), t.key[2:]...)
+	return append(dst, store.DictEntry{Term: string(scratch), Collection: t.coll, Slot: t.slot}), scratch
+}
+
+// dictionary appends the memtable's terms as dictionary entries to dst,
+// in no particular order, and returns the extended slice.
 func (m *memtable) dictionary(dst []store.DictEntry) []store.DictEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var scratch []byte
-	for _, coll := range m.ix.Collections() {
-		m.ix.WalkDictionary(coll, func(stripped []byte, slot int32) bool {
-			scratch = trie.RestoreAppend(coll, scratch[:0], stripped)
-			dst = append(dst, store.DictEntry{
-				Term:       string(scratch),
-				Collection: int32(coll),
-				Slot:       slot,
-			})
-			return true
-		})
+	for i := range m.terms {
+		dst, scratch = m.terms[i].appendEntry(dst, scratch)
 	}
 	return dst
 }
 
-// terms reports the number of distinct terms across collections.
-func (m *memtable) terms() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := 0
-	for _, coll := range m.ix.Collections() {
-		n += m.ix.TermCount(coll)
-	}
-	return n
-}
-
 // seal encodes the memtable into run-file bytes plus the matching
-// sorted dictionary. Callers must have writes blocked (the manager's
-// write lock); concurrent readers are unaffected — seal only reads.
-// Long lists get the blocked skip-table layout so the ranked path can
-// evaluate sealed segments block-at-a-time.
+// sorted dictionary. It only reads, so it runs beside queries; the
+// manager calls it on a frozen memtable, which nothing writes any more.
+// Lists go out in (collection, slot) order — a counting sort, since
+// each collection's slots are dense — and the dictionary is then
+// sorted once, collection by collection. Long lists get the blocked skip-table layout so the ranked path
+// can evaluate sealed segments block-at-a-time.
 func (m *memtable) seal(sel encoding.Selector, lastDoc uint32) (data []byte, dict []store.DictEntry, lists int, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	// start[c] is where collection c's slots begin in order.
+	start := make([]int32, len(m.nextSlot))
+	var n int32
+	for c, slots := range m.nextSlot {
+		start[c] = n
+		n += slots
+	}
+	order := make([]int32, len(m.terms))
+	for i := range m.terms {
+		t := &m.terms[i]
+		order[start[t.coll]+t.slot] = int32(i)
+	}
 	b := store.NewRunBuilderCodec(sel)
 	b.EnableBlocks()
-	for _, coll := range m.ix.Collections() {
-		st := m.ix.Store(coll)
-		for slot := 0; slot < st.NumSlots(); slot++ {
-			l := st.List(int32(slot))
-			if l == nil || l.Len() == 0 {
-				continue
-			}
-			if l.Positional() {
-				err = b.AddPositionalList(coll, int32(slot), l.DocIDs, l.TFs, l.Positions)
-			} else {
-				err = b.AddList(coll, int32(slot), l.DocIDs, l.TFs)
-			}
-			if err != nil {
-				return nil, nil, 0, err
-			}
+	dict = make([]store.DictEntry, 0, len(m.terms))
+	var scratch []byte
+	for _, i := range order {
+		t := &m.terms[i]
+		if t.list.Positional() {
+			err = b.AddPositionalList(int(t.coll), t.slot, t.list.DocIDs, t.list.TFs, t.list.Positions)
+		} else {
+			err = b.AddList(int(t.coll), t.slot, t.list.DocIDs, t.list.TFs)
+		}
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		dict, scratch = t.appendEntry(dict, scratch)
+	}
+	// dict is in (collection, slot) order: each collection's entries
+	// sit together, so sorting each by term makes the whole canonical.
+	for c, n := range m.nextSlot {
+		if n > 1 {
+			slices.SortFunc(dict[start[c]:start[c]+n], func(a, b store.DictEntry) int {
+				return strings.Compare(a.Term, b.Term)
+			})
 		}
 	}
-	var scratch []byte
-	for _, coll := range m.ix.Collections() {
-		m.ix.WalkDictionary(coll, func(stripped []byte, slot int32) bool {
-			scratch = trie.RestoreAppend(coll, scratch[:0], stripped)
-			dict = append(dict, store.DictEntry{
-				Term:       string(scratch),
-				Collection: int32(coll),
-				Slot:       slot,
-			})
-			return true
-		})
-	}
-	store.SortDictEntries(dict)
 	return b.Finalize(m.firstDoc, lastDoc), dict, b.Lists(), nil
 }

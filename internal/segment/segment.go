@@ -125,28 +125,34 @@ func (s *segment) blocksCtx(ctx context.Context, coll int32, term string) (*stor
 }
 
 // view is one immutable read snapshot: the sealed segments in
-// ascending doc order plus the memtable that was live when the view
-// was taken. Queries acquire the current view, finish against it, and
-// release it; seals and compactions swap in a new view and release
+// ascending doc order, the frozen memtable a seal is writing out (nil
+// when none) and the memtable that was live when the view was taken.
+// Queries acquire the current view, finish against it, and release it;
+// freezes, seal commits and compactions swap in a new view and release
 // the old one, which tears down replaced segments once the last
 // in-flight query drains.
 type view struct {
-	segs []*segment
-	mem  *memtable
-	gen  uint64
-	refs atomic.Int64
+	segs   []*segment
+	frozen *memtable
+	mem    *memtable
+	gen    uint64
+	refs   atomic.Int64
 }
 
 // newView takes one reference on every segment; the view's own
 // lifetime starts at one reference (the manager's).
-func newView(segs []*segment, mem *memtable, gen uint64) *view {
+func newView(segs []*segment, frozen, mem *memtable, gen uint64) *view {
 	for _, s := range segs {
 		s.retain()
 	}
-	v := &view{segs: segs, mem: mem, gen: gen}
+	v := &view{segs: segs, frozen: frozen, mem: mem, gen: gen}
 	v.refs.Store(1)
 	return v
 }
+
+// mems returns the view's memtables in doc order: the frozen one (nil
+// when none), then the live one.
+func (v *view) mems() [2]*memtable { return [2]*memtable{v.frozen, v.mem} }
 
 func (v *view) retain() { v.refs.Add(1) }
 

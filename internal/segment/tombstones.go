@@ -1,13 +1,14 @@
 // Package segment implements incremental LSM-style indexing on top of
-// the batch pipeline's building blocks: documents stream into an
-// in-memory write segment (the memtable — a cpuindexer trie+B-tree
-// dictionary plus postings stores), which seals into immutable on-disk
-// segments in the run-file format, which background compaction folds
-// together with the store package's sharded parallel merge. Deletions
-// are tombstone bits filtered at read time and purged at compaction.
-// Readers work against generation-stamped immutable views, so queries
-// never block on a seal or a compaction — they finish against the view
-// they started with while writers swap in the next one.
+// the batch pipeline's building blocks: documents stream through the
+// batch parser into an in-memory write segment (the memtable — one
+// hash table from term to appendable postings list), which a
+// background goroutine seals into immutable on-disk segments in the
+// run-file format, which background compaction folds together with the
+// store package's sharded parallel merge. Deletions are tombstone bits
+// filtered at read time and purged at compaction. Readers work against
+// generation-stamped immutable views, so queries never block on a seal
+// or a compaction — they finish against the view they started with
+// while writers swap in the next one.
 package segment
 
 import (

@@ -10,8 +10,9 @@ import (
 	"unicode/utf8"
 )
 
-// jsonAppender is implemented by the two hot response shapes,
-// searchResponse and postingsResponse: appendJSON appends exactly the
+// jsonAppender is implemented by the hot response shapes — the query
+// endpoints' searchResponse and postingsResponse, and live ingest's
+// ingestResponse and deleteResponse: appendJSON appends exactly the
 // value encoding/json would marshal — same field names and order, same
 // omitempty behaviour, same string escaping and float formatting —
 // without reflection, indentation or a per-element call.
@@ -37,7 +38,7 @@ var encPool = sync.Pool{New: func() any {
 // (pass a pointer, so the value is not boxed) is encoded compactly into
 // a pooled buffer and leaves in one Write under a Content-Length; it
 // may alias a cached postings list, which is only read here. Every
-// other value — errors, /healthz, /debug/*, the live admin endpoints —
+// other value — errors, /healthz, /debug/*, /seal and /compact —
 // goes through encoding/json, indented, as before.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	h := w.Header()
@@ -92,6 +93,24 @@ func (r *searchResponse) appendJSON(b []byte) []byte {
 	}
 	b = append(b, `,"took_ms":`...)
 	b = appendFloat(b, r.TookMs)
+	return append(b, '}')
+}
+
+func (r *ingestResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"doc":`...)
+	b = strconv.AppendUint(b, uint64(r.Doc), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, r.Generation, 10)
+	return append(b, '}')
+}
+
+func (r *deleteResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"deleted":`...)
+	b = strconv.AppendBool(b, r.Deleted)
+	b = append(b, `,"doc":`...)
+	b = strconv.AppendUint(b, uint64(r.Doc), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, r.Generation, 10)
 	return append(b, '}')
 }
 

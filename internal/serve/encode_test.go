@@ -11,7 +11,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
+
+	"fastinvert/internal/segment"
 )
 
 // jsonTokens flattens a document into encoding/json's own token stream:
@@ -118,6 +121,28 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	checkAppendJSON(t, &searchResponse{Query: "q", Mode: "topk", K: 1000, Count: len(finite), Ranked: finite, TookMs: 0.25})
 	checkAppendJSON(t, &searchResponse{})
 	checkAppendJSON(t, &postingsResponse{})
+	// The live write responses, whose maps encoding/json sorted by key.
+	for _, doc := range boundaryDocIDs() {
+		for _, gen := range []uint64{0, 1, math.MaxUint64} {
+			checkAppendJSON(t, &ingestResponse{Doc: doc, Generation: gen})
+			checkAppendJSON(t, &deleteResponse{Deleted: true, Doc: doc, Generation: gen})
+			for _, v := range []jsonAppender{&ingestResponse{Doc: doc, Generation: gen},
+				&deleteResponse{Deleted: true, Doc: doc, Generation: gen}} {
+				m := map[string]any{"doc": doc, "generation": gen}
+				if d, ok := v.(*deleteResponse); ok {
+					m["deleted"] = d.Deleted
+				}
+				want, err := json.Marshal(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := v.appendJSON(nil); !bytes.Equal(got, want) {
+					t.Errorf("%T: %s, the map it replaced encodes %s", v, got, want)
+				}
+			}
+		}
+	}
+	checkAppendJSON(t, &deleteResponse{})
 
 	// Floats come back as the very bits that went in.
 	for _, f := range hostileFloats[:len(hostileFloats)-3] {
@@ -138,6 +163,8 @@ func TestAppendJSONDoesNotAllocate(t *testing.T) {
 		&searchResponse{Query: "parallel <inverted>", Mode: "and", Count: len(docs), Docs: docs, TookMs: 0.123},
 		&searchResponse{Query: "q", Mode: "topk", K: 10, Count: 2, Ranked: []rankedDoc{{1, 2.5}, {7, 1e-9}}, TookMs: 1.5},
 		&postingsResponse{Term: "Parallel", Normalized: "parallel", DF: len(docs), Docs: docs, TFs: docs, Truncated: true},
+		&ingestResponse{Doc: 4_000_000_000, Generation: 1 << 40},
+		&deleteResponse{Deleted: true, Doc: 42, Generation: 7},
 	} {
 		if n := testing.AllocsPerRun(50, func() { buf = v.appendJSON(buf[:0]) }); n != 0 {
 			t.Errorf("%T.appendJSON allocates %.1f per call into a large enough buffer, want 0", v, n)
@@ -169,7 +196,7 @@ func FuzzResponseJSON(f *testing.F) {
 	})
 }
 
-// TestQueryResponsesAreCompact checks the wire shape of the two hot
+// TestQueryResponsesAreCompact checks the wire shape of the hot
 // endpoints — one line, no indentation, a Content-Length that is the
 // body's length — and that the cold ones kept encoding/json's.
 func TestQueryResponsesAreCompact(t *testing.T) {
@@ -203,6 +230,26 @@ func TestQueryResponsesAreCompact(t *testing.T) {
 	for _, path := range []string{"/healthz", "/search?q=x&mode=bogus", "/debug/slowlog"} {
 		if _, body := getRaw(t, ts, path); !bytes.Contains(body, []byte("\n ")) {
 			t.Errorf("GET %s: cold endpoint lost its indentation: %.200s", path, body)
+		}
+	}
+
+	// Live ingest's two write endpoints are hot too; /seal and /compact
+	// are not.
+	_, lts := newLiveServer(t, segment.Options{})
+	for _, path := range []string{"/ingest", "/delete?doc=0", "/seal", "/compact"} {
+		resp, err := lts.Client().Post(lts.URL+path, "text/plain", strings.NewReader("parallel inverted"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, body)
+		}
+		compact := !bytes.Contains(body, []byte("\n ")) && bytes.Count(body, []byte("\n")) == 1 &&
+			resp.Header.Get("Content-Length") == strconv.Itoa(len(body))
+		if hot := path == "/ingest" || path == "/delete?doc=0"; compact != hot || !json.Valid(body) {
+			t.Errorf("POST %s: compact %v, want %v: %.200s", path, compact, hot, body)
 		}
 	}
 }

@@ -23,7 +23,7 @@ const maxIngestBytes = 8 << 20
 //
 // Parsing and indexing run synchronously on the request goroutine; a
 // 200 means the document is queryable (from the memtable) before the
-// response is written.
+// response is written. A seal the document triggers runs behind it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -44,10 +44,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeLiveError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"doc":        doc,
-		"generation": s.live.Gen(),
-	})
+	writeJSON(w, http.StatusOK, &ingestResponse{Doc: doc, Generation: s.live.Gen()})
+}
+
+// ingestResponse and deleteResponse are /ingest's and /delete's bodies;
+// their fields are in alphabetical key order, the endpoints' wire
+// format.
+type ingestResponse struct {
+	Doc        uint32 `json:"doc"`
+	Generation uint64 `json:"generation"`
+}
+
+type deleteResponse struct {
+	Deleted    bool   `json:"deleted"`
+	Doc        uint32 `json:"doc"`
+	Generation uint64 `json:"generation"`
 }
 
 // handleDelete tombstones one document:
@@ -75,11 +86,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeLiveError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"doc":        uint32(v),
-		"deleted":    true,
-		"generation": s.live.Gen(),
-	})
+	writeJSON(w, http.StatusOK, &deleteResponse{Deleted: true, Doc: uint32(v), Generation: s.live.Gen()})
 }
 
 // handleSeal forces the memtable to seal into an on-disk segment:
@@ -88,7 +95,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 //
 // Normally sealing happens automatically every SealEvery documents;
 // the endpoint exists for checkpointing (sealed documents survive a
-// crash, memtable documents do not) and for tests.
+// crash, memtable documents do not) and for tests. It answers once
+// every document ingested before it is in a committed segment.
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")

@@ -152,9 +152,13 @@ func TestLiveServerCacheGeneration(t *testing.T) {
 // TestLiveServerMetrics scrapes /metrics and checks the live gauges
 // are published and track the manager.
 func TestLiveServerMetrics(t *testing.T) {
-	_, ts := newLiveServer(t, segment.Options{SealEvery: 2})
+	m, ts := newLiveServer(t, segment.Options{SealEvery: 2})
 	for i := 0; i < 5; i++ {
 		post(t, ts, "/ingest", fmt.Sprintf("alpha beta w%dx", i), http.StatusOK)
+	}
+	// The second seal runs behind the ingest that filled its memtable.
+	if err := m.WaitSeal(); err != nil {
+		t.Fatal(err)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -168,6 +172,10 @@ func TestLiveServerMetrics(t *testing.T) {
 		"hetserve_live_seals_total 2",
 		"hetserve_live_segments 2",
 		"hetserve_live_memtable_docs 1",
+		"hetserve_live_sealing 0",
+		"hetserve_live_seal_seconds_count",
+		"hetserve_live_seal_errors_total 0",
+		"hetserve_live_seal_wait_seconds_total",
 		"hetserve_cache_hits_total",
 	} {
 		if !strings.Contains(text, want) {

@@ -409,8 +409,20 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 		"Total run-file bytes across sealed segments.",
 		func() float64 { return float64(s.live.Stats().SegmentBytes) })
 	reg.GaugeFunc("hetserve_live_memtable_docs",
-		"Documents buffered in the in-memory write segment.",
+		"Documents buffered in the live memtable, not counting a frozen one being sealed (hetserve_live_sealing).",
 		func() float64 { return float64(s.live.Stats().MemtableDocs) })
+	reg.GaugeFunc("hetserve_live_sealing",
+		"Documents of the frozen memtable whose seal has not committed yet.",
+		func() float64 { return float64(s.live.Stats().Sealing) })
+	sealHist := reg.Histogram("hetserve_live_seal_seconds",
+		"Seal duration from memtable freeze to commit.", nil)
+	s.live.SetSealObserver(func(d time.Duration) { sealHist.Observe(d.Seconds()) })
+	reg.CounterFunc("hetserve_live_seal_wait_seconds_total",
+		"Time writers spent waiting for a previous seal before freezing a full memtable.",
+		func() float64 { return s.live.Stats().SealWait.Seconds() })
+	reg.CounterFunc("hetserve_live_seal_errors_total",
+		"Seals that failed; their documents stay searchable until a retry commits them.",
+		func() float64 { return float64(s.live.Stats().SealErrors) })
 	reg.GaugeFunc("hetserve_live_memtable_terms",
 		"Distinct terms in the in-memory write segment.",
 		func() float64 { return float64(s.live.Stats().MemtableTerms) })

@@ -2,10 +2,13 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"fastinvert/internal/encoding"
 )
@@ -36,16 +39,18 @@ const (
 	dictVersion = 1
 )
 
+// CompareDictEntries orders entries canonically: by collection, then
+// term.
+func CompareDictEntries(a, b DictEntry) int {
+	if c := cmp.Compare(a.Collection, b.Collection); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Term, b.Term)
+}
+
 // SortDictEntries puts entries into the canonical (collection, term)
 // order required by WriteDictionary.
-func SortDictEntries(entries []DictEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Collection != entries[j].Collection {
-			return entries[i].Collection < entries[j].Collection
-		}
-		return entries[i].Term < entries[j].Term
-	})
-}
+func SortDictEntries(entries []DictEntry) { slices.SortFunc(entries, CompareDictEntries) }
 
 // WriteDictionary writes the front-coded dictionary. Entries must be
 // in canonical order (SortDictEntries).
