@@ -78,7 +78,6 @@ func run(args []string, w io.Writer) (err error) {
 		indexDir = fs.String("index", "", "built index directory (required; see cmd/hetindex)")
 		addr     = fs.String("addr", ":8080", "listen address")
 		cacheMB  = fs.Int64("cache-mb", 64, "postings cache budget in MiB")
-		shards   = fs.Int("cache-shards", 16, "postings cache shard count")
 		workers  = fs.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
 		timeout  = fs.Duration("timeout", 2*time.Second, "per-query deadline")
 		pprofOn  = fs.Bool("pprof", false, "mount /debug/pprof/ handlers")
@@ -105,7 +104,6 @@ func run(args []string, w io.Writer) (err error) {
 
 	cfg := serve.Config{
 		CacheBytes:   *cacheMB << 20,
-		CacheShards:  *shards,
 		Workers:      *workers,
 		QueryTimeout: *timeout,
 		EnablePprof:  *pprofOn,

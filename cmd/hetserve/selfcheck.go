@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -26,7 +27,11 @@ var selfCheckVocab = []string{
 // over real HTTP — the workload CI's trace-serve job traces and then
 // validates with cmd/tracecheck. It exercises every traced
 // endpoint: ingest, delete, seal, compact, search (all modes) and
-// postings, plus the debug surfaces.
+// postings, plus the debug surfaces. An ingest follows every search
+// and every postings request, and no search names a word twice, so no
+// term is looked up twice at one index generation: the load fails
+// unless the postings cache scores hits across generations (on the
+// sealed segments).
 func runSelfCheck(h http.Handler, positional bool) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,17 +52,29 @@ func runSelfCheck(h http.Handler, positional bool) error {
 		}
 		return strings.Join(words, " ")
 	}
+	nextDoc := 0
+	ingest := func() error {
+		if err := post(c, base+"/ingest", doc()); err != nil {
+			return err
+		}
+		nextDoc++
+		return nil
+	}
 	queries := func() error {
 		modes := []string{"and", "or", "topk"}
 		if positional {
 			modes = append(modes, "phrase")
 		}
+		n := len(selfCheckVocab)
 		for i := 0; i < 12; i++ {
-			w1 := selfCheckVocab[rng.Intn(len(selfCheckVocab))]
-			w2 := selfCheckVocab[rng.Intn(len(selfCheckVocab))]
+			i1 := rng.Intn(n)
+			w1, w2 := selfCheckVocab[i1], selfCheckVocab[(i1+1+rng.Intn(n-1))%n]
 			mode := modes[i%len(modes)]
 			q := url.Values{"q": {w1 + " " + w2}, "mode": {mode}, "k": {"5"}}
 			if err := get(c, base+"/search?"+q.Encode()); err != nil {
+				return err
+			}
+			if err := ingest(); err != nil {
 				return err
 			}
 		}
@@ -68,6 +85,9 @@ func runSelfCheck(h http.Handler, positional bool) error {
 				http.StatusOK, http.StatusNotFound); err != nil {
 				return err
 			}
+			if err := ingest(); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -75,13 +95,11 @@ func runSelfCheck(h http.Handler, positional bool) error {
 	// Two ingest waves with a seal between them, so queries fan out over
 	// sealed segments and the memtable; deletions plus a compaction
 	// exercise the background-operation traces.
-	nextDoc := 0
 	for wave := 0; wave < 2; wave++ {
 		for i := 0; i < 40; i++ {
-			if err := post(c, base+"/ingest", doc()); err != nil {
+			if err := ingest(); err != nil {
 				return err
 			}
-			nextDoc++
 		}
 		for i := 0; i < 3; i++ {
 			victim := rng.Intn(nextDoc)
@@ -119,7 +137,25 @@ func runSelfCheck(h http.Handler, positional bool) error {
 			return fmt.Errorf("%s: missing %q in response", check.path, check.want)
 		}
 	}
+	body, err := fetch(c, base+"/metrics")
+	if err != nil {
+		return err
+	}
+	if hits, ok := metricValue(body, "hetserve_cache_hits_total"); !ok || hits == 0 {
+		return fmt.Errorf("/metrics: hetserve_cache_hits_total is %v under a write load, want > 0", hits)
+	}
 	return nil
+}
+
+// metricValue reads an unlabelled sample out of Prometheus text.
+func metricValue(body, name string) (float64, bool) {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 func fetch(c *http.Client, u string) (string, error) {

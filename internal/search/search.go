@@ -39,9 +39,9 @@ var (
 
 // Source is what a Searcher needs from an index: whole-list and
 // block-at-a-time postings lookup plus the metadata driving IDF and
-// BM25. store.IndexReader and segment.Manager implement it directly,
-// and it is the seam where serve's cached wrapper slots in front of
-// either. Every per-term fetch receives the query context, so a
+// BM25. store.IndexReader and segment.Manager implement it; a cache
+// installed on either sits beneath it, in the run files they read.
+// Every per-term fetch receives the query context, so a
 // telemetry.RequestTrace it carries flows down to the
 // cache/pread/decode leaves.
 type Source interface {
@@ -64,9 +64,9 @@ type Source interface {
 // Searcher evaluates queries against one opened index.
 //
 // Concurrency: a Searcher is safe for concurrent use, provided its
-// Source is (store.IndexReader, segment.Manager and serve's cached
-// wrapper all are): apart from the rank mode, its counters and the
-// pool of per-query scratch it is immutable after construction.
+// Source is (store.IndexReader and segment.Manager both are): apart
+// from the rank mode, its counters and the pool of per-query scratch
+// it is immutable after construction.
 type Searcher struct {
 	idx     Source
 	stop    *stopwords.Set
@@ -84,8 +84,8 @@ type Searcher struct {
 // ranked retrieval uses BM25 instead of plain TF-IDF.
 func New(idx *store.IndexReader) *Searcher { return NewWithSource(idx) }
 
-// NewWithSource wraps any Source — a *store.IndexReader, a
-// *segment.Manager, or serve's sharded postings cache fronting one.
+// NewWithSource wraps any Source — a *store.IndexReader or a
+// *segment.Manager.
 func NewWithSource(idx Source) *Searcher {
 	s := &Searcher{idx: idx, stop: stopwords.Default()}
 	if lens := idx.DocLens(); len(lens) > 0 {

@@ -144,8 +144,9 @@ type Manager struct {
 	compactions atomic.Uint64
 
 	// reads counts what queries fetched from the sealed segments, the
-	// live-mode counterpart of store.ReaderStats' read counters.
-	reads store.ReadCounters
+	// live-mode counterpart of store.ReaderStats' read counters, and
+	// holds the cache SetCache installs over them.
+	reads store.ReadPath
 
 	traceSink    atomic.Pointer[TraceSink]
 	sealObserver atomic.Pointer[func(time.Duration)]
@@ -216,10 +217,16 @@ func Open(dir string, opts Options) (*Manager, error) {
 }
 
 // Gen returns the current index generation. It advances on every
-// visible mutation (add, delete, seal, compaction), which makes it a
-// safe cache-key component: postings cached under one generation can
-// never serve a later state.
+// visible mutation (add, delete, seal, compaction); traces and the
+// ingest and delete responses report it.
 func (m *Manager) Gen() uint64 { return m.gen.Load() }
+
+// SetCache installs c as the decoded-list cache of every sealed
+// segment, present and future; nil, the default, reads uncached. A
+// segment file is immutable, so its cached lists stay valid until a
+// compaction retires it; the memtables are never cached, and
+// tombstones are applied after the cache, at concatenation.
+func (m *Manager) SetCache(c *store.ListCache) { m.reads.SetCache(c) }
 
 // SetTraceSink installs (or clears, with nil) the receiver for
 // background-operation traces. Until a sink is set, seal and
@@ -443,9 +450,8 @@ func (m *Manager) PostingsCtx(ctx context.Context, term string) (*postings.List,
 }
 
 // PostingsSizedCtx additionally reports the term's encoded size in
-// bytes: exact for sealed segments (on-disk list lengths), estimated
-// for the memtable portion. Cache layers use it to charge budgets by
-// what the postings cost at rest rather than their decoded footprint.
+// bytes: exact for sealed segments (on-disk list lengths, what the
+// cache charges for them), estimated for the memtable portion.
 // (store.IndexReader's PostingsEncodedCtx is the same method; the two
 // names differ only because the benchmark pins both.)
 // A telemetry.RequestTrace carried by ctx sees the live read anatomy:

@@ -215,7 +215,7 @@ func TestViewOutlivesReplacedSegmentFiles(t *testing.T) {
 	dead := m.tomb.Load()
 	coll := int32(trie.IndexString("alpha"))
 	for _, s := range v.segs {
-		part, _, err := s.postings(coll, "alpha")
+		part, _, err := s.postingsCtx(context.Background(), coll, "alpha")
 		if err != nil {
 			t.Fatalf("read from replaced segment: %v", err)
 		}

@@ -24,10 +24,10 @@ type segment struct {
 }
 
 // openSegment opens and cross-checks a segment's files against its
-// manifest entry, counting the segment's reads on rc. Mismatches wrap
+// manifest entry, reading the segment through rp. Mismatches wrap
 // store.ErrCorruptIndex.
-func openSegment(dir string, meta SegmentMeta, rc *store.ReadCounters) (*segment, error) {
-	run, err := store.OpenRunFile(filepath.Join(dir, meta.File), rc)
+func openSegment(dir string, meta SegmentMeta, rp *store.ReadPath) (*segment, error) {
+	run, err := store.OpenRunFile(filepath.Join(dir, meta.File), rp)
 	if err != nil {
 		return nil, fmt.Errorf("segment %d: %w", meta.ID, err)
 	}
@@ -90,14 +90,10 @@ func (s *segment) find(ctx context.Context, coll int32, term string) (re store.R
 	return re, true, nil
 }
 
-// postings returns the term's list in this segment (nil when absent)
-// plus its encoded on-disk size.
-func (s *segment) postings(coll int32, term string) (*postings.List, int64, error) {
-	return s.postingsCtx(context.Background(), coll, term)
-}
-
-// postingsCtx is postings under a (possibly traced) context: the list
-// fetch flows through store.RunFile.ReadListCtx for pread/decode spans.
+// postingsCtx returns the term's list in this segment (nil when
+// absent) plus its encoded on-disk size. The fetch flows through
+// store.RunFile.ReadListCtx: the manager's cache, when one is
+// installed, and the cache/pread/decode spans of a traced ctx.
 func (s *segment) postingsCtx(ctx context.Context, coll int32, term string) (*postings.List, int64, error) {
 	re, ok, err := s.find(ctx, coll, term)
 	if err != nil || !ok {

@@ -6,10 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"fastinvert/internal/parser"
+	"fastinvert/internal/postings"
+	"fastinvert/internal/reference"
 	"fastinvert/internal/segment"
 )
 
@@ -123,29 +127,103 @@ func TestLiveServerLifecycle(t *testing.T) {
 	}
 }
 
-// TestLiveServerCacheGeneration checks that cached postings never
-// survive a mutation: the cache key carries the generation, so a
-// search after an ingest must see the new document even though the
-// previous result was cached.
+// TestLiveServerCacheGeneration checks that the live cache, keyed by
+// segment file, never serves a state it was not read from while still
+// paying off across generations:
+//   - an ingest into the memtable is counted at once, and the repeat
+//     query hits the cache on every sealed part;
+//   - a delete of a sealed document whose list is cached hides it,
+//     since tombstones apply after the cache;
+//   - after a compaction every answer equals a serial rebuild of the
+//     survivors, and no entry of a compacted-away file is hit again.
 func TestLiveServerCacheGeneration(t *testing.T) {
-	_, ts := newLiveServer(t, segment.Options{})
+	m, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := NewLive(m, Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
-	post(t, ts, "/ingest", "omega alpha", http.StatusOK)
-	for i := 0; i < 3; i++ { // populate + hit the cache
+	survivors := map[uint32]string{}
+	ingest := func(text string) {
+		t.Helper()
+		got := post(t, ts, "/ingest", text, http.StatusOK)
+		survivors[uint32(got["doc"].(float64))] = text
+	}
+	omega := func() []uint32 {
+		t.Helper()
 		res := getJSON(t, ts, "/search?q=omega&mode=and", http.StatusOK)
-		if int(res["count"].(float64)) != 1 {
-			t.Fatalf("round %d: %v, want 1 doc", i, res)
+		var docs []uint32
+		for _, d := range res["docs"].([]any) {
+			docs = append(docs, uint32(d.(float64)))
+		}
+		return docs
+	}
+
+	// Two sealed segments hold omega; the first query reads both.
+	ingest("omega alpha")
+	ingest("omega beta")
+	post(t, ts, "/seal", "", http.StatusOK)
+	ingest("omega gamma")
+	post(t, ts, "/seal", "", http.StatusOK)
+	if got := omega(); len(got) != 3 {
+		t.Fatalf("omega = %v, want 3 docs", got)
+	}
+
+	st0 := srv.CacheStats()
+	ingest("omega delta") // doc 3, in the memtable
+	if got := omega(); len(got) != 4 || got[3] != 3 {
+		t.Fatalf("after ingest: omega = %v, want docs 0-3", got)
+	}
+	if st := srv.CacheStats(); st.Hits-st0.Hits != 2 || st.Misses != st0.Misses {
+		t.Fatalf("after ingest: cache %+v, before %+v; want a hit on each of 2 sealed parts", st, st0)
+	}
+
+	post(t, ts, "/delete?doc=0", "", http.StatusOK)
+	delete(survivors, 0)
+	if got := omega(); len(got) != 3 || got[0] == 0 {
+		t.Fatalf("after deleting sealed doc 0: omega = %v, want docs 1-3", got)
+	}
+
+	post(t, ts, "/compact", "", http.StatusOK)
+	st1 := srv.CacheStats()
+	if got := omega(); len(got) != 3 || got[0] == 0 {
+		t.Fatalf("after compaction: omega = %v, want docs 1-3", got)
+	}
+	if st := srv.CacheStats(); st.Hits != st1.Hits || st.Misses-st1.Misses != 1 {
+		t.Fatalf("first read after compaction: cache %+v, before %+v; want one miss on the new segment, no hit", st, st1)
+	}
+
+	p := parser.New(nil)
+	ref := &reference.Index{Lists: map[string]*postings.List{}}
+	for doc := uint32(0); doc < 4; doc++ { // in docID order, as AddBlock needs
+		text, ok := survivors[doc]
+		if !ok {
+			continue
+		}
+		blk := parser.NewBlock(0)
+		p.ParseDoc(0, []byte(text), blk)
+		if err := ref.AddBlock(blk, doc); err != nil {
+			t.Fatal(err)
 		}
 	}
-	post(t, ts, "/ingest", "omega beta", http.StatusOK)
-	res := getJSON(t, ts, "/search?q=omega&mode=and", http.StatusOK)
-	if int(res["count"].(float64)) != 2 {
-		t.Fatalf("stale cache after ingest: %v, want 2 docs", res)
-	}
-	post(t, ts, "/delete?doc=0", "", http.StatusOK)
-	res = getJSON(t, ts, "/search?q=omega&mode=and", http.StatusOK)
-	if int(res["count"].(float64)) != 1 {
-		t.Fatalf("stale cache after delete: %v, want 1 doc", res)
+	for _, term := range []string{"omega", "alpha", "beta", "gamma", "delta"} {
+		want, ok := ref.Lists[term]
+		if !ok {
+			getJSON(t, ts, "/postings?term="+term, http.StatusNotFound)
+			continue
+		}
+		res := getJSON(t, ts, "/postings?term="+term, http.StatusOK)
+		var got []uint32
+		for _, d := range res["docs"].([]any) {
+			got = append(got, uint32(d.(float64)))
+		}
+		if !reflect.DeepEqual(got, want.DocIDs) {
+			t.Errorf("postings(%s) = %v, serial rebuild of the survivors has %v", term, got, want.DocIDs)
+		}
 	}
 }
 

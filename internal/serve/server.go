@@ -1,3 +1,14 @@
+// Package serve is the query-serving layer: it makes an opened index
+// fast and safe under concurrent traffic. One size-bounded LRU of
+// decoded postings (store.ListCache) is installed on the index it
+// serves, a bounded worker pool executes queries under per-query
+// deadlines, and Server exposes the whole thing over HTTP/JSON with
+// Prometheus metrics at /metrics.
+//
+// The construction pipeline (internal/core) optimizes for build
+// throughput; this package optimizes for the other half of the
+// paper's story — the index being read "by a large number of users"
+// — where the bottleneck is concurrent in-memory postings access.
 package serve
 
 import (
@@ -14,7 +25,6 @@ import (
 	"time"
 
 	"fastinvert/internal/encoding"
-	"fastinvert/internal/postings"
 	"fastinvert/internal/search"
 	"fastinvert/internal/segment"
 	"fastinvert/internal/store"
@@ -23,11 +33,9 @@ import (
 
 // Config tunes a Server. The zero value selects sensible defaults.
 type Config struct {
-	// CacheBytes bounds the decoded-postings cache (default 64 MiB).
+	// CacheBytes bounds the postings cache, charged the encoded
+	// (on-disk) bytes of the lists it holds (default 64 MiB).
 	CacheBytes int64
-	// CacheShards is the lock-striping factor (default 16, rounded up
-	// to a power of two).
-	CacheShards int
 	// Workers bounds concurrent query execution (default GOMAXPROCS).
 	Workers int
 	// QueryTimeout is the per-query deadline applied on top of the
@@ -73,9 +81,6 @@ func (c *Config) fill() {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -102,83 +107,6 @@ func (c *Config) fill() {
 	}
 }
 
-// cachedSource fronts a search.Source — the static IndexReader or the
-// live segment.Manager — with the sharded postings cache; it is the
-// Source the server's Searcher reads through, so every query path,
-// /search and /postings alike, shares one cache. The cache budget is
-// charged each list's encoded (at-rest) size, which fetch reports, so
-// N MiB of budget admits what N MiB of index holds regardless of which
-// registered codec encoded each list.
-//
-// A live index sets gen, and cache keys carry the generation it
-// returns, which advances on every add, delete, seal and compaction: a
-// cached list can therefore never serve a state it was not computed
-// from, and queries never block on the swap itself — a superseded
-// generation simply stops getting hits and ages out of the LRU.
-type cachedSource struct {
-	search.Source // NumDocs, DocLens and Dictionary pass through
-	cache         *PostingsCache
-	fetch         func(ctx context.Context, term string) (*postings.List, int64, error)
-	gen           func() uint64 // nil for a static index
-}
-
-// key returns the term's cache key and, for a live index, the
-// generation it names.
-func (cs *cachedSource) key(term string) (string, uint64) {
-	if cs.gen == nil {
-		return term, 0
-	}
-	gen := cs.gen()
-	return term + "#" + strconv.FormatUint(gen, 10), gen
-}
-
-// PostingsCtx reads through the cache: the probe gets a cache span
-// noting hit/miss, and a miss flows through the source's context-aware
-// path so its dict/pread/decode spans land in the same trace. Under an
-// untraced context the span handles are inert and cost no allocation.
-func (cs *cachedSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
-	tr := telemetry.TraceFrom(ctx)
-	key, gen := cs.key(term)
-	if cs.gen != nil {
-		tr.SetGeneration(gen)
-	}
-	csp := tr.StartSpan(telemetry.ReqStageCache)
-	if l, ok := cs.cache.Get(key); ok {
-		csp.SetNote("hit")
-		csp.End()
-		return l, nil
-	}
-	csp.SetNote("miss")
-	csp.End()
-	l, enc, err := cs.fetch(ctx, term)
-	if err != nil {
-		return nil, err
-	}
-	// A list computed under a newer generation must not be filed under
-	// an older key.
-	if cs.gen == nil || cs.gen() == gen {
-		cs.cache.PutSized(key, l, enc)
-	}
-	return l, nil
-}
-
-// BlockPostingsCtx serves the block evaluators: a term already
-// resident in the decoded-postings cache is wrapped as one exact
-// pseudo-block (same scores, zero I/O); anything else flows to the
-// source's skip-table path, which deliberately bypasses the cache —
-// the whole point of block evaluation is not materializing long lists.
-func (cs *cachedSource) BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error) {
-	key, _ := cs.key(term)
-	if l, ok := cs.cache.Get(key); ok {
-		tb := &store.TermBlocks{}
-		if bl := store.BlockListFromList(l); bl != nil {
-			tb.Lists = append(tb.Lists, bl)
-		}
-		return tb, nil
-	}
-	return cs.Source.BlockPostingsCtx(ctx, term)
-}
-
 // Server serves Boolean, phrase and ranked queries over one opened
 // index. Construct with New, mount Handler on an http.Server, and
 // Close on shutdown (the index itself stays open; its lifetime belongs
@@ -186,7 +114,7 @@ func (cs *cachedSource) BlockPostingsCtx(ctx context.Context, term string) (*sto
 type Server struct {
 	idx      *store.IndexReader // nil in live mode
 	live     *segment.Manager   // nil in static mode
-	cache    *PostingsCache
+	cache    *store.ListCache
 	searcher *search.Searcher
 	pool     *Pool
 	metrics  *Metrics
@@ -208,9 +136,8 @@ type Server struct {
 
 // newServer builds the parts common to both modes.
 func newServer(cfg Config) *Server {
-	cache := NewPostingsCache(cfg.CacheShards, cfg.CacheBytes)
 	return &Server{
-		cache:      cache,
+		cache:      store.NewListCache(cfg.CacheBytes),
 		pool:       NewPool(cfg.Workers),
 		metrics:    NewMetricsOn(cfg.Registry),
 		cfg:        cfg,
@@ -223,12 +150,14 @@ func newServer(cfg Config) *Server {
 }
 
 // New wires the cache, worker pool and HTTP routes around an opened
-// index.
+// index. The server's cache replaces the reader's own, so every query
+// path, /search and /postings alike, reads through this one.
 func New(idx *store.IndexReader, cfg Config) *Server {
 	cfg.fill()
 	s := newServer(cfg)
 	s.idx = idx
-	s.searcher = search.NewWithSource(&cachedSource{Source: idx, cache: s.cache, fetch: idx.PostingsEncodedCtx})
+	idx.SetCache(s.cache)
+	s.searcher = search.NewWithSource(idx)
 	s.registerCommonMetrics(cfg.Registry, func() map[string]uint64 { return idx.Stats().CodecDecodes })
 	s.registerStaticMetrics(cfg.Registry)
 	s.registerRoutes()
@@ -238,13 +167,15 @@ func New(idx *store.IndexReader, cfg Config) *Server {
 // NewLive wires the same cache, pool and HTTP surface around a
 // segment.Manager, adding the ingestion endpoints: documents stream in
 // over /ingest while /search and /postings answer from the live
-// segment views. The manager's lifetime belongs to the caller, exactly
-// like the static reader's.
+// segment views. The server's cache is installed on the manager's
+// sealed segments; the memtables are read uncached. The manager's
+// lifetime belongs to the caller, exactly like the static reader's.
 func NewLive(mgr *segment.Manager, cfg Config) *Server {
 	cfg.fill()
 	s := newServer(cfg)
 	s.live = mgr
-	s.searcher = search.NewWithSource(&cachedSource{Source: mgr, cache: s.cache, fetch: mgr.PostingsSizedCtx, gen: mgr.Gen})
+	mgr.SetCache(s.cache)
+	s.searcher = search.NewWithSource(mgr)
 	s.registerCommonMetrics(cfg.Registry, mgr.CodecDecodes)
 	s.registerLiveMetrics(cfg.Registry)
 	s.registerRoutes()
@@ -285,22 +216,22 @@ func (s *Server) registerRoutes() {
 // per-codec read series shared by both modes as func-backed metrics:
 // values are read from the subsystems' own atomic counters only when
 // /metrics is scraped. fetched reports the lists the index read from
-// disk by codec name (store.ReadCounters.ListsByCodec).
+// disk by codec name (store.ReadPath.ListsByCodec).
 func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() map[string]uint64) {
 	reg.CounterFunc("hetserve_cache_hits_total",
-		"Postings cache hits across all shards.",
-		func() float64 { return float64(s.cache.Hits()) })
+		"Postings cache hits, one lookup per file part of a term.",
+		func() float64 { return float64(s.cache.Stats().Hits) })
 	reg.CounterFunc("hetserve_cache_misses_total",
-		"Postings cache misses across all shards.",
-		func() float64 { return float64(s.cache.Misses()) })
+		"Postings cache misses, one lookup per file part of a term.",
+		func() float64 { return float64(s.cache.Stats().Misses) })
 	reg.CounterFunc("hetserve_cache_evictions_total",
-		"Postings cache LRU evictions across all shards.",
-		func() float64 { return float64(s.cache.Evictions()) })
+		"Postings cache LRU evictions.",
+		func() float64 { return float64(s.cache.Stats().Evictions) })
 	reg.GaugeFunc("hetserve_cache_entries",
 		"Cached postings lists currently resident.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.GaugeFunc("hetserve_cache_bytes",
-		"Estimated bytes of decoded postings currently cached.",
+		"Encoded (on-disk) bytes of the postings lists currently cached.",
 		func() float64 { return float64(s.cache.Stats().Bytes) })
 	reg.Gauge("hetserve_pool_workers",
 		"Size of the bounded query worker pool.").Set(float64(s.cfg.Workers))
@@ -312,8 +243,8 @@ func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() m
 		func() float64 { return float64(s.pool.Stats().Completed) })
 	reg.CounterFunc("hetserve_cache_evicted_bytes_total",
 		"Bytes charged for entries evicted from the postings cache.",
-		func() float64 { return float64(s.cache.EvictedBytes()) })
-	// Resident-entry shape, walked under the shard locks only when
+		func() float64 { return float64(s.cache.Stats().EvictedBytes) })
+	// Resident-entry shape, walked under the cache lock only when
 	// /metrics is scraped: how old and how large the cached lists are.
 	ageBounds := telemetry.ExpBuckets(1, 4, 8)
 	reg.HistogramFunc("hetserve_cache_entry_age_seconds",
@@ -366,8 +297,8 @@ func (s *Server) registerStaticMetrics(reg *telemetry.Registry) {
 		func() float64 { return float64(len(s.idx.Runs())) })
 	// Store read-path series: whether lookups hit the monolithic merged
 	// file or fell back to per-run assembly, and the raw list I/O both
-	// paths performed. These come from the reader's own atomic counters
-	// (a tier below the term-level cache above).
+	// paths performed. These come from the reader's own atomic counters;
+	// a lookup counts whether its lists then came from the cache or disk.
 	reg.GaugeFunc("hetserve_store_merged_active",
 		"1 when term lookups are served from a validated merged.post, else 0.",
 		func() float64 {
@@ -388,9 +319,6 @@ func (s *Server) registerStaticMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("hetserve_store_list_bytes_read_total",
 		"Compressed postings bytes fetched from disk by the reader.",
 		func() float64 { return float64(s.idx.Stats().ListBytesRead) })
-	reg.GaugeFunc("hetserve_store_cache_bytes",
-		"Decoded postings bytes resident in the reader's byte-budgeted LRU.",
-		func() float64 { return float64(s.idx.Stats().CacheBytes) })
 }
 
 // registerLiveMetrics publishes the segment manager's shape and
@@ -445,7 +373,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *telemetry.Registry { return s.cfg.Registry }
 
 // CacheStats exposes the postings-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() store.CacheStats { return s.cache.Stats() }
 
 // Close shuts the server down gracefully: new requests are refused
 // with 503, in-flight ones get up to DrainTimeout to finish, then the

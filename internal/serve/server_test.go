@@ -162,7 +162,7 @@ func TestServerEndpoints(t *testing.T) {
 // then checks /metrics reports the traffic.
 func TestServerConcurrentSearch(t *testing.T) {
 	idx := buildIndex(t)
-	srv := New(idx, Config{CacheShards: 4, CacheBytes: 1 << 20, Workers: 8})
+	srv := New(idx, Config{CacheBytes: 1 << 20, Workers: 8})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -282,8 +282,9 @@ func (e *httpStatusError) Error() string {
 }
 
 // TestTracingZeroAllocFastPath is the acceptance gate for unsampled
-// requests: with sampling off, the full instrumentation wrapper and
-// the context-aware cache read path must not allocate.
+// requests: with sampling off, the full instrumentation wrapper and a
+// warm read of a served index, which the server's cache answers, must
+// not allocate.
 func TestTracingZeroAllocFastPath(t *testing.T) {
 	cfg := Config{}
 	cfg.fill()
@@ -296,15 +297,26 @@ func TestTracingZeroAllocFastPath(t *testing.T) {
 		t.Errorf("unsampled instrumented request allocates %.1f per call, want 0", n)
 	}
 
-	cs := &cachedSource{cache: NewPostingsCache(2, 1<<20)}
-	cs.cache.Put("term", listOfLen(16))
+	idx := buildIndex(t)
+	if _, err := idx.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(idx, Config{})
+	defer srv.Close()
+	term := indexedWord(t, idx)
 	ctx := context.Background()
+	if _, err := idx.PostingsCtx(ctx, term); err != nil {
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(500, func() {
-		if _, err := cs.PostingsCtx(ctx, "term"); err != nil {
+		if _, err := idx.PostingsCtx(ctx, term); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("untraced warm PostingsCtx allocates %.1f per call, want 0", n)
+		t.Errorf("untraced warm IndexReader.PostingsCtx allocates %.1f per call, want 0", n)
+	}
+	if st := srv.CacheStats(); st.Misses != 1 || st.Hits < 500 {
+		t.Errorf("cache stats %+v: the warm reads did not hit the server's cache", st)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // merger is one merge invocation's configuration: read-only cursors
 // over the input files, the output codec selector, and the optional
 // tombstone filter. Its reads are bulk I/O, not queries: they are
-// counted in MergeStats, not on the files' ReadCounters.
+// counted in MergeStats, not on the files' ReadPath.
 type merger struct {
 	cursors []*mergeCursor
 	sel     encoding.Selector

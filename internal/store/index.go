@@ -268,8 +268,10 @@ func (w *IndexWriter) Runs() []RunMeta { return w.runs }
 
 // ReaderOptions tunes an IndexReader.
 type ReaderOptions struct {
-	// CacheBytes is the decoded-postings cache budget. Zero selects the
-	// 32 MiB default; use 1 to effectively disable caching.
+	// CacheBytes is the budget of the reader's decoded-list cache, in
+	// encoded bytes of the lists it holds (see ListCache). Zero selects
+	// the 32 MiB default; use 1 to effectively disable caching. A
+	// server built on the reader replaces this cache with its own.
 	CacheBytes int64
 
 	// MergeWorkers bounds the number of concurrent shard workers Merge
@@ -292,8 +294,9 @@ type ReaderOptions struct {
 // merged file, when present) is held as an open handle plus its parsed
 // entry table, and individual lists are fetched with one positioned
 // read and decoded on demand. Decoded lists are cached in a
-// byte-budgeted LRU, so reader RSS is bounded by O(tables) + the cache
-// budget regardless of index size.
+// byte-budgeted LRU (ListCache) charged their encoded size, so reader
+// RSS is bounded by O(tables) plus the decoded form of what the cache
+// budget admits, regardless of index size.
 //
 // Concurrency: an IndexReader is safe for use by any number of
 // goroutines after OpenIndex returns. Concurrent first touches of the
@@ -310,8 +313,7 @@ type IndexReader struct {
 	docFiles []string      // optional doc table: source file names
 	docLocs  []DocLocation // optional doc table: per-doc locations
 
-	cache *listCache   // decoded lists, shared by every file opened below
-	reads ReadCounters // what those files' read methods fetched
+	reads ReadPath // counters and cache of every file opened below
 
 	mergeMu      sync.Mutex        // serializes Merge invocations
 	mergeWorkers int               // shard-worker bound for Merge (0 = GOMAXPROCS)
@@ -389,11 +391,11 @@ func OpenIndexWith(dir string, opts ReaderOptions) (*IndexReader, error) {
 		docLens:      lens,
 		docFiles:     names,
 		docLocs:      locs,
-		cache:        newListCache(opts.CacheBytes),
 		mergeWorkers: opts.MergeWorkers,
 		mergeSelect:  mergeSelect,
 		runFiles:     make(map[string]*runSlot),
 	}
+	r.reads.SetCache(NewListCache(opts.CacheBytes))
 	for _, rm := range runs {
 		if n := int64(rm.LastDoc) + 1; n > r.numDocs {
 			r.numDocs = n
@@ -403,16 +405,11 @@ func OpenIndexWith(dir string, opts ReaderOptions) (*IndexReader, error) {
 	return r, nil
 }
 
-// openRunFile opens one of the index's run-format files on the
-// reader's counters and decoded-list cache.
-func (r *IndexReader) openRunFile(path string) (*RunFile, error) {
-	rf, err := OpenRunFile(path, &r.reads)
-	if err != nil {
-		return nil, err
-	}
-	rf.cache = r.cache
-	return rf, nil
-}
+// SetCache replaces the reader's decoded-list cache with c, which must
+// not be nil: every run and merged file, open or not yet opened, reads
+// through c from now on. serve.New installs the server's cache this
+// way, so a served reader has exactly one.
+func (r *IndexReader) SetCache(c *ListCache) { r.reads.SetCache(c) }
 
 // Close releases the reader: every run (and merged) file handle is
 // closed, the decoded-list cache is dropped, and every subsequent
@@ -442,7 +439,7 @@ func (r *IndexReader) Close() error {
 	if merged != nil {
 		merged.Close()
 	}
-	r.cache.purge()
+	r.reads.cache.Load().purge()
 	return nil
 }
 
@@ -491,7 +488,7 @@ func (r *IndexReader) runFile(meta RunMeta) (*RunFile, error) {
 	}
 	r.mu.Unlock()
 	slot.once.Do(func() {
-		rf, err := r.openRunFile(filepath.Join(r.dir, meta.File))
+		rf, err := OpenRunFile(filepath.Join(r.dir, meta.File), &r.reads)
 		if err != nil {
 			slot.err = fmt.Errorf("store: %s: %w", meta.File, err)
 			return
@@ -556,20 +553,21 @@ type ReaderStats struct {
 	MergedReadErrors uint64
 
 	// CodecDecodes counts lists fetched from disk by codec name (see
-	// ReadCounters.ListsByCodec), revealing which encodings the
+	// ReadPath.ListsByCodec), revealing which encodings the
 	// self-tuning selection actually serves.
 	CodecDecodes map[string]uint64
 
+	// The installed cache's counters (see ListCache).
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64
-	CacheBytes     int64 // resident decoded-list bytes
+	CacheBytes     int64 // encoded bytes charged for resident lists
 	CacheEntries   int
 }
 
 // Stats snapshots reader counters.
 func (r *IndexReader) Stats() ReaderStats {
-	bytes, entries := r.cache.occupancy()
+	cs := r.reads.cache.Load().Stats()
 	return ReaderStats{
 		MergedActive:     r.MergedActive(),
 		MergedHits:       r.mergedHits.Load(),
@@ -577,11 +575,11 @@ func (r *IndexReader) Stats() ReaderStats {
 		MergedReadErrors: r.mergedReadErrors.Load(),
 		ListBytesRead:    r.reads.ListBytes(),
 		CodecDecodes:     r.reads.ListsByCodec(),
-		CacheHits:        r.cache.hits.Load(),
-		CacheMisses:      r.cache.misses.Load(),
-		CacheEvictions:   r.cache.evictions.Load(),
-		CacheBytes:       bytes,
-		CacheEntries:     entries,
+		CacheHits:        cs.Hits,
+		CacheMisses:      cs.Misses,
+		CacheEvictions:   cs.Evictions,
+		CacheBytes:       cs.Bytes,
+		CacheEntries:     cs.Entries,
 	}
 }
 
@@ -623,10 +621,9 @@ func (r *IndexReader) PostingsCtx(ctx context.Context, term string) (*postings.L
 // PostingsEncodedCtx is PostingsCtx plus the encoded (on-disk) byte
 // size of the entries that produced the list — the compressed
 // footprint the codec registry actually achieved, available even on
-// cache hits. The serve cache charges this size instead of the decoded
-// estimate, so better-compressed lists leave room for more cached
-// entries. (segment.Manager's PostingsSizedCtx is the same method; the
-// two names differ only because the benchmark pins both.)
+// cache hits, and what ListCache charges for them. (segment.Manager's
+// PostingsSizedCtx is the same method; the two names differ only
+// because the benchmark pins both.)
 func (r *IndexReader) PostingsEncodedCtx(ctx context.Context, term string) (*postings.List, int64, error) {
 	return r.postingsRange(ctx, term, 0, ^uint32(0))
 }

@@ -25,6 +25,7 @@ import (
 // use.
 type RunFile struct {
 	name     string // file name, for error messages
+	id       uint64 // per-open identity, the file part of a cache key
 	src      runSource
 	crc      uint32 // header checksum of table + blob, verified at open
 	firstDoc uint32
@@ -33,29 +34,38 @@ type RunFile struct {
 	blobOff  int64
 	lookup   map[uint64]int // (coll<<32|slot) -> entry index
 
-	reads *ReadCounters
-	cache *listCache // decoded-list cache of the owning IndexReader, or nil
+	path *ReadPath
 }
 
-// ReadCounters accumulates what the read methods of every RunFile
-// opened with it fetched from disk: the owner's view of its read path
+// fileIDs hands out RunFile identities, one per open. It is global so
+// that IDs stay unique across every ReadPath one cache is installed on.
+var fileIDs atomic.Uint64
+
+// ReadPath is what every RunFile opened with it shares with its owner
 // (an IndexReader over its runs and merged file, a segment manager
-// over its segments).
-type ReadCounters struct {
+// over its segments): the counters of what their read methods fetched
+// from disk, and the decoded-list cache those methods read through,
+// when one is installed.
+type ReadPath struct {
 	listBytes atomic.Uint64
 	byCodec   [encoding.NumCodecs]atomic.Uint64
+	cache     atomic.Pointer[ListCache]
 }
 
+// SetCache installs c as the cache of every file on this path, those
+// already open included; nil leaves them uncached.
+func (p *ReadPath) SetCache(c *ListCache) { p.cache.Store(c) }
+
 // ListBytes reports the compressed list bytes fetched.
-func (c *ReadCounters) ListBytes() uint64 { return c.listBytes.Load() }
+func (p *ReadPath) ListBytes() uint64 { return p.listBytes.Load() }
 
 // ListsByCodec reports the lists fetched, by the name of the codec
 // that encoded them. A list counts once per fetch, whether it was then
 // decoded whole or handed out as undecoded blocks.
-func (c *ReadCounters) ListsByCodec() map[string]uint64 {
-	out := make(map[string]uint64, len(c.byCodec))
+func (p *ReadPath) ListsByCodec() map[string]uint64 {
+	out := make(map[string]uint64, len(p.byCodec))
 	for _, codec := range encoding.Codecs() {
-		out[codec.Name()] = c.byCodec[codec.ID()].Load()
+		out[codec.Name()] = p.byCodec[codec.ID()].Load()
 	}
 	return out
 }
@@ -63,9 +73,9 @@ func (c *ReadCounters) ListsByCodec() map[string]uint64 {
 // OpenRunFile opens path, parses the header and table, verifies the
 // whole-file CRC with one streaming pass (bounded memory — nothing is
 // retained), and leaves the handle open for per-list positioned reads.
-// Reads are counted on rc; nil counts them privately. Every structural
-// failure wraps ErrCorruptIndex.
-func OpenRunFile(path string, rc *ReadCounters) (*RunFile, error) {
+// Reads are counted, and cached, on rp; nil counts them privately and
+// caches nothing. Every structural failure wraps ErrCorruptIndex.
+func OpenRunFile(path string, rp *ReadPath) (*RunFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -75,7 +85,7 @@ func OpenRunFile(path string, rc *ReadCounters) (*RunFile, error) {
 		f.Close()
 		return nil, err
 	}
-	r, err := parseRunFile(st.Name(), f, st.Size(), rc)
+	r, err := parseRunFile(st.Name(), f, st.Size(), rp)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -92,9 +102,9 @@ type runSource interface {
 
 // parseRunFile parses and verifies the size bytes of f as a run file.
 // It takes ownership of f only on success.
-func parseRunFile(name string, f runSource, size int64, rc *ReadCounters) (*RunFile, error) {
-	if rc == nil {
-		rc = &ReadCounters{}
+func parseRunFile(name string, f runSource, size int64, rp *ReadPath) (*RunFile, error) {
+	if rp == nil {
+		rp = &ReadPath{}
 	}
 	if size < runHdrSize {
 		return nil, ErrCorruptRun
@@ -133,6 +143,7 @@ func parseRunFile(name string, f runSource, size int64, rc *ReadCounters) (*RunF
 	}
 	r := &RunFile{
 		name:     name,
+		id:       fileIDs.Add(1),
 		src:      f,
 		crc:      get32(20),
 		firstDoc: get32(12),
@@ -140,7 +151,7 @@ func parseRunFile(name string, f runSource, size int64, rc *ReadCounters) (*RunF
 		entries:  make([]RunEntry, n),
 		blobOff:  int64(runHdrSize + n*entrySize),
 		lookup:   make(map[uint64]int, n),
-		reads:    rc,
+		path:     rp,
 	}
 	blobLen := uint64(size - r.blobOff)
 	for i := 0; i < n; i++ {
@@ -225,27 +236,34 @@ func (r *RunFile) readBlob(tr *telemetry.RequestTrace, e RunEntry) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	r.reads.listBytes.Add(uint64(e.Length))
+	r.path.listBytes.Add(uint64(e.Length))
 	if id := e.Codec(); id < encoding.NumCodecs {
-		r.reads.byCodec[id].Add(1)
+		r.path.byCodec[id].Add(1)
 	}
 	return blob, nil
 }
 
 // ReadListCtx fetches and decodes one entry's whole postings list: one
-// positioned read plus one decode, or neither when the owning reader's
-// decoded-list cache holds it. A telemetry.RequestTrace carried by ctx
-// sees the pread and decode as leaf spans; untraced contexts take the
-// same path with inert span handles. Returned lists may be shared and
-// must not be mutated.
+// positioned read plus one decode, or neither when the cache installed
+// on the file's ReadPath holds it. A telemetry.RequestTrace carried by
+// ctx sees the cache probe (noted hit or miss), pread and decode as
+// leaf spans; untraced contexts take the same path with inert span
+// handles. Returned lists may be shared and must not be mutated.
 func (r *RunFile) ReadListCtx(ctx context.Context, e RunEntry) (*postings.List, error) {
-	key := listKey{file: r, coll: e.Collection, slot: e.Slot}
-	if r.cache != nil {
-		if l, ok := r.cache.get(key); ok {
+	tr := telemetry.TraceFrom(ctx)
+	key := listKey{file: r.id, coll: e.Collection, slot: e.Slot}
+	c := r.path.cache.Load()
+	if c != nil {
+		csp := tr.StartSpan(telemetry.ReqStageCache)
+		l, ok := c.get(key)
+		if ok {
+			csp.SetNote("hit")
+			csp.End()
 			return l, nil
 		}
+		csp.SetNote("miss")
+		csp.End()
 	}
-	tr := telemetry.TraceFrom(ctx)
 	blob, err := r.readBlob(tr, e)
 	if err != nil {
 		return nil, err
@@ -253,16 +271,16 @@ func (r *RunFile) ReadListCtx(ctx context.Context, e RunEntry) (*postings.List, 
 	dsp := tr.StartSpan(telemetry.ReqStageDecode)
 	l, err := decodeEntry(blob, e)
 	if tr != nil {
-		if c, cerr := encoding.Lookup(e.Codec()); cerr == nil {
-			dsp.SetNote(c.Name())
+		if codec, cerr := encoding.Lookup(e.Codec()); cerr == nil {
+			dsp.SetNote(codec.Name())
 		}
 	}
 	dsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
-	if r.cache != nil {
-		r.cache.put(key, l)
+	if c != nil {
+		c.put(key, l, int64(e.Length))
 	}
 	return l, nil
 }

@@ -53,8 +53,8 @@ func TestRunFileReadMethodsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := run.reads.ListsByCodec()[codec.Name()]
-		bytesBefore := run.reads.ListBytes()
+		before := run.path.ListsByCodec()[codec.Name()]
+		bytesBefore := run.path.ListBytes()
 		tr := telemetry.NewRequestTrace("test")
 		read(telemetry.ContextWithTrace(context.Background(), tr))
 		tr.Finish(0, "")
@@ -70,10 +70,10 @@ func TestRunFileReadMethodsAgree(t *testing.T) {
 		if preads != 1 {
 			t.Errorf("%s: %d pread spans, want exactly 1", name, preads)
 		}
-		if got := run.reads.ListsByCodec()[codec.Name()] - before; got != 1 {
+		if got := run.path.ListsByCodec()[codec.Name()] - before; got != 1 {
 			t.Errorf("%s: %s counter moved by %d, want 1", name, codec.Name(), got)
 		}
-		if got := run.reads.ListBytes() - bytesBefore; got != uint64(e.Length) {
+		if got := run.path.ListBytes() - bytesBefore; got != uint64(e.Length) {
 			t.Errorf("%s: bytes-read counter moved by %d, want %d", name, got, e.Length)
 		}
 	}

@@ -75,7 +75,7 @@ func (r *IndexReader) loadMerged() (*RunFile, error) {
 		return nil, fmt.Errorf("merged file is %d bytes, sidecar says %d: %w",
 			st.Size(), sc.Size, ErrCorruptIndex)
 	}
-	rf, err := r.openRunFile(path)
+	rf, err := OpenRunFile(path, &r.reads)
 	if err != nil {
 		return nil, fmt.Errorf("merged: %w", err)
 	}

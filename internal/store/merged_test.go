@@ -375,17 +375,29 @@ func TestRemergeIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestListCacheEviction drives the reader cache with a budget smaller
-// than the working set and checks the byte bound holds while queries
-// stay correct.
+// TestListCacheEviction drives the reader cache with a budget that
+// admits any one merged list but not the working set, and checks the
+// encoded-byte bound holds while queries stay correct.
 func TestListCacheEviction(t *testing.T) {
 	dir, terms := buildMergedTestDir(t)
-	const budget = 400 // a couple of decoded lists
+	mergeDir(t, dir)
+	rf, err := OpenRunFile(filepath.Join(dir, mergedFileName), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget int64
+	for _, e := range rf.Entries() {
+		budget = max(budget, int64(e.Length)+1)
+	}
+	rf.Close()
 	idx, err := OpenIndexWith(dir, ReaderOptions{CacheBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
+	if !idx.MergedActive() {
+		t.Fatal("merged file not active")
+	}
 	for round := 0; round < 4; round++ {
 		for _, term := range terms {
 			l, err := idx.Postings(term)
@@ -406,49 +418,6 @@ func TestListCacheEviction(t *testing.T) {
 	}
 	if st.ListBytesRead == 0 {
 		t.Fatal("list bytes read not counted")
-	}
-}
-
-// TestListCacheUnit exercises the LRU directly: budget enforcement,
-// hit/miss accounting, oversized rejection, purge.
-func TestListCacheUnit(t *testing.T) {
-	c := newListCache(300)
-	mk := func(n int) *postings.List {
-		l := &postings.List{}
-		for i := 0; i < n; i++ {
-			l.DocIDs = append(l.DocIDs, uint32(i))
-			l.TFs = append(l.TFs, 1)
-		}
-		return l
-	}
-	f := &RunFile{}
-	k := func(i int) listKey { return listKey{file: f, coll: 1, slot: uint32(i)} }
-
-	if _, ok := c.get(k(0)); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.put(k(0), mk(10)) // 72+80 = 152 bytes
-	if _, ok := c.get(k(0)); !ok {
-		t.Fatal("miss after put")
-	}
-	c.put(k(1), mk(10)) // 304 total > 300: evicts k(0)
-	if _, ok := c.get(k(0)); ok {
-		t.Fatal("k0 should have been evicted")
-	}
-	if c.evictions.Load() == 0 {
-		t.Fatal("eviction not counted")
-	}
-	c.put(k(2), mk(1000)) // larger than the whole budget: rejected
-	if _, ok := c.get(k(2)); ok {
-		t.Fatal("oversized list must not be admitted")
-	}
-	bytes, entries := c.occupancy()
-	if bytes > 300 || entries != 1 {
-		t.Fatalf("occupancy = %d bytes / %d entries", bytes, entries)
-	}
-	c.purge()
-	if bytes, entries := c.occupancy(); bytes != 0 || entries != 0 {
-		t.Fatalf("purge left %d bytes / %d entries", bytes, entries)
 	}
 }
 
