@@ -47,8 +47,8 @@ func BenchmarkAndQuery(b *testing.B) {
 // documents in a segment manager — five sealed segments, a 200-document
 // memtable and one tombstone, so auto is the fallback most live_mixed
 // queries take.
-// Each reports ns, allocations and blocks decoded per query, and
-// asserts no time.
+// Each reports ns, allocations, and blocks decoded and postings scored
+// per query, and asserts no time.
 func BenchmarkTopK(b *testing.B) {
 	idx, docs := benchindex.Build(b)
 
@@ -94,6 +94,7 @@ func BenchmarkTopK(b *testing.B) {
 				b.StopTimer()
 				after := shape.s.RankStats()
 				b.ReportMetric(float64(after.BlocksDecoded-before.BlocksDecoded)/float64(b.N), "blocks/query")
+				b.ReportMetric(float64(after.PostingsScored-before.PostingsScored)/float64(b.N), "postings/query")
 			})
 		}
 	}

@@ -1,10 +1,10 @@
 package search
 
-// Pruned top-k evaluation: MaxScore over the blocked postings layout
-// (store run format v5). The evaluator returns results identical to
-// the exhaustive scorer — same docs, same ranks, bitwise-identical
-// scores — while decoding only the blocks its pruning bounds cannot
-// rule out.
+// Pruned top-k evaluation: block-max MaxScore over the blocked
+// postings layout (store run format v6, whose skip entries carry each
+// block's BM25 impact). The evaluator returns results identical to the
+// exhaustive scorer — same docs, same ranks, bitwise-identical scores
+// — while decoding only the blocks its pruning bounds cannot rule out.
 //
 // Exactness rests on three invariants, mirrored from the exhaustive
 // path:
@@ -42,9 +42,9 @@ import (
 type RankMode int32
 
 const (
-	// RankAuto runs the pruned evaluator (MaxScore) whenever the source
-	// serves block metadata, falling back to the exhaustive scorer
-	// otherwise. The default.
+	// RankAuto runs the pruned evaluator (block-max MaxScore) whenever
+	// the source serves block metadata, falling back to the exhaustive
+	// scorer otherwise. The default.
 	RankAuto RankMode = iota
 	// RankExhaustive forces the whole-list scorer.
 	RankExhaustive
@@ -78,7 +78,8 @@ type RankStats struct {
 	BlockQueries    uint64 // TopK calls served by the block evaluator
 	FallbackQueries uint64 // TopK calls that fell back to exhaustive
 	BlocksDecoded   uint64 // postings blocks decoded
-	BlocksSkipped   uint64 // postings blocks skipped via their bound
+	BlocksSkipped   uint64 // postings blocks left undecoded, passed by skip entry or window
+	PostingsScored  uint64 // postings whose contribution was computed, by either scorer
 }
 
 // rankCounters is the atomic backing store for RankStats.
@@ -87,6 +88,7 @@ type rankCounters struct {
 	fallbackQueries atomic.Uint64
 	blocksDecoded   atomic.Uint64
 	blocksSkipped   atomic.Uint64
+	postingsScored  atomic.Uint64
 }
 
 // RankStats snapshots the block-evaluator counters.
@@ -96,6 +98,7 @@ func (s *Searcher) RankStats() RankStats {
 		FallbackQueries: s.rankStats.fallbackQueries.Load(),
 		BlocksDecoded:   s.rankStats.blocksDecoded.Load(),
 		BlocksSkipped:   s.rankStats.blocksSkipped.Load(),
+		PostingsScored:  s.rankStats.postingsScored.Load(),
 	}
 }
 
@@ -148,6 +151,27 @@ func (s *Searcher) impactBound(idf float64, maxTF uint32) float64 {
 	return tf * idf
 }
 
+// blockBound is the largest contribution any posting of block bi of l
+// can make, never above the term bound ub. Under TF-IDF that is
+// maxTF*idf, exact. Under BM25 it is the stored impact q: every
+// posting's tf/(tf + k1*norm) is at most q/255 against the writer's
+// average avgRef, and against this searcher's average at most
+// max(1, avgNow/avgRef) times that, since a grown average shrinks a
+// norm by at most avgRef/avgNow and a shrunk one only raises it. A
+// block without an impact (q = 0: a pseudo-block, or a file written
+// without lengths) keeps the term bound.
+func (s *Searcher) blockBound(idf, ub float64, l *store.BlockList, bi int) float64 {
+	sk := l.Skip(bi)
+	if !s.UsesBM25() {
+		return float64(sk.MaxTF) * idf
+	}
+	ref := l.AvgRef()
+	if sk.Impact == 0 || ref <= 0 {
+		return ub
+	}
+	return min(ub, idf*(bm25K1+1)*float64(sk.Impact)/255*max(1, s.avgLen/ref))
+}
+
 // contribution is one positioned cursor's score contribution at doc.
 func (s *Searcher) contribution(c *blockCursor, doc uint32) float64 {
 	return s.score(c.idf, c.curTF, doc)
@@ -161,34 +185,75 @@ func (s *Searcher) contribution(c *blockCursor, doc uint32) float64 {
 // buffers it owns, so a query decodes any number of blocks without
 // allocating. A pseudo-block (memtable tail, cached list) is served as
 // its own slices instead, uncopied.
+//
+// A cursor moves two ways. seekBlock is shallow: it walks skip entries
+// to the block a target falls in and decodes nothing, leaving loaded
+// false and curDoc stale. nextGEQ and step are deep: they stand the
+// cursor on a posting, decoding the block if they must. So curDoc
+// names a posting only while loaded is true.
 type blockCursor struct {
 	idf float64 // this term's idf, shared by bounds and contributions
 	ub  float64 // term-level score upper bound
+	bub float64 // the current block's bound (blockBound)
 
 	lists  []*store.BlockList
 	li, bi int  // current block: list, block within the list
 	loaded bool // the current block is decoded into docs/tfs
+	done   bool // past the last block; never loaded
+
+	// lo is a floor under every posting the traversal can still want
+	// from the current block: the previous block's lastDoc+1 until the
+	// block is entered, the posting the cursor stands on after.
+	lo uint32
 
 	docs, tfs []uint32 // the decoded block: buffer prefixes or a pseudo-block
 	pi        int      // position within it
 	curDoc    uint32
 	curTF     uint32
 	impact    float64 // contribution at curDoc, once the evaluator computed it
-	done      bool
 	nDecoded  uint64
 	nSkipped  uint64
 
 	docBuf, tfBuf [store.BlockLen]uint32
 }
 
-// init points a pooled cursor at a term's block view and positions it
-// on the first posting. The buffers keep whatever the last query left
-// in them; nothing reads them before a decode overwrites them.
-func (c *blockCursor) init(idf, ub float64, lists []*store.BlockList) error {
+// init points a pooled cursor at a term's block view, on its first
+// block, undecoded. The buffers keep whatever the last query left in
+// them; nothing reads them before a decode overwrites them.
+func (c *blockCursor) init(s *Searcher, idf, ub float64, lists []*store.BlockList) {
 	c.idf, c.ub, c.lists = idf, ub, lists
-	c.li, c.bi, c.loaded, c.done = 0, 0, false, false
+	c.li, c.bi, c.loaded, c.done, c.lo = 0, 0, false, false, 0
 	c.nDecoded, c.nSkipped = 0, 0
-	return c.nextGEQ(0)
+	c.bub = s.blockBound(idf, ub, lists[0], 0)
+}
+
+// lastDoc is the current block's last docID, from its skip entry.
+func (c *blockCursor) lastDoc() uint32 { return c.lists[c.li].Skip(c.bi).LastDoc }
+
+// leave moves to the next block, undecoded, and reports false when
+// there is none. A block left without being decoded was skipped.
+func (c *blockCursor) leave(s *Searcher) bool {
+	if !c.loaded {
+		c.nSkipped++
+	}
+	c.loaded = false
+	c.lo = c.lastDoc() + 1
+	if c.bi++; c.bi == c.lists[c.li].NumBlocks() {
+		c.li, c.bi = c.li+1, 0
+	}
+	if c.li == len(c.lists) {
+		c.done = true
+		return false
+	}
+	c.bub = s.blockBound(c.idf, c.ub, c.lists[c.li], c.bi)
+	return true
+}
+
+// seekBlock moves the cursor shallowly to the first block whose
+// lastDoc is at least target.
+func (c *blockCursor) seekBlock(s *Searcher, target uint32) {
+	for !c.done && c.lastDoc() < target && c.leave(s) {
+	}
 }
 
 // enter decodes the current block unless it already is decoded, and
@@ -204,27 +269,14 @@ func (c *blockCursor) enter(pi int) error {
 		c.nDecoded++
 	}
 	c.pi, c.curDoc, c.curTF = pi, c.docs[pi], c.tfs[pi]
+	c.lo = c.curDoc
 	return nil
 }
 
-// nextGEQ advances the cursor to the first posting with docID >=
-// target, skipping whole blocks by their lastDoc without decoding.
-func (c *blockCursor) nextGEQ(target uint32) error {
-	for ; c.li < len(c.lists); c.li, c.bi = c.li+1, 0 {
-		l := c.lists[c.li]
-		for c.bi < l.NumBlocks() && l.Skip(c.bi).LastDoc < target {
-			if !c.loaded {
-				c.nSkipped++
-			}
-			c.loaded = false
-			c.bi++
-		}
-		if c.bi < l.NumBlocks() {
-			break
-		}
-	}
-	if c.li == len(c.lists) {
-		c.done = true
+// nextGEQ stands the cursor on the first posting with docID >= target,
+// passing whole blocks by their lastDoc without decoding them.
+func (c *blockCursor) nextGEQ(s *Searcher, target uint32) error {
+	if c.seekBlock(s, target); c.done {
 		return nil
 	}
 	lo := 0
@@ -246,27 +298,21 @@ func (c *blockCursor) nextGEQ(target uint32) error {
 	return c.enter(lo)
 }
 
-// next advances the cursor one posting.
-func (c *blockCursor) next() error {
+// step advances a loaded cursor one posting; off the end of its block
+// it moves to the next block undecoded.
+func (c *blockCursor) step(s *Searcher) error {
 	if c.pi+1 < len(c.docs) {
 		return c.enter(c.pi + 1)
 	}
-	c.loaded = false
-	if c.bi++; c.bi == c.lists[c.li].NumBlocks() {
-		c.li, c.bi = c.li+1, 0
-	}
-	if c.li == len(c.lists) {
-		c.done = true
-		return nil
-	}
-	return c.enter(0)
+	c.leave(s)
+	return nil
 }
 
 // rankScratch is what a ranked query works in besides what its fetches
 // return: the cursors with their decode buffers, the evaluator's
-// orderings, the exhaustive merge's list heads and the result heap.
-// One lives in the Searcher's pool between queries, so steady-state
-// evaluation allocates only the result slice.
+// orderings and bound sums, the exhaustive merge's list heads and the
+// result heap. One lives in the Searcher's pool between queries, so
+// steady-state evaluation allocates only the result slice.
 //
 // Lifetime: a scratch belongs to one TopKModeCtx call from getScratch
 // to putScratch; nothing it holds may be returned (results are copied
@@ -277,6 +323,7 @@ type rankScratch struct {
 	cursors []blockCursor
 	byUB    []*blockCursor
 	ubacc   []float64
+	wacc    []float64
 	heads   []listHead
 	heap    topHeap
 }
@@ -328,19 +375,26 @@ func (s *Searcher) topKBlocks(ctx context.Context, sc *rankScratch, k int, words
 		if tb.Len() == 0 {
 			continue
 		}
+		idf := s.idf(numDocs, tb.Len())
 		var maxTF uint32
 		for _, l := range tb.Lists {
 			maxTF = max(maxTF, l.MaxTF())
 		}
+		// The term bound is the largest block bound: below the maxTF
+		// bound wherever every block carries an impact.
+		tfUB := s.impactBound(idf, maxTF)
+		ub := 0.0
+		for _, l := range tb.Lists {
+			for bi := 0; bi < l.NumBlocks(); bi++ {
+				ub = max(ub, s.blockBound(idf, tfUB, l, bi))
+			}
+		}
 		n := len(sc.cursors)
 		sc.cursors = sc.cursors[:n+1]
-		idf := s.idf(numDocs, tb.Len())
-		if err := sc.cursors[n].init(idf, s.impactBound(idf, maxTF), tb.Lists); err != nil {
-			return nil, false, err
-		}
+		sc.cursors[n].init(s, idf, ub, tb.Lists)
 	}
 	rsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageRank)
-	out, err := s.topKMaxScore(sc, k)
+	out, work, err := s.topKMaxScore(sc, k)
 	if err != nil {
 		rsp.End()
 		return nil, false, err
@@ -352,23 +406,43 @@ func (s *Searcher) topKBlocks(ctx context.Context, sc *rankScratch, k int, words
 	}
 	rsp.AddItems(int64(len(out)))
 	if rsp.Live() {
-		rsp.SetNote(fmt.Sprintf("auto decoded=%d skipped=%d", dec, skp))
+		rsp.SetNote(fmt.Sprintf("auto decoded=%d skipped=%d windows=%d skipped_windows=%d scored=%d",
+			dec, skp, work.windows, work.skippedWindows, work.scored))
 	}
 	rsp.End()
 	s.rankStats.blockQueries.Add(1)
 	s.rankStats.blocksDecoded.Add(dec)
 	s.rankStats.blocksSkipped.Add(skp)
+	s.rankStats.postingsScored.Add(work.scored)
 	return out, true, nil
 }
 
-// topKMaxScore is the MaxScore evaluator over sc.cursors: terms sorted
-// by their bound, the weakest prefix (whose combined bounds cannot
-// reach theta) turned non-essential — candidates come only from
-// essential cursors, and non-essential lists are probed per candidate,
-// strongest first, with early abandonment once even the remaining
-// bounds cannot lift the partial score past theta. Non-essential lists
-// are only entered via nextGEQ, so their blocks are skipped wholesale.
-func (s *Searcher) topKMaxScore(sc *rankScratch, k int) ([]ScoredDoc, error) {
+// evalWork is what one block-max MaxScore run did beyond decoding:
+// windows examined, windows passed over whole, postings scored.
+type evalWork struct {
+	windows, skippedWindows, scored uint64
+}
+
+// topKMaxScore is block-max MaxScore over sc.cursors. Terms are sorted
+// by their bound and the weakest prefix whose bounds together cannot
+// beat theta is non-essential, as in plain MaxScore: candidates come
+// only from essential cursors, and non-essential ones are probed per
+// candidate, strongest first, abandoning the candidate once the
+// remaining bounds cannot lift its partial score past theta.
+//
+// The blocks tighten that in windows. Each round moves every cursor,
+// shallowly, to its block holding target; the window is [target, W],
+// W the smallest of those blocks' lastDocs, so each cursor's postings
+// in the window all lie in its current block and that block's bound
+// covers them (a block starting past W covers nothing). When the
+// window's bounds summed cannot beat theta, the evaluator jumps to
+// W+1 having decoded nothing. Otherwise the candidate loop runs inside
+// the window with the block bounds in place of the term bounds: the
+// prefix whose block bounds cannot beat theta is non-essential for
+// this window, and abandonment sums block bounds. An essential cursor
+// that runs off its block stops on the next one, undecoded.
+func (s *Searcher) topKMaxScore(sc *rankScratch, k int) ([]ScoredDoc, evalWork, error) {
+	var work evalWork
 	cursors := sc.cursors
 	// Ascending bound, equal bounds in term order, by stable insertion:
 	// a query has a handful of words.
@@ -388,72 +462,124 @@ func (s *Searcher) topKMaxScore(sc *rankScratch, k int) ([]ScoredDoc, error) {
 		acc += c.ub
 		ubacc = append(ubacc, acc)
 	}
-	sc.byUB, sc.ubacc = byUB, ubacc
+	wacc := append(sc.wacc[:0], ubacc...)
+	sc.byUB, sc.ubacc, sc.wacc = byUB, ubacc, wacc
 	h := &sc.heap
 	theta := math.Inf(-1)
-	e := 0 // byUB[:e] are non-essential
+	e := 0 // byUB[:e] are non-essential for the rest of the query
+	target := uint32(0)
 	for e < len(byUB) {
-		var cand uint32
-		found := false
-		for _, c := range byUB[e:] {
-			if !c.done && (!found || c.curDoc < cand) {
-				cand = c.curDoc
-				found = true
+		w := uint32(math.MaxUint32)
+		live := false
+		for _, c := range byUB {
+			if c.seekBlock(s, target); !c.done {
+				w = min(w, c.lastDoc())
+				live = true
 			}
 		}
-		if !found {
+		if !live {
 			break
 		}
-		partial := 0.0
-		for _, c := range byUB[e:] {
-			if !c.done && c.curDoc == cand {
-				c.impact = s.contribution(c, cand)
-				partial += c.impact
+		work.windows++
+		acc := 0.0
+		for i, c := range byUB {
+			if !c.done && c.lo <= w {
+				acc += c.bub
 			}
+			wacc[i] = acc
 		}
-		alive := true
-		for i := e - 1; i >= 0; i-- {
-			if !boundExceeds(partial+ubacc[i], theta) {
-				alive = false
+		ew := e // byUB[:ew] are non-essential in this window
+		for ew < len(byUB) && !boundExceeds(wacc[ew], theta) {
+			ew++
+		}
+		if ew == len(byUB) {
+			work.skippedWindows++
+		}
+		for ew < len(byUB) {
+			var cand uint32
+			found := false
+			for _, c := range byUB[ew:] {
+				if c.done || c.lo > w {
+					continue
+				}
+				if !c.loaded || c.curDoc < target {
+					if err := c.nextGEQ(s, target); err != nil {
+						return nil, work, err
+					}
+				}
+				if c.curDoc <= w && (!found || c.curDoc < cand) {
+					cand = c.curDoc
+					found = true
+				}
+			}
+			if !found {
 				break
 			}
-			c := byUB[i]
-			if !c.done && c.curDoc < cand {
-				if err := c.nextGEQ(cand); err != nil {
-					return nil, err
+			partial := 0.0
+			for _, c := range byUB[ew:] {
+				if c.loaded && c.curDoc == cand {
+					c.impact = s.contribution(c, cand)
+					work.scored++
+					partial += c.impact
 				}
 			}
-			if !c.done && c.curDoc == cand {
-				c.impact = s.contribution(c, cand)
-				partial += c.impact
-			}
-		}
-		if alive {
-			// The abandonment sums above ran in bound order; the
-			// survivor's score is the same contributions summed again in
-			// term order, for bitwise equality with the exhaustive scorer
-			// (every cursor containing cand is positioned on it now, and
-			// this round computed its impact).
-			var score float64
-			for i := range cursors {
-				if c := &cursors[i]; !c.done && c.curDoc == cand {
-					score += c.impact
+			alive := true
+			for i := ew - 1; i >= 0; i-- {
+				if !boundExceeds(partial+wacc[i], theta) {
+					alive = false
+					break
+				}
+				c := byUB[i]
+				if c.done || c.lo > cand {
+					continue // no posting at cand
+				}
+				if !c.loaded || c.curDoc < cand {
+					if err := c.nextGEQ(s, cand); err != nil {
+						return nil, work, err
+					}
+				}
+				if c.loaded && c.curDoc == cand {
+					c.impact = s.contribution(c, cand)
+					work.scored++
+					partial += c.impact
 				}
 			}
-			theta = h.admit(k, ScoredDoc{cand, score}, theta)
-			// Once every term is non-essential nothing can beat theta
-			// and the loop ends.
-			for e < len(byUB) && !boundExceeds(ubacc[e], theta) {
-				e++
+			if alive {
+				// The abandonment sums above ran in bound order; the
+				// survivor's score is the same contributions summed again in
+				// term order, for bitwise equality with the exhaustive scorer
+				// (every cursor holding cand stands on it now, and this
+				// round computed its impact).
+				var score float64
+				for i := range cursors {
+					if c := &cursors[i]; c.loaded && c.curDoc == cand {
+						score += c.impact
+					}
+				}
+				theta = h.admit(k, ScoredDoc{cand, score}, theta)
+				// Once every term is non-essential nothing can beat theta
+				// and the query ends; once every term is in this window,
+				// the window does.
+				for e < len(byUB) && !boundExceeds(ubacc[e], theta) {
+					e++
+				}
+				ew = max(ew, e)
+				for ew < len(byUB) && !boundExceeds(wacc[ew], theta) {
+					ew++
+				}
 			}
-		}
-		for _, c := range byUB[e:] {
-			if !c.done && c.curDoc == cand {
-				if err := c.next(); err != nil {
-					return nil, err
+			for _, c := range byUB[ew:] {
+				if c.loaded && c.curDoc == cand {
+					if err := c.step(s); err != nil {
+						return nil, work, err
+					}
 				}
 			}
 		}
+		if w == math.MaxUint32 {
+			break
+		}
+		target = w + 1
 	}
-	return h.results(), nil
+	return h.results(), work, nil
 }

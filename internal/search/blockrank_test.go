@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -269,16 +270,21 @@ func TestBlockTopKMatchesExhaustiveLive(t *testing.T) {
 
 // TestBlockBoundsProperty is the impact-bound property test: for every
 // blocked list in a merged index, each block's stored MaxTF must
-// upper-bound every term frequency in the block, and the score bound
-// derived from it must upper-bound the exhaustive contribution of
-// every posting in the block.
+// upper-bound every term frequency in the block, its stored impact
+// must be safe (q/255 at least the largest tf/(tf + k1*norm) of its
+// postings) and tight (within one 1/255 quantum of it), and the score
+// bound the evaluator derives from the block must upper-bound the
+// exhaustive contribution of every posting in it.
 func TestBlockBoundsProperty(t *testing.T) {
 	idx, ref := buildBlockedIndex(t)
 	s := New(idx)
+	if !s.UsesBM25() {
+		t.Fatal("static index should carry doc lengths (BM25)")
+	}
 	numDocs := s.NumDocs()
 	blocked := 0
 	for term := range ref.Lists {
-		tb, err := idx.BlockPostingsCtx(t.Context(), term)
+		tb, err := idx.BlockPostingsCtx(context.Background(), term)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,16 +292,15 @@ func TestBlockBoundsProperty(t *testing.T) {
 			t.Fatalf("%q: no block view", term)
 		}
 		df := float64(tb.Len())
-		idf := 0.0
-		if s.UsesBM25() {
-			idf = math.Log(1 + (float64(numDocs)-df+0.5)/(df+0.5))
-		} else {
-			idf = math.Log(1 + float64(numDocs)/df)
-		}
+		idf := math.Log(1 + (float64(numDocs)-df+0.5)/(df+0.5))
 		for _, bl := range tb.Lists {
 			if bl.NumBlocks() > 1 {
 				blocked++
+				if bl.AvgRef() != s.avgLen {
+					t.Fatalf("%q: impacts written against average %v, collection's is %v", term, bl.AvgRef(), s.avgLen)
+				}
 			}
+			ub := s.impactBound(idf, bl.MaxTF())
 			for b := 0; b < bl.NumBlocks(); b++ {
 				sk := bl.Skip(b)
 				docs, tfs, err := bl.DecodeBlock(b)
@@ -305,17 +310,26 @@ func TestBlockBoundsProperty(t *testing.T) {
 				if len(docs) != int(sk.Count) {
 					t.Fatalf("%q block %d: %d postings, skip says %d", term, b, len(docs), sk.Count)
 				}
-				bound := s.impactBound(idf, sk.MaxTF)
+				if bl.NumBlocks() > 1 && sk.Impact == 0 {
+					t.Fatalf("%q block %d: merged with lengths but no impact stored", term, b)
+				}
+				bound := s.blockBound(idf, ub, bl, b)
 				c := blockCursor{idf: idf}
+				sat := 0.0
 				for i, doc := range docs {
 					if tfs[i] > sk.MaxTF {
 						t.Fatalf("%q block %d: tf %d exceeds stored MaxTF %d", term, b, tfs[i], sk.MaxTF)
 					}
+					f := float64(tfs[i])
+					sat = max(sat, f/(f+bm25K1*(1-bm25B+bm25B*float64(s.docLens[doc])/s.avgLen)))
 					c.curTF = tfs[i]
-					if contrib := s.contribution(&c, doc); !boundExceeds(bound, contrib) && contrib > bound {
+					if contrib := s.contribution(&c, doc); !boundExceeds(bound, contrib) {
 						t.Fatalf("%q block %d doc %d: contribution %v exceeds bound %v",
 							term, b, doc, contrib, bound)
 					}
+				}
+				if q := float64(sk.Impact) / 255; sk.Impact != 0 && (q < sat*(1-1e-12) || q-sat >= 1.0/255) {
+					t.Fatalf("%q block %d: impact %d/255 = %v for a largest saturation of %v", term, b, sk.Impact, q, sat)
 				}
 			}
 		}
@@ -354,10 +368,18 @@ func (s *stubSource) DocLens() []uint32             { return s.docLens }
 func (s *stubSource) Dictionary() []store.DictEntry { return nil }
 
 // newStubSource stores each term's list the way a merge does — a run
-// file with blocks enabled, codec self-selected — and reads it back as
-// the stored skip table plus undecoded bodies, so a cursor over the
-// stub decodes real blocks. docLens may be nil (TF-IDF).
-func newStubSource(t testing.TB, numDocs int64, docLens []uint32, lists map[string]*postings.List) *stubSource {
+// file with blocks enabled, codec self-selected, impacts computed
+// against docLens — and reads it back as the stored skip table plus
+// undecoded bodies, so a cursor over the stub decodes real blocks.
+// docLens may be nil (TF-IDF, no impacts); the searcher sees the same
+// lengths unless the caller replaces the stub's docLens afterwards.
+//
+// splits cut the docID space into parts, [0, splits[0]), [splits[0],
+// splits[1]), …, each written to a run file of its own, the way sealed
+// segments hold one term: a term's view is then one list per part it
+// occurs in, blocked where a part holds enough of its postings and an
+// exact pseudo-block where it does not.
+func newStubSource(t testing.TB, numDocs int64, docLens []uint32, lists map[string]*postings.List, splits ...uint32) *stubSource {
 	t.Helper()
 	terms := make([]string, 0, len(lists))
 	for term := range lists {
@@ -368,38 +390,49 @@ func newStubSource(t testing.TB, numDocs int64, docLens []uint32, lists map[stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := store.NewRunBuilderCodec(sel)
-	b.EnableBlocks()
-	for slot, term := range terms {
-		if err := b.AddList(0, int32(slot), lists[term].DocIDs, lists[term].TFs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "stub.post")
-	if err := os.WriteFile(path, b.Finalize(0, uint32(numDocs-1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rf, err := store.OpenRunFile(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
 	src := &stubSource{
 		blocks:  map[string]*store.TermBlocks{},
 		lists:   lists,
 		numDocs: numDocs,
 		docLens: docLens,
 	}
-	for slot, term := range terms {
-		e, ok := rf.Find(0, uint32(slot))
-		if !ok {
-			t.Fatalf("stub run lost %q", term)
+	for _, term := range terms {
+		src.blocks[term] = &store.TermBlocks{}
+	}
+	bounds := append(append([]uint32{0}, splits...), math.MaxUint32)
+	for p := 0; p+1 < len(bounds); p++ {
+		lo, hi := bounds[p], bounds[p+1]
+		b := store.NewRunBuilderCodec(sel)
+		b.EnableBlocks()
+		b.SetDocLens(docLens)
+		for slot, term := range terms {
+			l := lists[term]
+			i := sort.Search(l.Len(), func(i int) bool { return l.DocIDs[i] >= lo })
+			j := sort.Search(l.Len(), func(j int) bool { return l.DocIDs[j] >= hi })
+			if err := b.AddList(0, int32(slot), l.DocIDs[i:j], l.TFs[i:j]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		bl, err := rf.BlocksCtx(context.Background(), e)
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("stub%d.post", p))
+		if err := os.WriteFile(path, b.Finalize(lo, uint32(min(uint64(hi)-1, uint64(numDocs-1)))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rf, err := store.OpenRunFile(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.blocks[term] = &store.TermBlocks{Lists: []*store.BlockList{bl}}
+		for slot, term := range terms {
+			e, ok := rf.Find(0, uint32(slot))
+			if !ok {
+				continue
+			}
+			bl, err := rf.BlocksCtx(context.Background(), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.blocks[term].Lists = append(src.blocks[term].Lists, bl)
+		}
+		rf.Close()
 	}
 	return src
 }
@@ -542,6 +575,203 @@ func TestTopKSteadyStateAllocs(t *testing.T) {
 		// a few times the matches' 16 bytes each, nowhere near k's 32 GiB.
 		if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(8*16*len(all)); got > limit {
 			t.Errorf("%s k=MaxInt32 allocated %d bytes for %d results (limit %d)", mode, got, len(res), limit)
+		}
+	}
+}
+
+// TestBlockMaxMatchesExhaustiveAdversarial tries to break the window
+// pruning with what its bounds rest on. Lengths: a few very short
+// documents among long ones, and documents past the writer's length
+// table (norm 1 on both sides). Drift: the searcher's average above
+// and below the one the impacts were written against — the searcher
+// knows lengths for documents the files hold no postings of, as a
+// collection that grew since its merge does — and TF-IDF. Layout: Zipf
+// -ish densities from a list of two blocks' worth to one short enough
+// to be a pseudo-block, and the docID space cut into one to three
+// parts the way sealed segments cut it, once exactly where one term's
+// second block ends, so a window can close on a part boundary. Every
+// query at every k must come back bitwise equal to the exhaustive
+// scorer's answer.
+func TestBlockMaxMatchesExhaustiveAdversarial(t *testing.T) {
+	const (
+		nLen    = 1500             // the writer's length table
+		gap     = 200              // lengths only the searcher knows; no postings
+		numDocs = nLen + gap + 300 // the last 300 lie past both tables
+	)
+	rng := rand.New(rand.NewSource(46))
+	queries := [][]string{
+		{"w0x"}, {"w1x"}, {"w2x"}, {"w3x"},
+		{"w0x", "w1x"}, {"w1x", "w2x"}, {"w0x", "w3x"}, {"w2x", "w3x"},
+		{"w0x", "w1x", "w2x"}, {"w0x", "w1x", "w2x", "w3x"},
+		{"w1x", "w1x", "w3x"},
+	}
+	var skipped uint64
+	for trial := 0; trial < 24; trial++ {
+		lens := make([]uint32, nLen)
+		for i := range lens {
+			lens[i] = uint32(50 + rng.Intn(250))
+			if rng.Intn(40) == 0 {
+				lens[i] = uint32(1 + rng.Intn(3))
+			}
+		}
+		lists := map[string]*postings.List{}
+		for w, p := range []float64{0.7, 0.25, 0.05, 0.012} {
+			l := &postings.List{}
+			for d := 0; d < numDocs; d++ {
+				if d >= nLen && d < nLen+gap || rng.Float64() >= p {
+					continue
+				}
+				tf := 1 + rng.Intn(3)
+				if rng.Intn(60) == 0 {
+					tf = 10 + rng.Intn(40)
+				}
+				l.DocIDs = append(l.DocIDs, uint32(d))
+				l.TFs = append(l.TFs, uint32(tf))
+			}
+			lists[fmt.Sprintf("w%dx", w)] = l
+		}
+		var splits []uint32
+		switch trial % 3 {
+		case 1:
+			// The first part ends on w0x's second block's last posting.
+			splits = []uint32{lists["w0x"].DocIDs[2*store.BlockLen]}
+		case 2:
+			a, b := uint32(1+rng.Intn(numDocs-2)), uint32(1+rng.Intn(numDocs-2))
+			if a > b {
+				a, b = b, a
+			}
+			if a != b {
+				splits = []uint32{a, b}
+			}
+		}
+		drift := trial % 4
+		writerLens := lens
+		if drift == 3 {
+			writerLens = nil // TF-IDF: no lengths, no impacts
+		}
+		src := newStubSource(t, numDocs, writerLens, lists, splits...)
+		if drift == 1 || drift == 2 {
+			extra := uint32(2000)
+			if drift == 2 {
+				extra = 1
+			}
+			src.docLens = slices.Clone(lens)
+			for i := 0; i < gap; i++ {
+				src.docLens = append(src.docLens, extra)
+			}
+		}
+		s := NewWithSource(src)
+		if ref := store.AvgDocLen(writerLens); (drift == 1) != (s.avgLen > ref) || (drift == 2) != (s.avgLen < ref && s.UsesBM25()) {
+			t.Fatalf("trial %d: drift %d gives searcher average %v against %v", trial, drift, s.avgLen, ref)
+		}
+		for _, q := range queries {
+			for _, k := range []int{1, 3, 10, 40} {
+				want, err := s.TopKModeCtx(context.Background(), RankExhaustive, k, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.TopKModeCtx(context.Background(), RankAuto, k, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResults(t, fmt.Sprintf("trial %d drift %d splits %v %v k=%d", trial, drift, splits, q, k), got, want)
+			}
+		}
+		st := s.RankStats()
+		if st.FallbackQueries != 0 {
+			t.Fatalf("trial %d: %d fallbacks", trial, st.FallbackQueries)
+		}
+		skipped += st.BlocksSkipped
+	}
+	if skipped == 0 {
+		t.Error("no trial skipped a block: the pruning under test never ran")
+	}
+}
+
+// TestBlockBoundFindsLoneShortDoc: one short document with a high tf
+// inside a block of long tf-1 documents is what a bound from the
+// block's maxTF and the collection's shortest length cannot tell from
+// its neighbours, and what a stored impact must not hide. The block
+// holding it has to be entered and the document returned; the weak
+// block after it, skipped.
+func TestBlockBoundFindsLoneShortDoc(t *testing.T) {
+	const n = 3 * store.BlockLen
+	const lone = store.BlockLen + 77
+	l := &postings.List{DocIDs: make([]uint32, n), TFs: make([]uint32, n)}
+	lens := make([]uint32, n)
+	for i := range l.DocIDs {
+		l.DocIDs[i], l.TFs[i], lens[i] = uint32(i), 1, 300
+	}
+	l.TFs[lone], lens[lone] = 9, 2
+	src := newStubSource(t, 4*n, lens, map[string]*postings.List{"w0x": l})
+	bl := src.blocks["w0x"].Lists[0]
+	if bl.NumBlocks() != 3 || bl.Skip(1).Impact <= 2*bl.Skip(0).Impact || bl.Skip(2).Impact != bl.Skip(0).Impact {
+		t.Fatalf("impacts %d %d %d do not single out the lone document's block",
+			bl.Skip(0).Impact, bl.Skip(1).Impact, bl.Skip(2).Impact)
+	}
+	s := NewWithSource(src)
+	want, err := s.TopKModeCtx(context.Background(), RankExhaustive, 1, "w0x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.RankStats()
+	got, err := s.TopKModeCtx(context.Background(), RankAuto, 1, "w0x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "lone short document", got, want)
+	if got[0].Doc != lone {
+		t.Fatalf("top document %d, want %d", got[0].Doc, lone)
+	}
+	after := s.RankStats()
+	if dec, skp := after.BlocksDecoded-before.BlocksDecoded, after.BlocksSkipped-before.BlocksSkipped; dec != 2 || skp != 1 {
+		t.Errorf("decoded %d blocks and skipped %d, want 2 and 1", dec, skp)
+	}
+}
+
+// TestTieWithThetaAtWindowEdge: every posting of w0x scores the same
+// to the bit, so once the heap is full theta equals the score of every
+// document still to come, and the block bounds above it are within a
+// rounding quantum of it. At k = BlockLen the heap fills on the last
+// posting of the first window, so the tie sits exactly on the window
+// edge. w1x covers a stretch of the second block, which lifts those
+// documents over the tie in the two-word query. No tied document may
+// displace a smaller docID, and every answer is the exhaustive one.
+func TestTieWithThetaAtWindowEdge(t *testing.T) {
+	const n = 3 * store.BlockLen
+	flat := &postings.List{DocIDs: make([]uint32, n), TFs: make([]uint32, n)}
+	lens := make([]uint32, n)
+	for i := range flat.DocIDs {
+		flat.DocIDs[i], flat.TFs[i], lens[i] = uint32(i), 2, 40
+	}
+	lift := &postings.List{}
+	for d := store.BlockLen + 10; d < store.BlockLen+30; d++ {
+		lift.DocIDs = append(lift.DocIDs, uint32(d))
+		lift.TFs = append(lift.TFs, 1)
+	}
+	lists := map[string]*postings.List{"w0x": flat, "w1x": lift}
+	for _, docLens := range [][]uint32{nil, lens} {
+		s := NewWithSource(newStubSource(t, n, docLens, lists))
+		for _, k := range []int{store.BlockLen - 1, store.BlockLen, store.BlockLen + 1, 2 * store.BlockLen} {
+			for _, q := range [][]string{{"w0x"}, {"w0x", "w1x"}} {
+				want, err := s.TopKModeCtx(context.Background(), RankExhaustive, k, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.TopKModeCtx(context.Background(), RankAuto, k, q...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("bm25=%v %v k=%d", docLens != nil, q, k)
+				assertSameResults(t, label, got, want)
+				if len(q) == 1 {
+					for i, d := range got {
+						if d.Doc != uint32(i) {
+							t.Fatalf("%s: result %d is doc %d", label, i, d.Doc)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -21,10 +21,11 @@ import (
 	"fastinvert/internal/telemetry"
 )
 
-// BM25 parameters (standard Robertson defaults).
+// BM25 parameters (standard Robertson defaults), the ones the stored
+// block impacts were computed with.
 const (
-	bm25K1 = 1.2
-	bm25B  = 0.75
+	bm25K1 = store.BM25K1
+	bm25B  = store.BM25B
 )
 
 // Typed query errors, matchable with errors.Is.
@@ -90,15 +91,8 @@ func NewWithSource(idx Source) *Searcher {
 	s := &Searcher{idx: idx, stop: stopwords.Default()}
 	if lens := idx.DocLens(); len(lens) > 0 {
 		s.docLens = lens
-		var sum float64
-		minLen := lens[0]
-		for _, l := range lens {
-			sum += float64(l)
-			if l < minLen {
-				minLen = l
-			}
-		}
-		s.avgLen = sum / float64(len(lens))
+		s.avgLen = store.AvgDocLen(lens)
+		minLen := slices.Min(lens)
 		// Docs beyond docLens get norm exactly 1, and minLen <= avgLen
 		// keeps minNorm <= 1, so minNorm lower-bounds every norm.
 		s.minNorm = 1 - bm25B + bm25B*float64(minLen)/s.avgLen
@@ -489,7 +483,7 @@ func (s *Searcher) topKExhaustive(ctx context.Context, sc *rankScratch, k int, w
 	rsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageRank)
 	h := &sc.heap
 	theta := math.Inf(-1)
-	scored := int64(0)
+	scored, contribs := int64(0), uint64(0)
 	for {
 		var doc uint32
 		found := false
@@ -507,12 +501,14 @@ func (s *Searcher) topKExhaustive(ctx context.Context, sc *rankScratch, k int, w
 			if hd := &heads[i]; len(hd.docs) > 0 && hd.docs[0] == doc {
 				score += s.score(hd.idf, hd.tfs[0], doc)
 				hd.docs, hd.tfs = hd.docs[1:], hd.tfs[1:]
+				contribs++
 			}
 		}
 		scored++
 		theta = h.admit(k, ScoredDoc{doc, score}, theta)
 	}
 	rsp.AddItems(scored)
+	s.rankStats.postingsScored.Add(contribs)
 	out := h.results()
 	rsp.End()
 	return out, nil

@@ -258,7 +258,7 @@ func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() m
 	// scrape time: how many TopK calls the block evaluator served versus
 	// fell back from, and how effective block skipping is.
 	reg.CounterFunc("hetserve_rank_block_queries_total",
-		"Ranked queries served by the block evaluator (MaxScore).",
+		"Ranked queries served by the block evaluator (block-max MaxScore).",
 		func() float64 { return float64(s.searcher.RankStats().BlockQueries) })
 	reg.CounterFunc("hetserve_rank_fallback_queries_total",
 		"Ranked queries that fell back to the exhaustive scorer.",
@@ -267,7 +267,7 @@ func (s *Server) registerCommonMetrics(reg *telemetry.Registry, fetched func() m
 		"Postings blocks decoded by the block evaluator.",
 		func() float64 { return float64(s.searcher.RankStats().BlocksDecoded) })
 	reg.CounterFunc("hetserve_rank_blocks_skipped_total",
-		"Postings blocks the block evaluator passed over undecoded.",
+		"Postings blocks the block evaluator left undecoded: passed by skip entry, or inside a window skipped because its block bounds could not beat the k-th score.",
 		func() float64 { return float64(s.searcher.RankStats().BlocksSkipped) })
 	reg.GaugeFunc("hetserve_inflight_requests",
 		"HTTP requests currently inside an instrumented handler.",

@@ -4,13 +4,21 @@ package store
 //
 // Long non-positional lists are split into fixed-size blocks so the
 // ranked path can skip most of a Zipf-head list: each block carries a
-// skip entry (lastDocID, count, byteLen, maxTF) and an independently
-// decodable codec body. The impact bound itself is NOT stored — only
-// the raw maximum term frequency — because BM25 impacts depend on
-// collection statistics (avgdl, N) that drift under live indexing;
-// the searcher derives a monotone upper bound from maxTF and its own
-// statistics at query time, which stays valid however the collection
-// has grown since the block was sealed.
+// skip entry (lastDocID, count, byteLen, maxTF, impact) and an
+// independently decodable codec body. impact is the block's BM25
+// bound with the collection statistics factored out: one byte,
+//
+//	q = ceil(255 * max over the block of tf / (tf + k1*norm(len)))
+//
+// with norm(len) = 1 - b + b*len/avgRef over the writer's document
+// lengths, a document past the length table taking norm 1 as the
+// scorer does. avgRef is recorded once per file (run header, v6), and
+// q = 0 means the writer had no lengths. idf is deliberately not in
+// it: df and N drift under live indexing, and the searcher multiplies
+// its own idf in at query time, together with max(1, avgNow/avgRef) —
+// a grown average shrinks every norm by at most avgRef/avgNow, a
+// shrunk one only lowers scores — so the bound stays valid however the
+// collection has changed since the block was written.
 //
 // Blocked blob layout (self-contained inside the entry's blob bytes,
 // selected by FlagBlocks in the entry flags):
@@ -21,7 +29,8 @@ package store
 //	                                    block's lastDoc (>= 1)
 //	            uvarbyte count          postings in the block (>= 1)
 //	            uvarbyte byteLen        codec body bytes
-//	            uvarbyte maxTF          max term frequency in block }
+//	            uvarbyte maxTF          max term frequency in block
+//	            byte     impact         q above, 0 without lengths }
 //	concatenated per-block codec bodies (entry codec, first docID of
 //	every block encoded absolute, which every registered codec does)
 
@@ -49,6 +58,61 @@ type BlockSkip struct {
 	LastDoc uint32 // last docID in the block
 	Count   uint32 // postings in the block
 	MaxTF   uint32 // maximum term frequency in the block
+	Impact  uint8  // quantized BM25 saturation bound, 0 = none stored
+}
+
+// BM25 parameters (Robertson's defaults): block impacts are computed
+// with the same k1 and b the searcher scores with.
+const (
+	BM25K1 = 1.2
+	BM25B  = 0.75
+)
+
+// AvgDocLen is the mean of lens, 0 for none: the one spelling of the
+// average that block impacts are written against and the BM25 scorer
+// normalizes by, so a file's avgRef equals the searcher's average
+// bit for bit when both read the same lengths.
+func AvgDocLen(lens []uint32) float64 {
+	if len(lens) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, l := range lens {
+		sum += float64(l)
+	}
+	return sum / float64(len(lens))
+}
+
+// blocking is a writer's blocked-layout setting: whether long
+// non-positional lists are blocked, and the document lengths (with
+// their AvgDocLen) the blocks' impacts are computed against — none
+// writes impact 0 and avgRef 0.
+type blocking struct {
+	on   bool
+	lens []uint32
+	avg  float64
+}
+
+// impact is q for one block's postings; 0 when the writer has no
+// lengths.
+func (bk *blocking) impact(docIDs, tfs []uint32) uint8 {
+	if bk.avg <= 0 {
+		return 0
+	}
+	best := 0.0
+	for i, doc := range docIDs {
+		f := float64(tfs[i])
+		norm := 1 - BM25B
+		if int(doc) < len(bk.lens) {
+			norm += BM25B * float64(bk.lens[doc]) / bk.avg
+		} else {
+			norm += BM25B
+		}
+		best = max(best, f/(f+BM25K1*norm))
+	}
+	// best < 1, so q <= 255; a posting has tf >= 1, so q >= 1 unless a
+	// list carries tf 0, which still must not read as "no impact".
+	return uint8(max(1, math.Ceil(255*best)))
 }
 
 // BlockList is the block-at-a-time view of one postings list: the
@@ -64,6 +128,8 @@ type BlockList struct {
 	count  int
 
 	mem *postings.List // pseudo-block: decoded list, body == nil
+
+	avgRef float64 // average length the impacts were written against
 }
 
 // NumBlocks reports the number of blocks.
@@ -74,6 +140,11 @@ func (b *BlockList) Count() int { return b.count }
 
 // Skip returns block i's skip entry without decoding anything.
 func (b *BlockList) Skip(i int) BlockSkip { return b.skips[i] }
+
+// AvgRef reports the average document length the blocks' impacts were
+// computed against: the file header's, 0 when none were (pseudo-blocks,
+// files written without lengths).
+func (b *BlockList) AvgRef() float64 { return b.avgRef }
 
 // MaxTF reports the maximum term frequency across all blocks — the
 // list-level impact bound input.
@@ -163,8 +234,9 @@ func (t *TermBlocks) Len() int {
 // appendBlockedList encodes (docIDs, tfs) as a blocked blob appended
 // to dst: skip header first, then the per-block codec bodies. Each
 // block is encoded independently (all registered codecs store the
-// first docID absolute), so decode cost is per block.
-func appendBlockedList(dst []byte, codec encoding.Codec, docIDs, tfs []uint32) ([]byte, error) {
+// first docID absolute), so decode cost is per block; bk supplies the
+// lengths each block's impact is computed from.
+func appendBlockedList(dst []byte, codec encoding.Codec, bk *blocking, docIDs, tfs []uint32) ([]byte, error) {
 	n := len(docIDs)
 	nBlocks := (n + BlockLen - 1) / BlockLen
 	var bodies []byte
@@ -194,6 +266,7 @@ func appendBlockedList(dst []byte, codec encoding.Codec, docIDs, tfs []uint32) (
 		dst = encoding.PutUvarByte(dst, uint64(hi-lo))
 		dst = encoding.PutUvarByte(dst, uint64(len(bodies))-uint64(bodyStarts[len(bodyStarts)-1]))
 		dst = encoding.PutUvarByte(dst, uint64(maxTF))
+		dst = append(dst, bk.impact(docIDs[lo:hi], tfs[lo:hi]))
 		bodyStarts = append(bodyStarts, uint32(len(bodies)))
 		prevLast = last
 	}
@@ -214,9 +287,9 @@ func parseBlockedBlob(blob []byte, e RunEntry) (*BlockList, error) {
 		return nil, fmt.Errorf("%w: blocked blob: bad block count", ErrCorruptRun)
 	}
 	// Bound nBlocks before allocating the skip table: every block costs
-	// at least 4 header bytes (four uvarbytes) plus one body byte, and
-	// at least one posting.
-	if nb > uint64(len(blob))/5 || nb > uint64(e.Count) {
+	// at least 5 header bytes (four uvarbytes and the impact byte) plus
+	// one body byte, and at least one posting.
+	if nb > uint64(len(blob))/6 || nb > uint64(e.Count) {
 		return nil, fmt.Errorf("%w: blocked blob: block count exceeds input", ErrCorruptRun)
 	}
 	rest := blob[m:]
@@ -238,6 +311,11 @@ func parseBlockedBlob(blob []byte, e RunEntry) (*BlockList, error) {
 			}
 			rest = rest[k:]
 		}
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("%w: blocked blob: truncated skip entry", ErrCorruptRun)
+		}
+		impact := rest[0]
+		rest = rest[1:]
 		delta, count, byteLen, maxTF := v[0], v[1], v[2], v[3]
 		if i > 0 && delta == 0 {
 			return nil, fmt.Errorf("%w: blocked blob: non-ascending block lastDoc", ErrCorruptRun)
@@ -256,7 +334,7 @@ func parseBlockedBlob(blob []byte, e RunEntry) (*BlockList, error) {
 		if uint64(codec.MinBytes(int(count))) > byteLen {
 			return nil, fmt.Errorf("%w: blocked blob: block count exceeds body bytes", ErrCorruptRun)
 		}
-		bl.skips[i] = BlockSkip{LastDoc: uint32(last), Count: uint32(count), MaxTF: uint32(maxTF)}
+		bl.skips[i] = BlockSkip{LastDoc: uint32(last), Count: uint32(count), MaxTF: uint32(maxTF), Impact: impact}
 		bl.starts[i+1] = bl.starts[i] + uint32(byteLen)
 		prevLast = last
 	}

@@ -47,7 +47,7 @@ func TestRunRejectsCodecCorruption(t *testing.T) {
 	mutate := func(f func(data []byte)) []byte {
 		data := append([]byte(nil), base...)
 		f(data)
-		binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[runHdrSize:]))
+		binary.LittleEndian.PutUint32(data[20:], crc32.ChecksumIEEE(data[runCRCFrom:]))
 		return data
 	}
 
@@ -64,7 +64,7 @@ func TestRunRejectsCodecCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[flagsOff:], FlagBlocks|FlagPositional)
 		}),
 	}
-	for _, ver := range []uint32{0, 3, 4, runVersion + 1} {
+	for _, ver := range []uint32{0, 3, 4, 5, runVersion + 1} {
 		cases[fmt.Sprintf("run version %d", ver)] = mutate(func(d []byte) {
 			binary.LittleEndian.PutUint32(d[4:], ver)
 		})

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -35,6 +36,7 @@ import (
 type merger struct {
 	cursors []*mergeCursor
 	sel     encoding.Selector
+	blk     blocking              // always on; lengths only when the caller has them
 	drop    func(doc uint32) bool // nil keeps every posting
 }
 
@@ -321,7 +323,7 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 		// layout — same codec, split into skip-indexed blocks so the
 		// ranked path can prune — whatever the codec.
 		start := len(res.blob)
-		blob, flags, err := appendList(res.blob, m.sel, true, acc.DocIDs, acc.TFs, acc.Positions)
+		blob, flags, err := appendList(res.blob, m.sel, &m.blk, acc.DocIDs, acc.TFs, acc.Positions)
 		if err != nil {
 			res.err = fmt.Errorf("store: merge (%d,%d): %w", coll, slot, err)
 			return res
@@ -350,7 +352,7 @@ func (m *merger) mergeShard(keys []uint64) shardResult {
 // complete run-format file at path, atomically (temp + fsync +
 // rename). ctx cancels in-flight shards; a cancelled merge removes the
 // temp file and leaves path untouched. Returns the stats and the file
-// CRC (table + blob) for sidecar use.
+// CRC (avgRef + table + blob) for sidecar use.
 func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) (*MergeStats, uint32, error) {
 	// Distinct merged keys, known before any blob is read: the table
 	// region can be sized and reserved up front. Every cursor's keys are
@@ -519,6 +521,7 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 	binary.LittleEndian.PutUint32(hdrTable[12:], first)
 	binary.LittleEndian.PutUint32(hdrTable[16:], last)
 	// CRC patched below once the table bytes are final.
+	binary.LittleEndian.PutUint64(hdrTable[runCRCFrom:], math.Float64bits(m.blk.avg))
 	for i, e := range entries {
 		off := runHdrSize + i*entrySize
 		binary.LittleEndian.PutUint32(hdrTable[off:], e.Collection)
@@ -532,10 +535,10 @@ func (m *merger) writeMergedFile(ctx context.Context, path string, workers int) 
 		return nil, 0, err
 	}
 	size := int64(len(hdrTable)) + int64(blobOff)
-	// The file CRC covers table + blob. The blob half accumulated while
-	// streaming; crc32Combine splices the table CRC in front of it
-	// without re-reading a byte of the output.
-	fileCRC := crc32Combine(crc32.ChecksumIEEE(hdrTable[runHdrSize:]), blobCRC.Sum32(), int64(blobOff))
+	// The file CRC covers avgRef + table + blob. The blob half
+	// accumulated while streaming; crc32Combine splices the CRC of the
+	// bytes before it in front without re-reading a byte of the output.
+	fileCRC := crc32Combine(crc32.ChecksumIEEE(hdrTable[runCRCFrom:]), blobCRC.Sum32(), int64(blobOff))
 	var crcBytes [4]byte
 	binary.LittleEndian.PutUint32(crcBytes[:], fileCRC)
 	if _, err := f.WriteAt(crcBytes[:], 20); err != nil {
@@ -698,7 +701,7 @@ func CompactRuns(ctx context.Context, sources []CompactSource, outPath string, o
 	// Ascending doc order makes same-key partial lists concatenate into
 	// globally sorted postings.
 	slices.SortStableFunc(cursors, func(a, b *mergeCursor) int { return cmp.Compare(a.rf.firstDoc, b.rf.firstDoc) })
-	m := &merger{cursors: cursors, sel: sel, drop: opts.Drop}
+	m := &merger{cursors: cursors, sel: sel, blk: blocking{on: true}, drop: opts.Drop}
 	stats, _, err := m.writeMergedFile(ctx, outPath, opts.Workers)
 	if err != nil {
 		return nil, err

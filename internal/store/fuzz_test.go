@@ -14,7 +14,8 @@ import (
 )
 
 // blockedRunSeed is a run holding one blocked list (600
-// postings, auto-selected codec) and one short unblocked one.
+// postings, auto-selected codec, impacts against stored lengths) and
+// one short unblocked one.
 func blockedRunSeed(f *testing.F) []byte {
 	docs := make([]uint32, 600)
 	tfs := make([]uint32, 600)
@@ -22,12 +23,17 @@ func blockedRunSeed(f *testing.F) []byte {
 		docs[i] = uint32(3 * i)
 		tfs[i] = uint32(i%7 + 1)
 	}
+	lens := make([]uint32, 3*len(docs))
+	for i := range lens {
+		lens[i] = uint32(10 + i%50)
+	}
 	sel, err := encoding.SelectorFor("auto")
 	if err != nil {
 		f.Fatal(err)
 	}
 	b := NewRunBuilderCodec(sel)
 	b.EnableBlocks()
+	b.SetDocLens(lens)
 	b.AddList(2, 0, docs, tfs)
 	b.AddList(2, 1, []uint32{4, 9}, []uint32{1, 3})
 	return b.Finalize(0, docs[len(docs)-1])
@@ -50,7 +56,7 @@ func FuzzParseRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x49, 0x52, 0x46, 1, 0, 0, 0})
 	f.Add(blockedRunSeed(f))
-	for _, ver := range []uint32{3, 4, 6} {
+	for _, ver := range []uint32{3, 4, 5, 7} {
 		other := b.Finalize(1, 9)
 		putU32At(other, 4, ver)
 		f.Add(other)
@@ -64,7 +70,7 @@ func FuzzParseRun(f *testing.F) {
 		// so the table walk and the decoders see hostile input too.
 		if len(data) >= runHdrSize {
 			data = append([]byte(nil), data...)
-			putU32At(data, 20, crc32.ChecksumIEEE(data[runHdrSize:]))
+			putU32At(data, 20, crc32.ChecksumIEEE(data[runCRCFrom:]))
 		}
 		run, err := openRunBytes(data)
 		if len(data) >= runHdrSize && binary.LittleEndian.Uint32(data[4:]) != runVersion && !errors.Is(err, ErrCorruptRun) {
@@ -242,6 +248,7 @@ func oneBlockBlob(n int) ([]byte, RunEntry) {
 	blob = encoding.PutUvarByte(blob, uint64(n))         // count
 	blob = encoding.PutUvarByte(blob, uint64(len(body))) // byteLen
 	blob = encoding.PutUvarByte(blob, 1)                 // maxTF
+	blob = append(blob, 0)                               // impact
 	blob = append(blob, body...)
 	return blob, RunEntry{Length: uint32(len(blob)), Count: uint32(n), Flags: FlagBlocks}
 }
@@ -284,7 +291,8 @@ func FuzzBlockedList(f *testing.F) {
 	}
 	f.Add(blob, e.Count, e.Flags)
 	f.Add([]byte{}, uint32(0), e.Flags)
-	f.Add([]byte{1, 1, 1, 1, 1, 0}, uint32(1), e.Flags)
+	f.Add([]byte{1, 1, 1, 1, 1, 0, 0}, uint32(1), e.Flags)
+	f.Add([]byte{1, 1, 1, 1, 1, 200, 0}, uint32(1), e.Flags)
 	big, be := oneBlockBlob(BlockLen + 1)
 	f.Add(big, be.Count, be.Flags)
 	f.Fuzz(func(t *testing.T, data []byte, count, flags uint32) {

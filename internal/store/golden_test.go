@@ -2,16 +2,24 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 )
 
 // TestRunFormatGolden pins the on-disk run format: any change to the
-// layout (header, entry size, flags, codec) must be deliberate — it
-// breaks every existing index — and shows up here as a hash change.
+// layout (header with avgRef, entry size, flags, codec, the blocked
+// layout's skip entries and impacts) must be deliberate — it breaks
+// every existing index — and shows up here as a hash change.
 func TestRunFormatGolden(t *testing.T) {
 	b := NewRunBuilder()
+	b.EnableBlocks()
+	lens := make([]uint32, 400)
+	for i := range lens {
+		lens[i] = uint32(5 + i%40)
+	}
+	b.SetDocLens(lens)
 	if err := b.AddList(37, 0, []uint32{1, 5, 130}, []uint32{2, 1, 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +27,38 @@ func TestRunFormatGolden(t *testing.T) {
 		[]uint32{9, 300}, []uint32{2, 1}, [][]uint32{{0, 128}, {4}}); err != nil {
 		t.Fatal(err)
 	}
-	data := b.Finalize(1, 300)
+	// Two blocks and a tail, the last posting past the length table.
+	docs := make([]uint32, 2*BlockLen+3)
+	tfs := make([]uint32, len(docs))
+	for i := range docs {
+		docs[i], tfs[i] = uint32(i+i/2), uint32(1+i%5)
+	}
+	docs[len(docs)-1] = 450
+	if err := b.AddList(50, 1, docs, tfs); err != nil {
+		t.Fatal(err)
+	}
+	data := b.Finalize(1, 450)
 	sum := sha256.Sum256(data)
-	const want = "e5a3345179a525e480839b203bfe65d70e5234dfbbc7ca91063bba42197b5d0c"
+	const want = "19f913f7c632122970297f3116a6822d952906fd84431e0c629e1851175d1cb7"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("run format changed: sha256 = %s, want %s (update deliberately)", got, want)
+	}
+	rf, err := openRunBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := rf.Find(50, 1)
+	bl, err := rf.BlocksCtx(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bl.NumBlocks() != 3 || bl.AvgRef() != AvgDocLen(lens) {
+		t.Fatalf("blocked list: %d blocks, avgRef %v; want 3 blocks, avgRef %v", bl.NumBlocks(), bl.AvgRef(), AvgDocLen(lens))
+	}
+	for i := 0; i < bl.NumBlocks(); i++ {
+		if bl.Skip(i).Impact == 0 {
+			t.Errorf("block %d written with lengths carries impact 0", i)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync/atomic"
 
@@ -27,7 +28,8 @@ type RunFile struct {
 	name     string // file name, for error messages
 	id       uint64 // per-open identity, the file part of a cache key
 	src      runSource
-	crc      uint32 // header checksum of table + blob, verified at open
+	crc      uint32 // header checksum of avgRef + table + blob, verified at open
+	avgRef   float64
 	firstDoc uint32
 	lastDoc  uint32
 	entries  []RunEntry
@@ -127,15 +129,21 @@ func parseRunFile(name string, f runSource, size int64, rp *ReadPath) (*RunFile,
 	if n < 0 || n > int((size-runHdrSize)/entrySize) {
 		return nil, ErrCorruptRun
 	}
+	// Bounds computed from the impacts scale by this average: it must
+	// be a length, not NaN, infinite or negative.
+	avgRef := math.Float64frombits(binary.LittleEndian.Uint64(hdr[runCRCFrom:]))
+	if !(avgRef >= 0 && avgRef <= math.MaxFloat64) {
+		return nil, fmt.Errorf("%w: average length %v", ErrCorruptRun, avgRef)
+	}
 	table := make([]byte, n*entrySize)
 	if _, err := f.ReadAt(table, runHdrSize); err != nil {
 		return nil, fmt.Errorf("%w: short table read", ErrCorruptRun)
 	}
-	// One streaming pass verifies the table+blob checksum without
-	// holding the blob: a bit flip anywhere past the header is caught
+	// One streaming pass verifies the avgRef+table+blob checksum without
+	// holding the blob: a bit flip anywhere past the crc field is caught
 	// here.
 	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, io.NewSectionReader(f, runHdrSize, size-runHdrSize)); err != nil {
+	if _, err := io.Copy(crc, io.NewSectionReader(f, runCRCFrom, size-runCRCFrom)); err != nil {
 		return nil, fmt.Errorf("%w: crc stream: %v", ErrCorruptRun, err)
 	}
 	if crc.Sum32() != get32(20) {
@@ -146,6 +154,7 @@ func parseRunFile(name string, f runSource, size int64, rp *ReadPath) (*RunFile,
 		id:       fileIDs.Add(1),
 		src:      f,
 		crc:      get32(20),
+		avgRef:   avgRef,
 		firstDoc: get32(12),
 		lastDoc:  get32(16),
 		entries:  make([]RunEntry, n),
@@ -307,6 +316,7 @@ func (r *RunFile) BlocksCtx(ctx context.Context, e RunEntry) (*BlockList, error)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
+	bl.avgRef = r.avgRef
 	return bl, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // mapping table, blob) with the table sorted by (collection, slot).
 // The file is only trusted when the sidecar merged.json matches it:
 // the sidecar records the format version, the exact byte size and the
-// table+blob CRC, all verified at open. Both files are written
+// avgRef+table+blob CRC, all verified at open. Both files are written
 // atomically (temp + fsync + rename), so a crash mid-merge leaves the
 // previous index fully intact.
 const (
@@ -149,7 +149,8 @@ func (r *IndexReader) Merge() (*MergeStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &merger{cursors: cursors, sel: r.mergeSelect}
+	m := &merger{cursors: cursors, sel: r.mergeSelect,
+		blk: blocking{on: true, lens: r.docLens, avg: AvgDocLen(r.docLens)}}
 	stats, fileCRC, err := m.writeMergedFile(context.Background(),
 		filepath.Join(r.dir, mergedFileName), r.mergeWorkers)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"fastinvert/internal/encoding"
 )
@@ -24,7 +25,9 @@ import (
 //	nLists u32
 //	first  u32  first global docID covered by this run
 //	last   u32  last global docID covered
-//	crc    u32  IEEE CRC-32 of table + blob
+//	crc    u32  IEEE CRC-32 of every byte after it: avgRef + table + blob
+//	avgRef f64  bits of the average document length the blocked lists'
+//	            impacts were computed against, 0 when none were
 //	table  nLists x { coll u32, slot u32, off u64, len u32, count u32,
 //	                  flags u32 }
 //	blob   per list, the entry codec's encoding of its postings (with
@@ -32,9 +35,13 @@ import (
 //	       blocks.go when FlagBlocks
 const (
 	runMagic   = 0x4652494e // "FRIN"
-	runVersion = 5
-	runHdrSize = 24
+	runVersion = 6
+	runHdrSize = 32
 	entrySize  = 28
+
+	// runCRCFrom is where the bytes the header CRC covers begin: right
+	// after the crc field, so avgRef is checksummed with the table.
+	runCRCFrom = 24
 )
 
 // Entry flags. Bits 8-15 hold the list's encoding.CodecID and are
@@ -85,7 +92,7 @@ type RunBuilder struct {
 	entries []RunEntry
 	blob    []byte
 	sel     encoding.Selector
-	blocks  bool // long non-positional lists take the blocked layout
+	blk     blocking
 }
 
 // NewRunBuilder returns an empty builder that encodes every list with
@@ -102,18 +109,27 @@ func NewRunBuilderCodec(sel encoding.Selector) *RunBuilder {
 
 // EnableBlocks turns on the blocked layout for long non-positional
 // lists (>= blockMinPostings postings): their blobs gain a per-block
-// skip table with maxTF impact bounds. Sealed segments enable this,
-// as every merge does; the build pipeline's intermediate runs do not,
-// keeping their bytes stable.
-func (b *RunBuilder) EnableBlocks() { b.blocks = true }
+// skip table with maxTF and impact bounds. Sealed segments enable
+// this, as every merge does; the build pipeline's intermediate runs do
+// not, keeping their bytes stable.
+func (b *RunBuilder) EnableBlocks() { b.blk.on = true }
+
+// SetDocLens gives the builder the collection's document lengths:
+// blocked lists added afterwards store BM25 impacts computed against
+// them, and Finalize records their AvgDocLen as the file's avgRef.
+// Without it impacts are written as 0.
+func (b *RunBuilder) SetDocLens(lens []uint32) {
+	b.blk.lens, b.blk.avg = lens, AvgDocLen(lens)
+}
 
 // appendList encodes one non-empty list onto dst the way every writer
 // of the format does — sel picks the codec (nil means varbyte), and
-// with blocks set a long non-positional list takes the blocked layout
-// — and returns the grown blob with the entry's flags. Both choices
-// are pure functions of the list's shape, so output bytes never depend
-// on which writer or how many workers produced them.
-func appendList(dst []byte, sel encoding.Selector, blocks bool, docIDs, tfs []uint32, positions [][]uint32) ([]byte, uint32, error) {
+// with bk on a long non-positional list takes the blocked layout, its
+// impacts computed from bk's lengths — and returns the grown blob with
+// the entry's flags. Every choice is a pure function of the list and
+// the lengths, so output bytes never depend on which writer or how
+// many workers produced them.
+func appendList(dst []byte, sel encoding.Selector, bk *blocking, docIDs, tfs []uint32, positions [][]uint32) ([]byte, uint32, error) {
 	n := len(docIDs)
 	codec := encoding.VarByteCodec
 	if sel != nil {
@@ -125,9 +141,9 @@ func appendList(dst []byte, sel encoding.Selector, blocks bool, docIDs, tfs []ui
 	case positions != nil:
 		flags |= FlagPositional
 		dst, err = codec.Encode(dst, docIDs, tfs, positions)
-	case blocks && n >= blockMinPostings:
+	case bk.on && n >= blockMinPostings:
 		flags |= FlagBlocks
-		dst, err = appendBlockedList(dst, codec, docIDs, tfs)
+		dst, err = appendBlockedList(dst, codec, bk, docIDs, tfs)
 	default:
 		dst, err = codec.Encode(dst, docIDs, tfs, nil)
 	}
@@ -141,7 +157,7 @@ func (b *RunBuilder) addList(collection int, slot int32, docIDs, tfs []uint32, p
 		return nil
 	}
 	off := uint64(len(b.blob))
-	blob, flags, err := appendList(b.blob, b.sel, b.blocks, docIDs, tfs, positions)
+	blob, flags, err := appendList(b.blob, b.sel, &b.blk, docIDs, tfs, positions)
 	if err != nil {
 		return fmt.Errorf("store: list (%d,%d): %w", collection, slot, err)
 	}
@@ -230,6 +246,8 @@ func (b *RunBuilder) Finalize(firstDoc, lastDoc uint32) []byte {
 	put32(lastDoc)
 	put32(0) // crc placeholder
 	var u64 [8]byte
+	binary.LittleEndian.PutUint64(u64[:], math.Float64bits(b.blk.avg))
+	out = append(out, u64[:]...)
 	for _, e := range b.entries {
 		put32(e.Collection)
 		put32(e.Slot)
@@ -240,7 +258,7 @@ func (b *RunBuilder) Finalize(firstDoc, lastDoc uint32) []byte {
 		put32(e.Flags)
 	}
 	out = append(out, b.blob...)
-	binary.LittleEndian.PutUint32(out[20:], crc32.ChecksumIEEE(out[runHdrSize:]))
+	binary.LittleEndian.PutUint32(out[20:], crc32.ChecksumIEEE(out[runCRCFrom:]))
 	return out
 }
 

@@ -105,7 +105,7 @@ func TestRunRejectsCorruption(t *testing.T) {
 // denial-of-service inputs: headers declaring absurd counts must be
 // rejected before any proportional allocation.
 func TestHostileHeadersDoNotAllocate(t *testing.T) {
-	// Run file claiming 4 billion entries in 24 bytes of data.
+	// Run file claiming 4 billion entries in a bare header.
 	hostile := make([]byte, runHdrSize)
 	putU32 := func(off int, v uint32) {
 		hostile[off] = byte(v)
@@ -128,7 +128,7 @@ func TestHostileHeadersDoNotAllocate(t *testing.T) {
 	data[runHdrSize+20] = 0xFF
 	data[runHdrSize+21] = 0xFF
 	// Recompute CRC so only the count check can reject.
-	crc := crc32ChecksumForTest(data[runHdrSize:])
+	crc := crc32ChecksumForTest(data[runCRCFrom:])
 	putU32At(data, 20, crc)
 	if _, err := openRunBytes(data); err == nil {
 		t.Error("impossible Count must be rejected")

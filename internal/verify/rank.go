@@ -211,8 +211,12 @@ func diffTopK(s *search.Searcher, mode search.RankMode, k int, q []string, want 
 // map the run-level read-back produced: per-block counts sum to the
 // list length, every tf is bounded by the block's stored MaxTF, and
 // docIDs ascend through consecutive blocks with each skip entry's
-// LastDoc matching its block's final posting.
-func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, maxDiffs int) *DiffReport {
+// LastDoc matching its block's final posting. Where the index carries
+// lengths, every blocked list's impacts must have been written against
+// their average, and each block's stored impact q must be safe — q/255
+// at least the largest tf/(tf + k1*norm) of its postings, restated
+// here from docLens — and tight, within one 1/255 quantum of it.
+func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, docLens []uint32, maxDiffs int) *DiffReport {
 	if maxDiffs <= 0 {
 		maxDiffs = 8
 	}
@@ -224,6 +228,26 @@ func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, ma
 		}
 		rep.Diffs = append(rep.Diffs, TermDiff{Term: term, Kind: "block-bounds", Detail: detail})
 		return true
+	}
+	var avgLen float64
+	if len(docLens) > 0 {
+		var sum float64
+		for _, l := range docLens {
+			sum += float64(l)
+		}
+		avgLen = sum / float64(len(docLens))
+	}
+	// saturation is a posting's tf/(tf + k1*norm): its BM25 score
+	// without idf and the (k1+1) factor.
+	saturation := func(tf, doc uint32) float64 {
+		f := float64(tf)
+		norm := 1 - refB
+		if int(doc) < len(docLens) {
+			norm += refB * float64(docLens[doc]) / avgLen
+		} else {
+			norm += refB
+		}
+		return f / (f + refK1*norm)
 	}
 	terms := make([]string, 0, len(lists))
 	for t := range lists {
@@ -249,6 +273,10 @@ func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, ma
 		mismatch := ""
 		for _, bl := range tb.Lists {
 			prev := int64(-1)
+			impacts := avgLen > 0 && bl.NumBlocks() > 1
+			if impacts && bl.AvgRef() != avgLen {
+				mismatch = fmt.Sprintf("impacts written against average length %v, collection's is %v", bl.AvgRef(), avgLen)
+			}
 			for b := 0; b < bl.NumBlocks() && mismatch == ""; b++ {
 				sk := bl.Skip(b)
 				docs, tfs, err := bl.DecodeBlock(b)
@@ -264,7 +292,11 @@ func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, ma
 					mismatch = fmt.Sprintf("block %d: last doc %d, skip says %d", b, docs[len(docs)-1], sk.LastDoc)
 					break
 				}
+				sat := 0.0
 				for i, doc := range docs {
+					if impacts {
+						sat = max(sat, saturation(tfs[i], doc))
+					}
 					if int64(doc) <= prev {
 						mismatch = fmt.Sprintf("block %d: doc %d after %d", b, doc, prev)
 						break
@@ -279,6 +311,9 @@ func blockBoundsDiff(idx *store.IndexReader, lists map[string]*postings.List, ma
 						break
 					}
 					pi++
+				}
+				if q := float64(sk.Impact) / 255; mismatch == "" && impacts && (q < sat*(1-1e-12) || q-sat >= 1.0/255) {
+					mismatch = fmt.Sprintf("block %d: impact %d/255 = %v for a largest saturation of %v", b, sk.Impact, q, sat)
 				}
 				total += len(docs)
 			}
@@ -326,7 +361,7 @@ func rankComparisons(dir string, lists map[string]*postings.List, docs int64, ma
 		out[0].Diff.Diffs = append(out[0].Diff.Diffs, TermDiff{Term: "(index)", Kind: "topk",
 			Detail: fmt.Sprintf("rank=auto over a merged index: %d block queries, %d fallbacks", st.BlockQueries, st.FallbackQueries)})
 	}
-	return append(out, Comparison{Name: "block-bounds", Diff: blockBoundsDiff(idx, lists, maxDiffs)})
+	return append(out, Comparison{Name: "block-bounds", Diff: blockBoundsDiff(idx, lists, docLens, maxDiffs)})
 }
 
 // liveRankDiffs runs the ranked differential against a live manager at

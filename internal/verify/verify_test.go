@@ -5,11 +5,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"fastinvert/internal/corpus"
 	"fastinvert/internal/postings"
 	"fastinvert/internal/reference"
+	"fastinvert/internal/store"
 )
 
 // -seeds sets the number of random corpora the differential test
@@ -197,5 +199,43 @@ func TestDifferentialAcrossCorpora(t *testing.T) {
 	}
 	if rep := DiffLists("cross", a.Lists, b.Lists, 4); rep.OK() {
 		t.Fatal("indexes of different corpora compared equal — the harness is vacuous")
+	}
+}
+
+// TestRankOverBlockedLists runs the differential on a corpus whose
+// head terms pass the blocking threshold — the default seeds' corpora
+// are too small for any list to — so the ranked rows race the window
+// pruning over real stored blocks and the block-bounds row checks
+// real impacts, not pseudo-blocks alone.
+func TestRankOverBlockedLists(t *testing.T) {
+	gen := DefaultGenConfig(46)
+	gen.Files, gen.DocsPerFile = 3, 200
+	dir := filepath.Join(t.TempDir(), "idx")
+	res, err := Run(context.Background(), Config{Gen: gen, OutDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("differential mismatch:\n%s", res.Summary())
+	}
+	idx, err := store.OpenIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	blocked := 0
+	for _, e := range idx.Dictionary() {
+		tb, err := idx.BlockPostingsCtx(context.Background(), e.Term)
+		if err != nil || tb == nil {
+			t.Fatalf("%q: block view %v, %v", e.Term, tb, err)
+		}
+		for _, bl := range tb.Lists {
+			if bl.NumBlocks() > 1 && bl.Skip(0).Impact > 0 {
+				blocked++
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no list of the corpus was stored blocked with impacts")
 	}
 }
