@@ -5,10 +5,12 @@
 // `cmd/benchrunner` renders the same experiments as paper-style tables
 // at any scale.
 //
-// This is also where the paper's timing orderings are asserted (who is
-// faster than whom on this host, measured or modeled): a benchmark
-// fails when one does not hold. `go test ./...` never runs them, so a
-// loaded machine cannot fail the unit tests; `make microbench` does.
+// This is also where the paper's host-timed orderings are asserted (who
+// is faster than whom on this host): a benchmark fails when one does
+// not hold. `go test ./...` never runs them, so a loaded machine cannot
+// fail the unit tests; `make microbench` does. Orderings of modeled GPU
+// time alone (string cache, coalescing, transfer overlap) are functions
+// of the input, so `internal/experiments` tests pin them instead.
 package fastinvert_test
 
 import (
@@ -173,11 +175,6 @@ func BenchmarkAblationStringCache(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(a.Speedup(), "speedup-x")
-		// Without the caches every warp comparison pays a scattered
-		// arena fetch; the modeled speedup must be substantial.
-		if a.Speedup() < 1.5 {
-			b.Errorf("string-cache speedup only %.2fx", a.Speedup())
-		}
 	}
 }
 
@@ -202,10 +199,6 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(a.Speedup(), "speedup-x")
-		// Scattered reads of 512 B cost 128 transactions vs 8.
-		if a.Speedup() < 4 {
-			b.Errorf("coalescing speedup only %.2fx", a.Speedup())
-		}
 	}
 }
 
@@ -289,15 +282,5 @@ func BenchmarkExtTransferOverlap(b *testing.B) {
 		}
 		b.ReportMetric(rows[0].SpeedupPct, "50MBps-gain-%")
 		b.ReportMetric(rows[2].SpeedupPct, "5.5GBps-gain-%")
-		// At a constrained bus overlap must pay substantially; at the
-		// paper's 5.5 GB/s transfers are negligible, so the gain must
-		// shrink as bandwidth grows.
-		if rows[0].SpeedupPct < 10 {
-			b.Errorf("constrained-bus overlap gain only %.1f%%", rows[0].SpeedupPct)
-		}
-		if rows[0].SpeedupPct <= rows[2].SpeedupPct {
-			b.Errorf("gain should shrink with bandwidth: %.1f%% -> %.1f%%",
-				rows[0].SpeedupPct, rows[2].SpeedupPct)
-		}
 	}
 }

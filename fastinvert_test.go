@@ -18,7 +18,6 @@ func smallOptions() fastinvert.Options {
 	g.SMs = 4
 	g.DeviceMemBytes = 64 << 20
 	opts.GPU = g
-	opts.GPUThreadBlocks = 16
 	opts.Sampling.Ratio = 0.2
 	return opts
 }

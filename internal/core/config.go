@@ -40,10 +40,6 @@ type Config struct {
 	// with a smaller memory for test scale).
 	GPU gpu.Config
 
-	// GPUThreadBlocks is the grid size per kernel launch (480 in the
-	// paper's tuning).
-	GPUThreadBlocks int
-
 	// Sampling tunes the popularity sample (§III.E).
 	Sampling sampling.Config
 
@@ -182,7 +178,6 @@ func DefaultConfig() Config {
 		CPUIndexers:        2,
 		GPUs:               2,
 		GPU:                g,
-		GPUThreadBlocks:    480,
 		Sampling:           sampling.DefaultConfig(),
 		DiskBytesPerSec:    117e6, // 1 Gb Ethernet payload rate
 		DiskLatencySec:     2e-3,

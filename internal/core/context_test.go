@@ -18,7 +18,6 @@ func contextTestConfig(concurrent bool) Config {
 	g.SMs = 2
 	g.DeviceMemBytes = 32 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 4
 	cfg.Sampling.Ratio = 0.2
 	cfg.Concurrent = concurrent
 	return cfg

@@ -97,9 +97,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.gpuIxs = append(e.gpuIxs, gpuindexer.New(dev, gpuindexer.Config{
-			ThreadBlocks: cfg.GPUThreadBlocks,
-		}))
+		e.gpuIxs = append(e.gpuIxs, gpuindexer.New(dev, gpuindexer.Config{}))
 	}
 	return e, nil
 }

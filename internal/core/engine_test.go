@@ -28,7 +28,6 @@ func testConfig(parsers, cpus, gpus int) Config {
 	g.SMs = 4
 	g.DeviceMemBytes = 64 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 16
 	cfg.Sampling.Ratio = 0.2
 	return cfg
 }

@@ -11,12 +11,11 @@ import (
 // tinyScale keeps experiment tests fast.
 //
 // These tests assert only what is the same on every run: row counts,
-// byte sizes, token/term splits, component sums and rendering.
-// Orderings between two timings live in the Benchmark* wrappers of the
-// root bench_test.go (make microbench). That includes modeled GPU
-// time: gpu.Launch takes a kernel's critical path from whichever host
-// goroutine happened to run which thread block, so it moves with host
-// load like a stopwatch does.
+// byte sizes, token/term splits, component sums, rendering, and modeled
+// GPU time, which gpu.Launch takes from the device clock alone, so it
+// is pinned exactly. Orderings between two host-measured timings live
+// in the Benchmark* wrappers of the root bench_test.go (make
+// microbench).
 func tinyScale() Scale { return Scale{Files: 6, Factor: 0.5} }
 
 func TestTableIIIShapes(t *testing.T) {
@@ -209,24 +208,41 @@ func TestAblationRegroupFaster(t *testing.T) {
 	FprintAblation(io.Discard, a)
 }
 
+// TestAblationStringCacheHelps pins both arms of the modeled
+// string-cache ablation: kernel seconds on the device clock, a
+// function of the corpus alone. Without the caches every warp
+// comparison pays a scattered arena fetch.
 func TestAblationStringCacheHelps(t *testing.T) {
 	a, err := AblationStringCache(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.BaseSec <= 0 || a.VarSec <= 0 {
-		t.Errorf("missing timings: %+v", a)
+	if a.BaseSec != 0.006028832561728395 || a.VarSec != 0.0017894969135802468 {
+		t.Errorf("modeled arms moved: no-cache %v s, cached %v s", a.BaseSec, a.VarSec)
+	}
+	if a.Speedup() < 1.5 {
+		t.Errorf("string-cache speedup only %.2fx", a.Speedup())
 	}
 	FprintAblation(io.Discard, a)
 }
 
+// TestAblationCoalescing pins the modeled coalescing ablation: a
+// scattered 512 B node read is 128 transactions, a coalesced one 8.
 func TestAblationCoalescing(t *testing.T) {
 	a, err := AblationCoalescing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.BaseSec <= 0 || a.VarSec <= 0 {
-		t.Errorf("missing timings: %+v", a)
+	if a.BaseSec != 0.00022970756172839506 || a.VarSec != 2.67445987654321e-05 {
+		t.Errorf("modeled arms moved: scattered %v s, coalesced %v s", a.BaseSec, a.VarSec)
+	}
+	if a.Speedup() < 4 {
+		t.Errorf("coalescing speedup only %.2fx", a.Speedup())
+	}
+	var out strings.Builder
+	FprintAblation(&out, a)
+	if want := "scattered=229.708µs coalesced=26.745µs speedup=8.59x"; !strings.Contains(out.String(), want) {
+		t.Errorf("row %q lacks %q", out.String(), want)
 	}
 }
 
@@ -366,6 +382,10 @@ func TestExtPositionalCostShape(t *testing.T) {
 	FprintPositionalCost(io.Discard, rows)
 }
 
+// TestExtTransferOverlapShape pins the transfer-overlap extension.
+// With no CPU indexer, IndexingSec is PCIe copies plus modeled kernels,
+// so every row is a function of the corpus alone. On a constrained bus
+// overlap pays substantially, and the gain shrinks as bandwidth grows.
 func TestExtTransferOverlapShape(t *testing.T) {
 	rows, err := ExtTransferOverlap(tinyScale())
 	if err != nil {
@@ -374,10 +394,23 @@ func TestExtTransferOverlapShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for i, gbps := range []float64{0.05, 0.5, 5.5} {
-		if r := rows[i]; r.PCIeGBps != gbps || r.SerialSec <= 0 || r.OverlapSec <= 0 {
-			t.Errorf("row %d: degenerate %+v", i, r)
+	want := []TransferOverlapRow{
+		{PCIeGBps: 0.05, SerialSec: 0.007951296851851851, OverlapSec: 0.00617382},
+		{PCIeGBps: 0.5, SerialSec: 0.0025028588518518514, OverlapSec: 0.002150148851851852},
+		{PCIeGBps: 5.5, SerialSec: 0.0019525115791245793, OverlapSec: 0.001865901579124579},
+	}
+	for i, r := range rows {
+		w := want[i]
+		if r.PCIeGBps != w.PCIeGBps || r.SerialSec != w.SerialSec || r.OverlapSec != w.OverlapSec {
+			t.Errorf("row %d moved: got %+v, want %+v", i, r, w)
 		}
+	}
+	if rows[0].SpeedupPct < 10 {
+		t.Errorf("constrained-bus overlap gain only %.1f%%", rows[0].SpeedupPct)
+	}
+	if rows[0].SpeedupPct <= rows[2].SpeedupPct {
+		t.Errorf("gain should shrink with bandwidth: %.1f%% -> %.1f%%",
+			rows[0].SpeedupPct, rows[2].SpeedupPct)
 	}
 	FprintTransferOverlap(io.Discard, rows)
 }

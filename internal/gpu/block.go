@@ -8,9 +8,9 @@ import "fmt"
 // through the explicit shared/global memory calls; every operation
 // charges the block's cycle counter according to the device cost model.
 //
-// A Block is owned by a single SM goroutine; kernels must not share a
-// Block across goroutines. Distinct blocks may freely access disjoint
-// device-memory regions concurrently.
+// Launch runs a grid's blocks one after another on its caller and
+// re-arms one Block for each, so a kernel must not retain its Block
+// past its return.
 type Block struct {
 	dev      *Device
 	BlockIdx int
@@ -19,10 +19,9 @@ type Block struct {
 
 	ctr blockCounters
 
-	// Cost-model scratch, reused across charges. A Block is owned by a
-	// single SM goroutine, so plain fields need no synchronization;
-	// recycling them keeps the simulated-hardware accounting off the
-	// allocator's hot path (it runs once per modeled half-warp access).
+	// Cost-model scratch, reused across charges and blocks: recycling
+	// it keeps the simulated-hardware accounting off the allocator's
+	// hot path (it runs once per modeled half-warp access).
 	bankCounts []int
 	minVals    []int32
 	minLanes   []int

@@ -2,12 +2,14 @@
 //
 // The paper's GPU indexer runs on two NVIDIA Tesla C1060 cards; Go has
 // no usable CUDA bindings, so this package substitutes a simulator
-// that (a) actually executes warp-style kernels with real parallelism
-// — thread blocks are scheduled dynamically onto goroutine-backed
-// streaming multiprocessors — and (b) charges a cycle-level cost model
-// for exactly the effects the paper optimizes: coalesced versus
-// scattered device-memory transactions, shared-memory staging and bank
-// conflicts, warp instruction issue, and PCIe transfers.
+// that (a) actually executes warp-style kernels, one thread block after
+// another on the launching goroutine, and (b) charges a cycle-level
+// cost model for exactly the effects the paper optimizes: coalesced
+// versus scattered device-memory transactions, shared-memory staging
+// and bank conflicts, warp instruction issue, and PCIe transfers. Each
+// block is charged to the streaming multiprocessor whose simulated
+// clock is lowest, so a launch's modeled time depends on its input
+// alone, never on how the host scheduled it.
 //
 // Kernels are written against the Block API: a loop over the lanes,
 // charged as one warp instruction, models a lockstep section; explicit
@@ -44,10 +46,10 @@ type Config struct {
 	MemLatencyCycles int64
 
 	// ResidentBlocksPerSM models latency hiding: with R blocks
-	// resident per SM (8 on the C1060, and the paper's 480 blocks on
-	// 30 SMs give 16 queued), a stalled warp's memory latency
-	// overlaps with other warps' execution, so each block is charged
-	// MemLatencyCycles/R per dependent access. 1 disables hiding.
+	// resident per SM (up to 8 on the C1060), a stalled warp's memory
+	// latency overlaps with other warps' execution, so each block is
+	// charged MemLatencyCycles/R per dependent access. 1 disables
+	// hiding.
 	ResidentBlocksPerSM int64
 
 	// SegmentBytes is the coalescing granularity: simultaneous

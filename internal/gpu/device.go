@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,13 +17,12 @@ const Nil Ptr = -1
 // allocators, and transfer/launch entry points.
 //
 // The address space is fixed at creation and addresses never move, so
-// kernels may call Malloc/MallocTransient concurrently with other
-// blocks' memory traffic — exactly like device-side allocation on real
-// hardware. Persistent allocations (Malloc) grow from the bottom;
-// per-run transient buffers (MallocTransient) grow from the top and
-// are released wholesale by FreeTransients, mirroring the paper's
-// per-run cudaMalloc/cudaFree of input and output regions while the
-// dictionary stays resident.
+// kernels may call Malloc/MallocTransient mid-launch, like device-side
+// allocation on real hardware. Persistent allocations (Malloc) grow
+// from the bottom; per-run transient buffers (MallocTransient) grow
+// from the top and are released wholesale by FreeTransients, mirroring
+// the paper's per-run cudaMalloc/cudaFree of input and output regions
+// while the dictionary stays resident.
 //
 // Backing storage is chunked and lazily materialized: a 4 GiB device
 // costs only the chunks actually touched, so creating a device (one
@@ -312,84 +312,52 @@ type LaunchStats struct {
 	SharedAcc    int64
 	Conflicts    int64
 	Divergent    int64   // lanes that took a divergent warp path
-	MaxSMCycles  int64   // critical-path cycles across SMs
+	MaxSMCycles  int64   // largest SM clock: the grid's critical path
 	TotalCycles  int64   // sum over blocks (work metric)
 	SimSeconds   float64 // MaxSMCycles / clock
 }
 
-// Launch executes a grid of nBlocks thread blocks running kernel.
-// Blocks are scheduled dynamically onto the configured number of SMs
-// (the paper's round-robin "next available trie collection" strategy):
-// each SM is a goroutine pulling the next unstarted block index. The
-// call blocks until the grid completes, like a synchronous CUDA launch,
-// and returns the launch statistics. A panic inside a kernel is
-// re-raised on the calling goroutine.
+// Launch executes a grid of nBlocks thread blocks running kernel and
+// returns the launch statistics. Blocks run in index order on the
+// calling goroutine, and each is charged to the SM whose simulated
+// clock is lowest when it starts: list scheduling, the paper's "next
+// available trie collection" policy in device time, so MaxSMCycles is
+// a function of the kernel's charges alone. A panic inside a kernel
+// surfaces on the caller, like a fault at a synchronous CUDA launch.
 func (d *Device) Launch(nBlocks int, kernel func(b *Block)) LaunchStats {
 	if nBlocks <= 0 {
 		return LaunchStats{}
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	var panicked atomic.Value // first kernel panic, re-raised on the host
-	sms := d.cfg.SMs
-	if sms > nBlocks {
-		sms = nBlocks
-	}
-	smCycles := make([]int64, sms)
-	blockStats := make([]blockCounters, sms)
-	for sm := 0; sm < sms; sm++ {
-		wg.Add(1)
-		go func(sm int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, r)
-				}
-			}()
-			// One Block per SM goroutine, re-armed per block index:
-			// kernels may not retain it past their return, so reusing
-			// it (and its cost-model scratch) across the SM's blocks
-			// is safe and keeps the launch loop allocation-free.
-			shared := make([]byte, d.cfg.SharedMemPerBlock)
-			b := &Block{
-				dev:    d,
-				Dim:    d.cfg.WarpSize,
-				Shared: shared,
+	smCycles := make([]int64, min(d.cfg.SMs, nBlocks))
+	// Kernels may not retain the Block past their return, so one Block
+	// (and its cost-model scratch) serves every block of the grid.
+	b := &Block{dev: d, Dim: d.cfg.WarpSize, Shared: make([]byte, d.cfg.SharedMemPerBlock)}
+	var sum blockCounters
+	for bi := 0; bi < nBlocks; bi++ {
+		clear(b.Shared)
+		b.BlockIdx = bi
+		b.ctr = blockCounters{}
+		kernel(b)
+		sm := 0
+		for i, c := range smCycles {
+			if c < smCycles[sm] {
+				sm = i
 			}
-			for {
-				bi := int(atomic.AddInt64(&next, 1))
-				if bi >= nBlocks || panicked.Load() != nil {
-					return
-				}
-				for i := range shared {
-					shared[i] = 0
-				}
-				b.BlockIdx = bi
-				b.ctr = blockCounters{}
-				kernel(b)
-				smCycles[sm] += b.ctr.cycles
-				blockStats[sm].add(&b.ctr)
-			}
-		}(sm)
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(r) // kernel fault surfaces at the synchronous launch, like CUDA
+		}
+		smCycles[sm] += b.ctr.cycles
+		sum.add(&b.ctr)
 	}
 
-	var ls LaunchStats
-	ls.Blocks = nBlocks
-	for sm := 0; sm < sms; sm++ {
-		if smCycles[sm] > ls.MaxSMCycles {
-			ls.MaxSMCycles = smCycles[sm]
-		}
-		ls.TotalCycles += smCycles[sm]
-		ls.Instructions += blockStats[sm].instructions
-		ls.GlobalTxns += blockStats[sm].globalTxns
-		ls.GlobalBytes += blockStats[sm].globalBytes
-		ls.SharedAcc += blockStats[sm].sharedAcc
-		ls.Conflicts += blockStats[sm].conflicts
-		ls.Divergent += blockStats[sm].divergent
+	ls := LaunchStats{
+		Blocks:       nBlocks,
+		Instructions: sum.instructions,
+		GlobalTxns:   sum.globalTxns,
+		GlobalBytes:  sum.globalBytes,
+		SharedAcc:    sum.sharedAcc,
+		Conflicts:    sum.conflicts,
+		Divergent:    sum.divergent,
+		MaxSMCycles:  slices.Max(smCycles),
+		TotalCycles:  sum.cycles,
 	}
 	ls.SimSeconds = float64(ls.MaxSMCycles) / d.cfg.ClockHz
 
@@ -418,6 +386,7 @@ type blockCounters struct {
 }
 
 func (c *blockCounters) add(o *blockCounters) {
+	c.cycles += o.cycles
 	c.instructions += o.instructions
 	c.globalTxns += o.globalTxns
 	c.globalBytes += o.globalBytes

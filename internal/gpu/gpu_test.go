@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -138,24 +137,25 @@ func TestLaunchExecutesAllBlocks(t *testing.T) {
 	}
 }
 
+// TestLaunchSpreadsOverSMs pins the list schedule: blocks start in
+// index order on the SM whose simulated clock is lowest (ties to the
+// lowest SM), whatever the host's core count.
 func TestLaunchSpreadsOverSMs(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU for real SM parallelism; timing model covers 1-CPU hosts")
+	d := MustDevice(testConfig()) // 4 SMs
+	st := d.Launch(100, func(b *Block) { b.ChargeInstr(100) })
+	if want := 25 * 100 * d.cfg.InstrCycles; st.MaxSMCycles != want {
+		t.Errorf("100 equal blocks on 4 SMs: MaxSMCycles %d, want %d", st.MaxSMCycles, want)
 	}
-	d := MustDevice(testConfig())
-	sink := make([]int64, 256)
-	st := d.Launch(100, func(b *Block) {
-		// Enough real work per block (~100us) that all four SM
-		// goroutines demonstrably participate.
-		var acc int64
-		for i := 0; i < 200_000; i++ {
-			acc += int64(i ^ b.BlockIdx)
-		}
-		sink[b.BlockIdx%256] = acc
-		b.ChargeInstr(100)
-	})
-	if st.MaxSMCycles >= st.TotalCycles {
-		t.Errorf("no parallelism: max %d vs total %d cycles", st.MaxSMCycles, st.TotalCycles)
+
+	// Instructions 5 3 3 2 2 2 1 land on SMs 0 1 2 3 3 1 2, whose
+	// clocks end at 5 5 4 4 instructions.
+	instr := []int64{5, 3, 3, 2, 2, 2, 1}
+	st = d.Launch(len(instr), func(b *Block) { b.ChargeInstr(instr[b.BlockIdx]) })
+	if want := 5 * d.cfg.InstrCycles; st.MaxSMCycles != want {
+		t.Errorf("uneven blocks: MaxSMCycles %d, want %d", st.MaxSMCycles, want)
+	}
+	if want := 18 * d.cfg.InstrCycles; st.TotalCycles != want {
+		t.Errorf("uneven blocks: TotalCycles %d, want %d", st.TotalCycles, want)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func buildEncodeFixture(t *testing.T, seed int64, positional bool) *Indexer {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ix := New(testDevice(), Config{ThreadBlocks: 16})
+	ix := New(testDevice(), Config{})
 	p := parser.New(nil)
 	p.Positional = positional
 	blk := parser.NewBlock(0)

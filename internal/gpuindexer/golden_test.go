@@ -13,25 +13,23 @@ import (
 )
 
 // goldenCost is everything the cost model reports for one indexed
-// corpus that does not depend on host scheduling.
+// corpus.
 type goldenCost struct {
-	launch     gpu.LaunchStats // summed over runs; Blocks/MaxSMCycles/SimSeconds left zero
+	launch     gpu.LaunchStats // summed over runs; SimSeconds left zero
 	simSeconds float64         // Device.Stats().SimSeconds: kernels and PCIe copies
 	dictionary string          // first 8 bytes of a SHA-256 over ExportDictionary
 }
 
 // indexGolden indexes three generated ClueWeb-like files, one run per
-// file, on a device with one SM and one thread block. With more of
-// either, MaxSMCycles and the arena addresses follow which goroutine
-// got to a group first (DESIGN §5); with one, every charged cycle is a
-// function of the input alone.
-func indexGolden(t *testing.T, cfg Config, positional bool) goldenCost {
+// file, on a device with sms SMs. On one SM every block runs back to
+// back, so MaxSMCycles is TotalCycles and Blocks the collection count:
+// the schedule (Blocks, MaxSMCycles) is summed only when sms > 1.
+func indexGolden(t *testing.T, cfg Config, positional bool, sms int) goldenCost {
 	t.Helper()
 	devCfg := gpu.TeslaC1060()
-	devCfg.SMs = 1
+	devCfg.SMs = sms
 	devCfg.DeviceMemBytes = 64 << 20
 	dev := gpu.MustDevice(devCfg)
-	cfg.ThreadBlocks = 1
 	ix := New(dev, cfg)
 
 	gen := corpus.NewGenerator(corpus.ClueWeb09(1))
@@ -58,6 +56,10 @@ func indexGolden(t *testing.T, cfg Config, positional bool) goldenCost {
 		got.launch.Conflicts += rs.Launch.Conflicts
 		got.launch.Divergent += rs.Launch.Divergent
 		got.launch.TotalCycles += rs.Launch.TotalCycles
+		if sms > 1 {
+			got.launch.Blocks += rs.Launch.Blocks
+			got.launch.MaxSMCycles += rs.Launch.MaxSMCycles
+		}
 		ix.ResetRunPostings()
 		docBase += uint32(len(docs))
 	}
@@ -82,12 +84,15 @@ func indexGolden(t *testing.T, cfg Config, positional bool) goldenCost {
 // TestModeledCostGolden pins the modeled cost of the kernel to values
 // recorded before the host-side search loop was rewritten (commit
 // 676edda): a change that makes the simulator cheaper to run must not
-// move a single charged instruction, transaction or cycle.
+// move a single charged instruction, transaction or cycle. The cases
+// run on one SM except default-device, which pins the list schedule
+// over the C1060's 30.
 func TestModeledCostGolden(t *testing.T) {
 	cases := []struct {
 		name       string
 		cfg        Config
 		positional bool
+		sms        int // 0 means one
 		want       goldenCost
 	}{
 		{name: "string-cache", want: goldenCost{
@@ -102,10 +107,14 @@ func TestModeledCostGolden(t *testing.T) {
 			launch: gpu.LaunchStats{Instructions: 680695, GlobalTxns: 280798, GlobalBytes: 9706335,
 				SharedAcc: 94932, Conflicts: 0, Divergent: 47857, TotalCycles: 23234351},
 			simSeconds: 0.018253955423681256, dictionary: "c3ae8a1543e7525d"}},
+		{name: "default-device", sms: gpu.TeslaC1060().SMs, want: goldenCost{
+			launch: gpu.LaunchStats{Blocks: 4709, Instructions: 680695, GlobalTxns: 273565, GlobalBytes: 9287579,
+				SharedAcc: 94932, Conflicts: 0, Divergent: 47857, MaxSMCycles: 5200246, TotalCycles: 23041748},
+			simSeconds: 0.00426261349382716, dictionary: "c3ae8a1543e7525d"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := indexGolden(t, tc.cfg, tc.positional)
+			got := indexGolden(t, tc.cfg, tc.positional, max(tc.sms, 1))
 			if got != tc.want {
 				t.Errorf("modeled cost moved:\n got %#v\nwant %#v", got, tc.want)
 			}

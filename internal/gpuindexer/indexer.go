@@ -3,8 +3,8 @@
 // and postings of one trie collection, with 512-byte coalesced loads
 // of nodes and input string chunks into shared memory, warp-parallel
 // key comparison with a parallel-reduction position search (Fig. 7),
-// parallel shifts and splits, and dynamic round-robin scheduling of
-// collections onto thread blocks.
+// parallel shifts and splits. Each run launches one thread block per
+// trie collection, and the device schedules the blocks onto its SMs.
 //
 // The device-resident dictionary uses exactly the btree package's
 // 512-byte node layout (Table II), and the kernel replicates the CPU
@@ -15,10 +15,7 @@ package gpuindexer
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fastinvert/internal/btree"
 	"fastinvert/internal/gpu"
@@ -28,17 +25,6 @@ import (
 
 // Config tunes the indexer.
 type Config struct {
-	// ThreadBlocks is the grid size per kernel launch; the paper found
-	// 480 blocks per Tesla C1060 optimal (§IV.B).
-	ThreadBlocks int
-
-	// NodeExtentNodes is the number of 512 B nodes per device node
-	// extent (extents are allocated on demand, device-side).
-	NodeExtentNodes int
-
-	// ArenaExtentBytes is the size of each device string-arena extent.
-	ArenaExtentBytes int
-
 	// NoStringCache is a cost-model ablation of the node string
 	// caches (§III.B.2): execution is unchanged, but every key
 	// comparison is charged the scattered arena read the cache would
@@ -46,16 +32,11 @@ type Config struct {
 	NoStringCache bool
 }
 
-// DefaultConfig returns the paper's tuned configuration.
-func DefaultConfig() Config {
-	return Config{
-		ThreadBlocks:     480,
-		NodeExtentNodes:  1024,
-		ArenaExtentBytes: arenaExtentSize,
-	}
-}
-
 const (
+	// nodeExtentNodes is the number of 512 B nodes per device node
+	// extent (extents are allocated on demand, device-side).
+	nodeExtentNodes = 1024
+
 	// arenaExtentSize fixes the arena extent so string pointers pack
 	// extent index and offset into an int32: off < 2^17, ext < 2^14.
 	arenaExtentSize = 128 << 10
@@ -101,27 +82,22 @@ type Indexer struct {
 	dev *gpu.Device
 	cfg Config
 
-	// The extent tables only grow, and every block reads them on each
-	// node load and arena access: growth happens under mu and publishes
-	// a new slice header, reads load the current one without locking.
-	// An append may write into spare capacity past a published length,
-	// which no reader of that header can index.
-	mu           sync.Mutex
-	nodeExtents  atomic.Pointer[[]gpu.Ptr]
-	nodeNext     int64 // atomic: next free node index
-	arenaExtents atomic.Pointer[[]gpu.Ptr]
+	// Device-side allocation state. A launch runs its blocks one after
+	// another, and the engine drives each indexer from one goroutine,
+	// so nothing here needs a lock.
+	nodeExtents  []gpu.Ptr
+	nodeNext     int32 // next free node index
+	arenaExtents []gpu.Ptr
 	arenaOff     int // offset within the last arena extent
 
 	collections map[int]*collection
 	stores      map[int]*postings.Store
 
-	// ctxs recycles kernel contexts across launches: one is checked out
-	// per thread block and returned when the block retires, so steady-
-	// state launches allocate nothing per block.
-	ctxs sync.Pool
+	// kctx is the kernel context, re-armed for every thread block so
+	// that steady-state launches allocate nothing per block.
+	kctx *kernelCtx
 
-	// Per-run scratch reused across IndexRun calls (the engine drives
-	// each indexer from a single goroutine, so no locking is needed).
+	// Per-run scratch reused across IndexRun calls.
 	work   []groupWork
 	packed []byte
 	recs   []byte
@@ -133,29 +109,12 @@ type Indexer struct {
 
 // New creates an indexer on dev.
 func New(dev *gpu.Device, cfg Config) *Indexer {
-	if cfg.ThreadBlocks <= 0 {
-		cfg.ThreadBlocks = DefaultConfig().ThreadBlocks
-	}
-	if cfg.NodeExtentNodes <= 0 {
-		cfg.NodeExtentNodes = DefaultConfig().NodeExtentNodes
-	}
-	cfg.ArenaExtentBytes = arenaExtentSize
-	ix := &Indexer{
+	return &Indexer{
 		dev:         dev,
 		cfg:         cfg,
 		collections: make(map[int]*collection),
 		stores:      make(map[int]*postings.Store),
 	}
-	ix.nodeExtents.Store(new([]gpu.Ptr))
-	ix.arenaExtents.Store(new([]gpu.Ptr))
-	return ix
-}
-
-// growExtents appends one n-byte device extent to a table. The caller
-// holds ix.mu.
-func (ix *Indexer) growExtents(table *atomic.Pointer[[]gpu.Ptr], n int) {
-	grown := append(*table.Load(), ix.dev.Malloc(n))
-	table.Store(&grown)
 }
 
 // Device returns the underlying simulated device.
@@ -191,23 +150,18 @@ func (ix *Indexer) TermCount(coll int) int {
 // (device-side allocation: safe mid-kernel because device memory never
 // moves).
 func (ix *Indexer) allocNode() int32 {
-	idx := atomic.AddInt64(&ix.nodeNext, 1) - 1
-	ext := int(idx) / ix.cfg.NodeExtentNodes
-	if ext >= len(*ix.nodeExtents.Load()) {
-		ix.mu.Lock()
-		for ext >= len(*ix.nodeExtents.Load()) {
-			ix.growExtents(&ix.nodeExtents, ix.cfg.NodeExtentNodes*btree.NodeSize)
-		}
-		ix.mu.Unlock()
+	idx := ix.nodeNext
+	ix.nodeNext++
+	if int(idx)/nodeExtentNodes >= len(ix.nodeExtents) {
+		ix.nodeExtents = append(ix.nodeExtents, ix.dev.Malloc(nodeExtentNodes*btree.NodeSize))
 	}
-	return int32(idx)
+	return idx
 }
 
 // nodePtr converts a node index to its device address.
 func (ix *Indexer) nodePtr(idx int32) gpu.Ptr {
-	ext := int(idx) / ix.cfg.NodeExtentNodes
-	base := (*ix.nodeExtents.Load())[ext]
-	return base + gpu.Ptr((int(idx)%ix.cfg.NodeExtentNodes)*btree.NodeSize)
+	base := ix.nodeExtents[int(idx)/nodeExtentNodes]
+	return base + gpu.Ptr((int(idx)%nodeExtentNodes)*btree.NodeSize)
 }
 
 // allocArena reserves n contiguous arena bytes (a record never
@@ -216,22 +170,20 @@ func (ix *Indexer) allocArena(n int) int32 {
 	if n > arenaExtentSize {
 		panic("gpuindexer: arena record too large")
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(*ix.arenaExtents.Load()) == 0 || ix.arenaOff+n > arenaExtentSize {
-		ix.growExtents(&ix.arenaExtents, arenaExtentSize)
+	if len(ix.arenaExtents) == 0 || ix.arenaOff+n > arenaExtentSize {
+		ix.arenaExtents = append(ix.arenaExtents, ix.dev.Malloc(arenaExtentSize))
 		ix.arenaOff = 0
 	}
 	off := ix.arenaOff
 	ix.arenaOff += n
-	return int32(len(*ix.arenaExtents.Load())-1)<<arenaOffBits | int32(off)
+	return int32(len(ix.arenaExtents)-1)<<arenaOffBits | int32(off)
 }
 
 // arenaPtr converts a packed string pointer to its device address.
 func (ix *Indexer) arenaPtr(sptr int32) gpu.Ptr {
 	ext := int(sptr >> arenaOffBits)
 	off := int(sptr & arenaOffMask)
-	return (*ix.arenaExtents.Load())[ext] + gpu.Ptr(off)
+	return ix.arenaExtents[ext] + gpu.Ptr(off)
 }
 
 // groupWork is one scheduled collection within a run.
@@ -312,32 +264,11 @@ func (ix *Indexer) IndexRun(groups []*parser.Group, docBase uint32) (RunStats, e
 	rs.InputBytes = totalIn
 	rs.PreSec = ix.dev.CopyHtoD(inPtr, packed)
 
-	// Kernel: dynamic round-robin of groups onto thread blocks.
-	var nextGroup int64 = -1
-	var newTerms int64
-	blocks := ix.cfg.ThreadBlocks
-	if blocks > len(work) {
-		blocks = len(work)
-	}
-	rs.Launch = ix.dev.Launch(blocks, func(b *gpu.Block) {
-		k := ix.getKernelCtx(b, docBase)
-		defer ix.putKernelCtx(k)
-		for {
-			gi := int(atomic.AddInt64(&nextGroup, 1))
-			if gi >= len(work) {
-				return
-			}
-			k.processGroup(&work[gi], &newTerms)
-			// Let the other SMs' goroutines have their turn at the
-			// group queue. The host has fewer cores than the device
-			// has SMs, and nothing else in the kernel blocks: without
-			// the yield the goroutines scheduled first drain the queue
-			// and MaxSMCycles reads as if the device had two SMs.
-			runtime.Gosched()
-		}
+	// Kernel: one thread block per collection.
+	rs.Launch = ix.dev.Launch(len(work), func(b *gpu.Block) {
+		rs.NewTerms += ix.kernelCtx(b, docBase).processGroup(&work[b.BlockIdx])
 	})
 	rs.KernelSec = rs.Launch.SimSeconds
-	rs.NewTerms = newTerms
 
 	// Post-processing: copy records back, aggregate into postings.
 	if cap(ix.recs) < totalRecBytes {
@@ -389,9 +320,8 @@ func (ix *Indexer) ResetRunPostings() {
 // program (§III.F: "the dictionary is kept in main memory until the
 // last batch of documents is processed, after which it is moved").
 func (ix *Indexer) snapshotArena() func(sptr int32) []byte {
-	extPtrs := *ix.arenaExtents.Load()
-	arenaBytes := make([][]byte, len(extPtrs))
-	for i, p := range extPtrs {
+	arenaBytes := make([][]byte, len(ix.arenaExtents))
+	for i, p := range ix.arenaExtents {
 		buf := make([]byte, arenaExtentSize)
 		ix.dev.CopyDtoH(buf, p)
 		arenaBytes[i] = buf

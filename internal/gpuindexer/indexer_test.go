@@ -41,7 +41,7 @@ func groupsOf(blk *parser.Block) []*parser.Group {
 }
 
 func TestGPUIndexRunBasic(t *testing.T) {
-	ix := New(testDevice(), Config{ThreadBlocks: 8})
+	ix := New(testDevice(), Config{})
 	blk := parseBlock(t, "zebra zebra lion", 1, 0)
 	rs, err := ix.IndexRun(groupsOf(blk), 1000)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestGPUIndexRunBasic(t *testing.T) {
 }
 
 func TestGPUDuplicateCollectionRejected(t *testing.T) {
-	ix := New(testDevice(), Config{ThreadBlocks: 4})
+	ix := New(testDevice(), Config{})
 	blk := parseBlock(t, "zebra", 1, 0)
 	gs := groupsOf(blk)
 	gs = append(gs, gs[0])
@@ -110,7 +110,7 @@ func synthText(rng *rand.Rand, words int) string {
 // dictionaries (key -> slot) and identical postings lists.
 func TestCPUGPUEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	gpuIx := New(testDevice(), Config{ThreadBlocks: 16})
+	gpuIx := New(testDevice(), Config{})
 	cpuIx := cpuindexer.New()
 
 	docBase := uint32(0)
@@ -180,7 +180,7 @@ func TestCPUGPUEquivalence(t *testing.T) {
 }
 
 func TestGPUManyRunsPostingsResetAndStats(t *testing.T) {
-	ix := New(testDevice(), Config{ThreadBlocks: 8})
+	ix := New(testDevice(), Config{})
 	var wantTokens int64
 	for run := 0; run < 3; run++ {
 		blk := parseBlock(t, "alpha beta gamma delta", 2, 0)
@@ -217,7 +217,7 @@ func TestNoStringCacheSameOutputHigherCost(t *testing.T) {
 	gs := groupsOf(blk)
 
 	run := func(noCache bool) (*Indexer, gpu.LaunchStats) {
-		ix := New(testDevice(), Config{ThreadBlocks: 8, NoStringCache: noCache})
+		ix := New(testDevice(), Config{NoStringCache: noCache})
 		rs, err := ix.IndexRun(gs, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestGPUCoalescingDominatesScattered(t *testing.T) {
 	// transactions (arena tie-breaks) must be a small fraction of
 	// total transactions on ordinary text.
 	dev := testDevice()
-	ix := New(dev, Config{ThreadBlocks: 8})
+	ix := New(dev, Config{})
 	blk := parseBlock(t, strings.Repeat("document indexing throughput on heterogeneous platforms ", 40), 5, 0)
 	if _, err := ix.IndexRun(groupsOf(blk), 0); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestGPUCoalescingDominatesScattered(t *testing.T) {
 // register as warp divergence while distinct short terms do not.
 func TestDivergenceTracked(t *testing.T) {
 	dev := testDevice()
-	ix := New(dev, Config{ThreadBlocks: 4})
+	ix := New(dev, Config{})
 	// Heavy shared 4-byte-prefix collisions after trie stripping:
 	// all in one collection with identical cache bytes.
 	blk := parseBlock(t, strings.Repeat(
@@ -295,7 +295,7 @@ func TestDivergenceTracked(t *testing.T) {
 	}
 
 	dev2 := testDevice()
-	ix2 := New(dev2, Config{ThreadBlocks: 4})
+	ix2 := New(dev2, Config{})
 	blk2 := parseBlock(t, "cat dog bird fish lion wolf bear deer", 1, 0)
 	if _, err := ix2.IndexRun(groupsOf(blk2), 0); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestDivergenceTracked(t *testing.T) {
 
 func BenchmarkGPUIndexRun(b *testing.B) {
 	dev := testDevice()
-	ix := New(dev, DefaultConfig())
+	ix := New(dev, Config{})
 	p := parser.New(nil)
 	blk := parser.NewBlock(0)
 	rng := rand.New(rand.NewSource(9))

@@ -3,7 +3,6 @@ package gpuindexer
 import (
 	"bytes"
 	"encoding/binary"
-	"sync/atomic"
 
 	"fastinvert/internal/btree"
 	"fastinvert/internal/gpu"
@@ -11,8 +10,8 @@ import (
 )
 
 // Shared-memory layout for one thread block (16 KB available; the
-// kernel uses just over 2.5 KB, leaving room for the occupancy the
-// paper tunes with 480 blocks/GPU).
+// kernel uses just over 2.5 KB, so several blocks fit on an SM at once:
+// the latency hiding gpu.Config.ResidentBlocksPerSM charges for).
 const (
 	shRoot    = 0                  // write-back cache of the collection's root
 	shNodeA   = btree.NodeSize     // node image (descent buffer A)
@@ -73,14 +72,14 @@ func newKernelCtx(ix *Indexer, b *gpu.Block, docBase uint32) *kernelCtx {
 	return k
 }
 
-// getKernelCtx checks a kernel context out of the indexer's pool,
-// re-armed for a new block, falling back to a fresh allocation.
-func (ix *Indexer) getKernelCtx(b *gpu.Block, docBase uint32) *kernelCtx {
-	v := ix.ctxs.Get()
-	if v == nil {
-		return newKernelCtx(ix, b, docBase)
+// kernelCtx returns the indexer's kernel context re-armed for block b,
+// creating it on first use.
+func (ix *Indexer) kernelCtx(b *gpu.Block, docBase uint32) *kernelCtx {
+	if ix.kctx == nil {
+		ix.kctx = newKernelCtx(ix, b, docBase)
+		return ix.kctx
 	}
-	k := v.(*kernelCtx)
+	k := ix.kctx
 	k.b = b
 	k.docBase = docBase
 	k.term = k.term[:0]
@@ -90,12 +89,6 @@ func (ix *Indexer) getKernelCtx(b *gpu.Block, docBase uint32) *kernelCtx {
 	k.cachedRoot = -1
 	k.rootDirty = false
 	return k
-}
-
-// putKernelCtx returns a retired block's context to the pool.
-func (ix *Indexer) putKernelCtx(k *kernelCtx) {
-	k.b = nil
-	ix.ctxs.Put(k)
 }
 
 // --- node image accessors over shared memory -------------------------
@@ -463,8 +456,9 @@ func (r *streamReader) readByte() (byte, bool) {
 }
 
 // processGroup runs the full per-collection kernel: decode the parsed
-// stream, insert every term, and emit its postings record.
-func (k *kernelCtx) processGroup(w *groupWork, newTerms *int64) {
+// stream, insert every term, and emit its postings record. It returns
+// the number of terms new to the collection's dictionary.
+func (k *kernelCtx) processGroup(w *groupWork) (newTerms int64) {
 	coll := k.ix.collections[w.coll]
 	if coll.root < 0 {
 		root := k.ix.allocNode()
@@ -529,10 +523,11 @@ func (k *kernelCtx) processGroup(w *groupWork, newTerms *int64) {
 		k.b.ChargeInstr(2) // record decode
 		slot, created := k.insert(coll, k.term)
 		if created {
-			atomic.AddInt64(newTerms, 1)
+			newTerms++
 		}
 		k.emit(slot, doc, pos)
 	}
 	k.flushStage()
 	k.flushRoot()
+	return newTerms
 }

@@ -13,7 +13,7 @@ import (
 // and per-posting position lists.
 func TestCPUGPUPositionalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	gpuIx := New(testDevice(), Config{ThreadBlocks: 16})
+	gpuIx := New(testDevice(), Config{})
 	cpuIx := cpuindexer.New()
 
 	docBase := uint32(0)

@@ -47,7 +47,6 @@ func buildBlockedIndex(t testing.TB) (*store.IndexReader, *reference.Index) {
 	g.SMs = 4
 	g.DeviceMemBytes = 64 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 8
 	cfg.Sampling.Ratio = 0.2
 	cfg.OutDir = filepath.Join(t.TempDir(), "idx")
 	eng, err := core.New(cfg)

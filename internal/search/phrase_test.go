@@ -38,7 +38,6 @@ func buildPositionalIndex(t testing.TB, docs []string) *Searcher {
 	g.SMs = 2
 	g.DeviceMemBytes = 32 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 4
 	cfg.Positional = true
 	cfg.Sampling.Ratio = 1
 	cfg.OutDir = filepath.Join(t.TempDir(), "idx")

@@ -139,7 +139,6 @@ func testReadPathParity(t *testing.T, positional bool) {
 	g.SMs = 2
 	g.DeviceMemBytes = 32 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 4
 	cfg.Positional = positional
 	cfg.Sampling.Ratio = 1
 	cfg.OutDir = filepath.Join(t.TempDir(), "idx")

@@ -36,7 +36,6 @@ func buildIndex(t testing.TB) *store.IndexReader {
 	g.SMs = 4
 	g.DeviceMemBytes = 64 << 20
 	cfg.GPU = g
-	cfg.GPUThreadBlocks = 8
 	cfg.Sampling.Ratio = 0.2
 	cfg.Positional = true
 	cfg.OutDir = filepath.Join(t.TempDir(), "idx")

@@ -64,10 +64,14 @@ type GenConfig struct {
 
 // DefaultGenConfig derives a small but adversarial corpus shape from a
 // seed: file count, document counts and compression all vary with the
-// seed so a sweep of seeds covers different pipeline shapes.
+// seed so a sweep of seeds covers different pipeline shapes. A seed
+// ending in 9 (so one in any ten consecutive seeds) generates 3 files
+// of 200 documents instead, enough for head terms' lists to pass the
+// 256-posting blocking threshold: without it the ranked and
+// block-bounds comparisons would only ever see pseudo-blocks.
 func DefaultGenConfig(seed int64) GenConfig {
 	h := uint64(seed)*0x9E3779B97F4A7C15 + 0x1234
-	return GenConfig{
+	g := GenConfig{
 		Seed:          seed,
 		Files:         2 + int(h%3),    // 2..4 container files
 		DocsPerFile:   5 + int(h>>8%6), // 5..10 docs per file
@@ -80,6 +84,10 @@ func DefaultGenConfig(seed int64) GenConfig {
 		EdgeCaseRatio: 0.15,
 		Compressed:    h>>4%2 == 0,
 	}
+	if (seed%10+10)%10 == 9 {
+		g.Files, g.DocsPerFile = 3, 200
+	}
+	return g
 }
 
 // edgePool holds the tokens most likely to break agreement between

@@ -107,7 +107,6 @@ func engineConfig(cfg Config) core.Config {
 	g.SMs = 4
 	g.DeviceMemBytes = 64 << 20
 	ec.GPU = g
-	ec.GPUThreadBlocks = 8
 	ec.Sampling.Ratio = 0.25
 	ec.Positional = cfg.Positional
 	ec.Concurrent = true

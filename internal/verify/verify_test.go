@@ -203,10 +203,10 @@ func TestDifferentialAcrossCorpora(t *testing.T) {
 }
 
 // TestRankOverBlockedLists runs the differential on a corpus whose
-// head terms pass the blocking threshold — the default seeds' corpora
-// are too small for any list to — so the ranked rows race the window
-// pruning over real stored blocks and the block-bounds row checks
-// real impacts, not pseudo-blocks alone.
+// head terms pass the blocking threshold — the shape DefaultGenConfig
+// gives one seed in ten — so the ranked rows race the window pruning
+// over real stored blocks and the block-bounds row checks real
+// impacts, not pseudo-blocks alone.
 func TestRankOverBlockedLists(t *testing.T) {
 	gen := DefaultGenConfig(46)
 	gen.Files, gen.DocsPerFile = 3, 200
