@@ -63,7 +63,7 @@ trace-serve:
 # nothing about time.
 FILES ?= 12
 SCALE ?= 4
-PROFILE_ROOTS = core\.\(\*Engine\)\.parseOne|corpus\.Decompress|parser\.\(\*Parser\)\.ParseDoc|cpuindexer\.\(\*Indexer\)\.IndexRun|gpuindexer\.\(\*kernelCtx\)\.processGroup|core\.\(\*Engine\)\.postProcessBlock|store\.\(\*IndexReader\)\.Merge|store\.openCursors\.func1|store\.\(\*merger\)\.mergeShard
+PROFILE_ROOTS = core\.\(\*Engine\)\.parseOne|corpus\.DecompressInto|parser\.\(\*Parser\)\.ParseDoc|cpuindexer\.\(\*Indexer\)\.IndexRun|gpuindexer\.\(\*kernelCtx\)\.processGroup|core\.\(\*Engine\)\.postProcessBlock|store\.\(\*IndexReader\)\.Merge|store\.openCursors\.func1|store\.\(\*merger\)\.mergeShard
 profile:
 	@tmp=$$(mktemp -d); rc=0; \
 	{ $(GO) build -o $$tmp/hetindex ./cmd/hetindex \
@@ -79,9 +79,10 @@ profile:
 # part of ./...; its TestQuick runs all four workloads at -quick sizes
 # and asserts no timing), the telemetry smoke gate, and — so they
 # cannot rot — the profile target on a tiny corpus and one iteration
-# each of the ranked-retrieval, Boolean-handler and live-ingest
-# microbenchmarks (the first two build a bench-shaped index, and the
-# first and last a live one, then assert nothing about time).
+# each of the ranked-retrieval, Boolean-handler, live-ingest and gunzip
+# microbenchmarks (the first two build a bench-shaped index, the first
+# and third a live one, and the last inflates one bench-shaped file with
+# both decoders; none asserts anything about time).
 check: lint
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -91,6 +92,7 @@ check: lint
 	$(GO) test ./internal/search/ -run '^$$' -bench BenchmarkTopK -benchtime 1x
 	$(GO) test ./internal/serve/ -run '^$$' -bench BenchmarkHandlerBool -benchtime 1x
 	$(GO) test ./internal/segment/ -run '^$$' -bench BenchmarkAddDocument -benchtime 1x
+	$(GO) test ./internal/corpus/ -run '^$$' -bench BenchmarkDecompress -benchtime 1x
 
 # The repository's one benchmark (BENCHMARK.json, bench/README.md):
 # four workloads over the shipped hetindex/hetserve binaries, seven

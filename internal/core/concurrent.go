@@ -141,8 +141,9 @@ func (e *Engine) BuildConcurrentContext(ctx context.Context, src corpus.Source) 
 		go func(p int) {
 			defer wg.Done()
 			psr := e.newParser()
+			var buf []byte // this parser's inflate buffer
 			for raw := range parserIn[p] {
-				results <- e.parseOne(psr, raw.f, raw.stored, raw.gz, raw.err)
+				results <- e.parseOne(psr, &buf, raw.f, raw.stored, raw.gz, raw.err)
 			}
 		}(p)
 	}
@@ -244,8 +245,11 @@ func (e *Engine) newParser() *parser.Parser {
 }
 
 // parseOne executes the parser stage (read modeling, decompression,
-// parse) for one file.
-func (e *Engine) parseOne(psr *parser.Parser, f int, stored []byte, gz bool, readErr error) parsedFile {
+// parse) for one file. A compressed file is inflated into *buf, which
+// keeps the (possibly grown) buffer for the parser's next file: the
+// inflated bytes are dead once parsed, since the block copies every
+// term out of them.
+func (e *Engine) parseOne(psr *parser.Parser, buf *[]byte, f int, stored []byte, gz bool, readErr error) parsedFile {
 	pf := parsedFile{f: f, stored: len(stored)}
 	if readErr != nil {
 		pf.err = fmt.Errorf("core: read file %d: %w", f, readErr)
@@ -257,13 +261,14 @@ func (e *Engine) parseOne(psr *parser.Parser, f int, stored []byte, gz bool, rea
 		IndexSec: make([]float64, e.cfg.CPUIndexers+e.cfg.GPUs),
 	}
 	t := time.Now()
-	plain, err := corpus.Decompress(stored, gz)
+	plain, err := corpus.DecompressInto(*buf, stored, gz)
 	if err != nil {
 		pf.err = fmt.Errorf("core: decompress file %d: %w", f, err)
 		return pf
 	}
 	if gz {
 		pf.item.DecompressSec = e.measure(t)
+		*buf = plain
 	}
 	pf.plain = len(plain)
 

@@ -173,6 +173,7 @@ func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (_ *Report
 	items := make([]pipesim.Item, 0, src.NumFiles())
 	var docBase uint32
 	p := e.newParser()
+	var buf []byte // the parser's inflate buffer
 
 	for f := 0; f < src.NumFiles(); f++ {
 		if err := ctx.Err(); err != nil {
@@ -184,7 +185,7 @@ func (e *Engine) BuildContext(ctx context.Context, src corpus.Source) (_ *Report
 			return nil, fmt.Errorf("core: read %s: %w", src.FileName(f), err)
 		}
 		e.obs.span(telemetry.StageRead, -1, f, tRead, int64(len(stored)), 0, 0)
-		pf := e.parseOne(p, f, stored, compressed, nil)
+		pf := e.parseOne(p, &buf, f, stored, compressed, nil)
 		if pf.err != nil {
 			return nil, pf.err
 		}
@@ -328,6 +329,7 @@ func (e *Engine) ParseOnly(src corpus.Source) (*Report, error) {
 	rep := &Report{Files: src.NumFiles()}
 	p := e.newParser()
 	items := make([]pipesim.Item, 0, src.NumFiles())
+	var buf []byte // inflate buffer, reused file to file
 	for f := 0; f < src.NumFiles(); f++ {
 		stored, compressed, err := src.ReadFile(f)
 		if err != nil {
@@ -338,12 +340,13 @@ func (e *Engine) ParseOnly(src corpus.Source) (*Report, error) {
 			ReadSec: e.cfg.DiskLatencySec + float64(len(stored))/e.cfg.DiskBytesPerSec,
 		}
 		t := time.Now()
-		plain, err := corpus.Decompress(stored, compressed)
+		plain, err := corpus.DecompressInto(buf, stored, compressed)
 		if err != nil {
 			return nil, err
 		}
 		if compressed {
 			item.DecompressSec = e.measure(t)
+			buf = plain
 		}
 		rep.UncompressedBytes += int64(len(plain))
 		t = time.Now()

@@ -1,11 +1,8 @@
 package corpus
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,20 +52,24 @@ func PlainSize(stored []byte, compressed bool) int {
 
 // Decompress returns the uncompressed content of a stored file. The
 // output is allocated once from PlainSize and grows only when that
-// hint lied low; the stream is still read to EOF, so gzip's CRC-32 and
-// length check cover every byte returned.
+// hint lied low; the stream is decoded to its end, so every member's
+// CRC-32 and length check cover every byte returned.
 func Decompress(stored []byte, compressed bool) ([]byte, error) {
+	return DecompressInto(nil, stored, compressed)
+}
+
+// DecompressInto is Decompress writing into buf's storage when it can
+// hold the file, so a caller inflating file after file keeps one
+// buffer. A compressed file's content is returned in buf or in a
+// larger buffer that replaces it; a plain file's is stored itself,
+// which the caller must not keep as its buffer.
+func DecompressInto(buf, stored []byte, compressed bool) ([]byte, error) {
 	if !compressed {
 		return stored, nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(stored))
+	out, _, err := gunzip(buf, stored, PlainSize(stored, true), math.MaxInt)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: gzip open: %w", err)
-	}
-	defer zr.Close()
-	out, err := readAllHint(zr, PlainSize(stored, true))
-	if err != nil {
-		return nil, fmt.Errorf("corpus: gzip read: %w", err)
+		return nil, fmt.Errorf("corpus: gunzip: %w", err)
 	}
 	return out, nil
 }
@@ -86,32 +87,15 @@ func DecompressPrefix(stored []byte, compressed bool, n int) (prefix []byte, who
 		}
 		return stored[:n], false, nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(stored))
-	if err != nil {
-		return nil, false, fmt.Errorf("corpus: gzip open: %w", err)
-	}
-	defer zr.Close()
 	// One byte past n tells a file of exactly n bytes from a longer one.
-	out, err := readAllHint(io.LimitReader(zr, int64(n)+1), min(n+1, PlainSize(stored, true)))
+	out, whole, err := gunzip(nil, stored, min(n+1, PlainSize(stored, true)), n+1)
 	if err != nil {
-		return nil, false, fmt.Errorf("corpus: gzip read: %w", err)
+		return nil, false, fmt.Errorf("corpus: gunzip: %w", err)
 	}
-	if len(out) > n {
+	if !whole {
 		return out[:n], false, nil
 	}
 	return out, true, nil
-}
-
-// readAllHint is io.ReadAll into a buffer preallocated for hint bytes;
-// the bytes.MinRead of slack lets the read that reports EOF find room
-// without growing the buffer.
-func readAllHint(r io.Reader, hint int) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(hint + bytes.MinRead)
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // MemSource serves a generated collection from memory: lazily,

@@ -366,19 +366,6 @@ type DecompressRow struct {
 // access for the whole combined duration.
 func AblationDecompress(s Scale) ([]DecompressRow, error) {
 	src := ClueWebSource(s)
-	eng, err := core.New(EngineConfig(1, 1, 0))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := eng.ParseOnly(src)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild items from the schedule's inputs: ParseOnly used them
-	// all; re-derive from the measured report by re-running pipesim.
-	// The engine does not expose raw items, so reconstruct: measure a
-	// fresh pass.
-	_ = rep
 	items, err := measureItems(src)
 	if err != nil {
 		return nil, err
@@ -408,6 +395,7 @@ func measureItems(src corpus.Source) ([]pipesim.Item, error) {
 	cfg := EngineConfig(1, 1, 0)
 	p := parser.New(nil)
 	var items []pipesim.Item
+	var buf []byte // inflate buffer, reused file to file as the parsers do
 	for f := 0; f < src.NumFiles(); f++ {
 		stored, compressed, err := src.ReadFile(f)
 		if err != nil {
@@ -417,12 +405,13 @@ func measureItems(src corpus.Source) ([]pipesim.Item, error) {
 			ReadSec: cfg.DiskLatencySec + float64(len(stored))/cfg.DiskBytesPerSec,
 		}
 		t0 := time.Now()
-		plain, err := corpus.Decompress(stored, compressed)
+		plain, err := corpus.DecompressInto(buf, stored, compressed)
 		if err != nil {
 			return nil, err
 		}
 		if compressed {
 			it.DecompressSec = time.Since(t0).Seconds()
+			buf = plain
 		}
 		t0 = time.Now()
 		blk := parser.NewBlock(0)
